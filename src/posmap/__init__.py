@@ -25,7 +25,6 @@ from .errors import (
     SolverError,
 )
 from .evaluation import (
-    coco_ap,
     dataset_stats,
     diagnose_errors,
     evaluate_detections,
@@ -65,7 +64,6 @@ __all__ = [
     "Treatment",
     "accumulate",
     "calibrate_intrinsics_planar",
-    "coco_ap",
     "dataset_stats",
     "default_camera",
     "default_taxonomy",

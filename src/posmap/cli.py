@@ -45,7 +45,7 @@ from .evaluation import (
     diagnose_errors,
     evaluate_detections,
     mean_ap,
-    pr_curve,
+    pr_curve,  # noqa: F401  (bound here so callers can wrap it by name)
 )
 from .mapping import (
     MapExtent,
@@ -454,7 +454,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         pr_path.parent.mkdir(parents=True, exist_ok=True)
         lines = ["class,recall,precision"]
         for cat_id in sorted(result.per_class):
-            curve = pr_curve(gt, dets, cat_id, iou_threshold=0.5, params=params)
+            curve = result.pr_curves[cat_id]
             if curve.ap is None:
                 continue
             for r, p in zip(curve.recall, curve.precision):

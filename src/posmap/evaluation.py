@@ -6,22 +6,35 @@ recall grid, object-size strata with crowd/out-of-stratum ignore handling,
 and recall at 100 detections per image. IoU can be computed on rasterized
 polygon masks (default) or on axis-aligned boxes.
 
-Tie-breaking is deterministic and documented: detections are ranked by
-(-score, id); a detection facing several ground truths of equal IoU takes
-the one with the lowest id.
+Every entry point runs on one matching pass per class (:func:`_match`).
+It builds each (image, class) IoU matrix once — a numpy broadcast over
+the box arrays, or one whole-image AND per mask pair — pads the class's
+images to (U, D, G) and sweeps detection rank once for all S strata and
+T thresholds together, keeping an (S, T, U, G) "taken" array. Strata differ only in which ground truths
+are ignored: crowd regions always, plus those outside the stratum's area
+range; unmatched detections outside the range are ignored too.
 
-:func:`diagnose_errors` produces a cumulative error ladder (C75, C50, Loc,
-Sim, Oth, BG, FN). The ladder matches once at IoU 0.10 and then *nests* all
-later stages inside that matching — stricter stages only re-flag the same
-matched pairs, looser stages only ignore more false positives — so the
-seven numbers are non-decreasing by construction, ending at exactly 1.
+Tie-breaking is deterministic: detections are ranked by (-score, id). At
+each rank a detection takes the available non-ignored ground truth of
+highest IoU at or above the threshold, and only if there is none, the
+best ignored one; among equal IoUs it takes the lowest id. Crowd ground
+truth is never used up.
+
+:func:`evaluate_detections` also returns each class's precision/recall
+row at IoU 0.5 over all sizes, which the sweep computes anyway, so PR
+curves need no second pass. :func:`diagnose_errors` produces a cumulative
+error ladder (C75, C50, Loc, Sim, Oth, BG, FN). The ladder matches once
+at IoU 0.10 and then *nests* all later stages inside that matching —
+stricter stages only re-flag the same matched pairs, looser stages only
+ignore more false positives — so the seven numbers are non-decreasing by
+construction, ending at exactly 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
 
@@ -44,7 +57,6 @@ __all__ = [
     "iou_mask",
     "match_detections",
     "pr_curve",
-    "coco_ap",
     "mean_ap",
     "evaluate_detections",
     "diagnose_errors",
@@ -85,6 +97,16 @@ class ClassMetrics:
 
 
 @dataclass(frozen=True)
+class PRCurve:
+    """Interpolated precision over the recall grid, at one IoU threshold."""
+
+    recall: tuple[float, ...]
+    precision: tuple[float, ...]
+    ap: float | None
+    n_gt: int
+
+
+@dataclass(frozen=True)
 class EvalResult:
     per_class: dict[int, ClassMetrics]
     mean_ap: float | None
@@ -94,6 +116,7 @@ class EvalResult:
     mean_ap_medium: float | None
     mean_ap_large: float | None
     mean_ar100: float | None
+    pr_curves: dict[int, PRCurve]  # per class, IoU 0.5, all sizes
     params: EvalParams
 
 
@@ -128,88 +151,96 @@ class DiagnosisResult:
 
 
 # ---------------------------------------------------------------------------
-# IoU computation
+# IoU kernel
 # ---------------------------------------------------------------------------
 
 
+def _ious_from_areas(
+    inter: np.ndarray, det_area: np.ndarray, gt_area: np.ndarray, crowd: np.ndarray
+) -> np.ndarray:
+    """IoU from intersections (..., D, G) and areas (..., D, 1), (..., 1, G).
+
+    A crowd ground truth divides by the detection's area alone, so a
+    detection inside a crowd region scores 1 however large the region is.
+    """
+    denom = np.where(crowd, det_area, det_area + gt_area - inter)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((inter > 0) & (denom > 0), inter / denom, 0.0)
+
+
+def _box_ious(det_boxes: np.ndarray, gt_boxes: np.ndarray, gt_crowd: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of (..., D, 4) and (..., G, 4) (x, y, w, h) boxes."""
+    dx, dy, dw, dh = (det_boxes[..., :, None, k] for k in range(4))
+    gx, gy, gw, gh = (gt_boxes[..., None, :, k] for k in range(4))
+    ix = np.maximum(0.0, np.minimum(dx + dw, gx + gw) - np.maximum(dx, gx))
+    iy = np.maximum(0.0, np.minimum(dy + dh, gy + gh) - np.maximum(dy, gy))
+    return _ious_from_areas(ix * iy, dw * dh, gw * gh, gt_crowd[..., None, :])
+
+
+_Mask = tuple[np.ndarray, int]
+
+
+def _mask_item(polys: list[list[float]], width: int, height: int) -> _Mask:
+    """A polygon set's mask and pixel count."""
+    mask = rasterize_polygons(polys, width, height)
+    return mask, int(np.count_nonzero(mask))
+
+
+def _mask_ious(dets: list[_Mask], gts: list[_Mask], gt_crowd: np.ndarray) -> np.ndarray:
+    """Pairwise mask IoU; every pair is ANDed over the whole image.
+
+    No pair is skipped or cropped, so the AND work depends only on the
+    mask counts, not on where the masks lie or how much they overlap.
+    """
+    inter = np.zeros((len(dets), len(gts)), dtype=np.int64)
+    for i, (dm, _) in enumerate(dets):
+        for j, (gm, _) in enumerate(gts):
+            inter[i, j] = np.count_nonzero(dm & gm)
+    det_area = np.array([m[1] for m in dets], dtype=np.int64)[:, None]
+    gt_area = np.array([m[1] for m in gts], dtype=np.int64)[None, :]
+    return _ious_from_areas(inter, det_area, gt_area, gt_crowd[None, :])
+
+
 class _MaskCache:
-    """Lazily rasterized polygon masks keyed by annotation identity."""
+    """Lazily rasterized masks keyed by annotation identity; one per class."""
 
     def __init__(self) -> None:
-        self._masks: dict[int, np.ndarray] = {}
-        self._areas: dict[int, int] = {}
+        self._items: dict[int, _Mask] = {}
 
-    def mask(self, ann: Annotation, width: int, height: int) -> np.ndarray:
+    def get(self, ann: Annotation, width: int, height: int) -> _Mask:
         key = id(ann)
-        if key not in self._masks:
+        if key not in self._items:
             if not ann.segmentation:
-                raise DataError(
-                    f"annotation {ann.id} has no polygon; use bbox IoU mode"
-                )
-            m = rasterize_polygons(ann.segmentation, width, height)
-            self._masks[key] = m
-            self._areas[key] = int(m.sum())
-        return self._masks[key]
-
-    def area(self, ann: Annotation, width: int, height: int) -> int:
-        self.mask(ann, width, height)
-        return self._areas[id(ann)]
+                raise DataError(f"annotation {ann.id} has no polygon; use bbox IoU mode")
+            self._items[key] = _mask_item(ann.segmentation, width, height)
+        return self._items[key]
 
 
-def _bbox_pair_iou(det: Annotation, gt: Annotation, crowd: bool) -> float:
-    dx, dy, dw, dh = det.bbox
-    gx, gy, gw, gh = gt.bbox
-    ix = max(0.0, min(dx + dw, gx + gw) - max(dx, gx))
-    iy = max(0.0, min(dy + dh, gy + gh) - max(dy, gy))
-    inter = ix * iy
-    if inter <= 0.0:
-        return 0.0
-    da, ga = dw * dh, gw * gh
-    denom = da if crowd else da + ga - inter
-    return inter / denom if denom > 0 else 0.0
+def _boxes(anns: list[Annotation]) -> np.ndarray:
+    return np.array([a.bbox for a in anns], dtype=float).reshape(-1, 4)
 
 
-def _mask_pair_iou(
-    det: Annotation, gt: Annotation, crowd: bool, cache: _MaskCache, w: int, h: int
-) -> float:
-    dm = cache.mask(det, w, h)
-    gm = cache.mask(gt, w, h)
-    inter = int(np.logical_and(dm, gm).sum())
-    if inter == 0:
-        return 0.0
-    da = cache.area(det, w, h)
-    denom = da if crowd else da + cache.area(gt, w, h) - inter
-    return inter / denom if denom > 0 else 0.0
-
-
-def _iou_matrix(
+def _unit_ious(
     dets: list[Annotation],
     gts: list[Annotation],
     mode: str,
+    size: tuple[int, int],
     cache: _MaskCache,
-    width: int,
-    height: int,
 ) -> np.ndarray:
-    out = np.zeros((len(dets), len(gts)))
-    for i, det in enumerate(dets):
-        for j, gt in enumerate(gts):
-            crowd = bool(gt.iscrowd)
-            if mode == "bbox":
-                out[i, j] = _bbox_pair_iou(det, gt, crowd)
-            else:
-                out[i, j] = _mask_pair_iou(det, gt, crowd, cache, width, height)
-    return out
+    """(D, G) IoU matrix of one image's detections against ground truths."""
+    crowd = np.array([bool(g.iscrowd) for g in gts], dtype=bool)
+    if mode == "bbox":
+        return _box_ious(_boxes(dets), _boxes(gts), crowd)
+    return _mask_ious(
+        [cache.get(d, *size) for d in dets], [cache.get(g, *size) for g in gts], crowd
+    )
 
 
 def iou_bbox(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
     """Intersection over union of two (x, y, w, h) boxes."""
     if a[2] <= 0 or a[3] <= 0 or b[2] <= 0 or b[3] <= 0:
         raise DataError(f"degenerate box: {a if a[2] <= 0 or a[3] <= 0 else b}")
-    ix = max(0.0, min(a[0] + a[2], b[0] + b[2]) - max(a[0], b[0]))
-    iy = max(0.0, min(a[1] + a[3], b[1] + b[3]) - max(a[1], b[1]))
-    inter = ix * iy
-    union = a[2] * a[3] + b[2] * b[3] - inter
-    return inter / union if union > 0 else 0.0
+    return float(_box_ious(np.array([a], float), np.array([b], float), np.zeros(1, bool))[0, 0])
 
 
 def iou_mask(
@@ -219,64 +250,184 @@ def iou_mask(
 ) -> float:
     """IoU of two polygon sets rasterized at image resolution (even-odd fill)."""
     w, h = image_size
-    am = rasterize_polygons(a, w, h)
-    bm = rasterize_polygons(b, w, h)
-    inter = int(np.logical_and(am, bm).sum())
-    union = int(am.sum()) + int(bm.sum()) - inter
-    return inter / union if union > 0 else 0.0
+    return float(
+        _mask_ious([_mask_item(a, w, h)], [_mask_item(b, w, h)], np.zeros(1, bool))[0, 0]
+    )
 
 
 # ---------------------------------------------------------------------------
-# matching and accumulation
+# the matching pass
 # ---------------------------------------------------------------------------
 
 
-def _greedy_match(
+class _Unit(NamedTuple):
+    """One (image, class): detections in rank order, ground truths in id order."""
+
+    image_id: int
+    size: tuple[int, int]
+    dets: list[Annotation]
+    gts: list[Annotation]
+
+
+def _units(gt: Dataset, detections: list[Annotation], max_dets: int) -> dict[int, list[_Unit]]:
+    """Validated units per class, in image id order; detections capped at max_dets."""
+    images = gt.image_by_id()
+    cat_ids = {c.id for c in gt.categories}
+    gt_buckets: dict[int, dict[int, list[Annotation]]] = {c: {} for c in cat_ids}
+    for ann in gt.annotations:
+        gt_buckets[ann.category_id].setdefault(ann.image_id, []).append(ann)
+    det_buckets: dict[int, dict[int, list[Annotation]]] = {c: {} for c in cat_ids}
+    for det in detections:
+        if det.image_id not in images:
+            raise DataError(f"detection {det.id} references unknown image {det.image_id}")
+        if det.category_id not in cat_ids:
+            raise DataError(
+                f"detection {det.id} references unknown category {det.category_id}"
+            )
+        if det.score is None:
+            raise DataError(f"detection {det.id} has no score")
+        det_buckets[det.category_id].setdefault(det.image_id, []).append(det)
+
+    out: dict[int, list[_Unit]] = {}
+    for cat in cat_ids:
+        out[cat] = []
+        for image_id in sorted(set(gt_buckets[cat]) | set(det_buckets[cat])):
+            im = images[image_id]
+            dets = sorted(
+                det_buckets[cat].get(image_id, []), key=lambda a: (-(a.score or 0.0), a.id)
+            )
+            gts = sorted(gt_buckets[cat].get(image_id, []), key=lambda a: a.id)
+            out[cat].append(_Unit(image_id, (im.width, im.height), dets[:max_dets], gts))
+    return out
+
+
+def _greedy_sweep(
     ious: np.ndarray,
+    n_det: np.ndarray,
     gt_ignore: np.ndarray,
     gt_crowd: np.ndarray,
-    thr: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy per-image matching at one IoU threshold.
+    thresholds: tuple[float, ...],
+) -> np.ndarray:
+    """Greedy matching of every unit at every stratum and threshold at once.
 
-    Ground truths must already be ordered non-ignored-first (stable in id).
-    Returns (matched gt index or -1 per det, det-ignore flags). A detection
-    takes the highest-IoU ground truth still available at or above the
-    threshold, preferring the lowest id on ties; matches to ignored ground
-    truth mark the detection ignored rather than true positive.
+    ``ious`` is (U, D, G), -inf where a unit has no such detection or
+    ground truth; ``gt_ignore`` is (S, U, G), ``gt_crowd`` (U, G). The loop
+    runs over detection rank only, keeping an (S, T, U, G) "taken" array.
+    Returns the matched ground-truth column per (S, T, U, D), -1 for none.
     """
-    n_det, n_gt = ious.shape
-    # plain lists: the inner loop dominates evaluation time, and scalar
-    # indexing into numpy arrays is several times slower than list access
-    rows = ious.tolist()
-    ignore_l = gt_ignore.tolist()
-    crowd_l = gt_crowd.tolist()
-    gt_taken = [False] * n_gt
-    det_match = np.full(n_det, -1, dtype=int)
-    det_ignore = np.zeros(n_det, dtype=bool)
-    floor = min(thr, 1.0 - 1e-10)
-    for d in range(n_det):
-        row = rows[d]
-        best = floor
-        m = -1
-        for g in range(n_gt):
-            if gt_taken[g] and not crowd_l[g]:
-                continue
-            if m > -1 and not ignore_l[m] and ignore_l[g]:
-                # remaining candidates are all ignored; a real match stands
-                break
-            v = row[g]
-            ok = v >= best if m == -1 else v > best
-            if ok:
-                best = v
-                m = g
-        if m == -1:
-            continue
-        det_match[d] = m
-        det_ignore[d] = ignore_l[m]
-        if not crowd_l[m]:
-            gt_taken[m] = True
-    return det_match, det_ignore
+    n_strata, n_units, n_cols = gt_ignore.shape
+    depth = ious.shape[1]
+    # units with the most detections first: those still matching at rank d
+    # are then a prefix
+    order = np.argsort(-n_det, kind="stable")
+    ious, gt_crowd = ious[order], gt_crowd[order]
+    real = ~gt_ignore[:, None, order]
+    active = np.count_nonzero(n_det[None, :] > np.arange(depth)[:, None], axis=1)
+    floor = np.minimum(np.asarray(thresholds, dtype=float), 1.0 - 1e-10)[:, None, None]
+    taken = np.zeros((n_strata, len(thresholds), n_units, n_cols), dtype=bool)
+    match = np.full((n_strata, len(thresholds), n_units, depth), -1, dtype=np.int32)
+    for d in range(depth):
+        k = active[d]
+        row = ious[:k, d]
+        cand = (row >= floor) & ~taken[:, :, :k]
+        real_cand = cand & real[:, :, :k]
+        # argmax takes the first maximum, i.e. the lowest id among equal IoUs
+        best = np.where(real_cand, row, -np.inf).argmax(-1)
+        # used only when no real candidate is left, so every candidate is ignored
+        best_ignored = np.where(cand, row, -np.inf).argmax(-1)
+        m = np.where(real_cand.any(-1), best, np.where(cand.any(-1), best_ignored, -1))
+        match[:, :, :k, d] = m
+        s, t, u = np.nonzero(m >= 0)
+        g = m[s, t, u]
+        keep = ~gt_crowd[u, g]
+        taken[s[keep], t[keep], u[keep], g[keep]] = True
+    out = np.empty_like(match)
+    out[:, :, order] = match
+    return out
+
+
+@dataclass
+class _Pass:
+    """One class matched at S strata x T thresholds, detections pooled.
+
+    Pooled detections run unit by unit, in rank order within a unit.
+    ``rank`` orders them by (-score, id) for accumulation.
+    """
+
+    dets: list[Annotation]
+    start: np.ndarray  # (U + 1,) pooled offset of each unit's first detection
+    ious: np.ndarray  # (N, G) each detection's IoU row, -inf past its unit's gts
+    match: np.ndarray  # (S, T, N) matched ground-truth column, -1 for none
+    tp: np.ndarray  # (S, T, N)
+    ignore: np.ndarray  # (S, T, N)
+    n_gt: np.ndarray  # (S,)
+    rank: np.ndarray  # (N,)
+
+
+def _match(
+    units: list[_Unit],
+    thresholds: tuple[float, ...],
+    strata: tuple[tuple[float, float], ...] | None,
+    mode: str,
+    cache: _MaskCache,
+) -> _Pass:
+    """Run the matching pass; ``strata=None`` ignores crowd ground truth only."""
+    n_det = np.array([len(u.dets) for u in units], dtype=int)
+    n_gt = np.array([len(u.gts) for u in units], dtype=int)
+    n_units, depth, n_cols = len(units), int(n_det.max(initial=0)), int(n_gt.max(initial=1))
+    dets = [d for u in units for d in u.dets]
+    gts = [g for u in units for g in u.gts]
+    du = np.repeat(np.arange(n_units), n_det)
+    dr = np.arange(len(dets)) - np.repeat(np.cumsum(n_det) - n_det, n_det)
+    gu = np.repeat(np.arange(n_units), n_gt)
+    gr = np.arange(len(gts)) - np.repeat(np.cumsum(n_gt) - n_gt, n_gt)
+
+    # padding columns are crowd (never taken) and ignored in every stratum
+    gt_crowd = np.ones((n_units, n_cols), dtype=bool)
+    gt_crowd[gu, gr] = [bool(g.iscrowd) for g in gts]
+    gt_area = np.full((n_units, n_cols), np.nan)
+    gt_area[gu, gr] = [g.area for g in gts]
+    det_area = np.array([d.area for d in dets], dtype=float)
+    if strata is None:
+        gt_ignore = gt_crowd[None]
+        det_out = np.zeros((1, len(dets)), dtype=bool)
+    else:
+        gt_ignore = np.stack([gt_crowd | ~((lo <= gt_area) & (gt_area < hi)) for lo, hi in strata])
+        det_out = np.stack([~((lo <= det_area) & (det_area < hi)) for lo, hi in strata])
+
+    if mode == "bbox":
+        det_boxes = np.zeros((n_units, depth, 4))
+        det_boxes[du, dr] = _boxes(dets)
+        gt_boxes = np.zeros((n_units, n_cols, 4))
+        gt_boxes[gu, gr] = _boxes(gts)
+        valid = (np.arange(depth) < n_det[:, None])[:, :, None] & (
+            np.arange(n_cols) < n_gt[:, None]
+        )[:, None, :]
+        ious = np.where(valid, _box_ious(det_boxes, gt_boxes, gt_crowd), -np.inf)
+    else:
+        ious = np.full((n_units, depth, n_cols), -np.inf)
+        for i, u in enumerate(units):
+            if u.dets and u.gts:
+                ious[i, : len(u.dets), : len(u.gts)] = _unit_ious(
+                    u.dets, u.gts, mode, u.size, cache
+                )
+
+    match = _greedy_sweep(ious, n_det, gt_ignore, gt_crowd, thresholds)[:, :, du, dr]
+    strata_ix = np.arange(len(gt_ignore))[:, None, None]
+    hit_ignored = gt_ignore[strata_ix, du, np.maximum(match, 0)]
+    matched = match >= 0
+    scores = np.array([d.score for d in dets], dtype=float)
+    det_ids = np.array([d.id for d in dets], dtype=int)
+    return _Pass(
+        dets=dets,
+        start=np.concatenate([[0], np.cumsum(n_det)]),
+        ious=ious[du, dr],
+        match=match,
+        tp=matched & ~hit_ignored,
+        ignore=(matched & hit_ignored) | (~matched & det_out[:, None, :]),
+        n_gt=np.count_nonzero(~gt_ignore, axis=(1, 2)),
+        rank=np.lexsort((det_ids, -scores)),
+    )
 
 
 @dataclass(frozen=True)
@@ -316,23 +467,21 @@ def match_detections(
             raise DataError(f"detection {det.id} has no score")
     dets = sorted(dets, key=lambda a: (-(a.score or 0.0), a.id))
     gts = sorted(gts, key=lambda a: a.id)
-    cache = _MaskCache()
-    ious = _iou_matrix(dets, gts, iou_mode, cache, image_size[0], image_size[1])
-    gt_ignore = np.array([bool(g.iscrowd) for g in gts], dtype=bool)
-    perm = np.argsort(gt_ignore, kind="stable")
-    match, det_ig = _greedy_match(
-        ious[:, perm] if len(gts) else ious, gt_ignore[perm], gt_ignore[perm], threshold
-    )
-    gt_order = [gts[i] for i in perm]
-    matched = tuple(None if m < 0 else gt_order[m].id for m in match)
+    p = _match([_Unit(0, image_size, dets, gts)], (threshold,), None, iou_mode, _MaskCache())
+    matched = tuple(None if m < 0 else gts[m].id for m in p.match[0, 0])
     taken = {g for g in matched if g is not None}
     return MatchResult(
         det_ids=tuple(d.id for d in dets),
         matched_gt=matched,
-        true_positive=tuple(bool(m >= 0 and not ig) for m, ig in zip(match, det_ig)),
-        ignored=tuple(bool(ig) for ig in det_ig),
+        true_positive=tuple(bool(v) for v in p.tp[0, 0]),
+        ignored=tuple(bool(v) for v in p.ignore[0, 0]),
         unmatched_gt=tuple(g.id for g in gts if g.id not in taken and not g.iscrowd),
     )
+
+
+# ---------------------------------------------------------------------------
+# accumulation
+# ---------------------------------------------------------------------------
 
 
 def _recall_grid(n: int) -> np.ndarray:
@@ -342,17 +491,12 @@ def _recall_grid(n: int) -> np.ndarray:
 
 
 def _precision_on_grid(
-    scores: np.ndarray,
-    det_ids: np.ndarray,
-    tp: np.ndarray,
-    ignore: np.ndarray,
-    n_gt: int,
-    recall_points: int,
+    tp: np.ndarray, ignore: np.ndarray, n_gt: int, recall_points: int
 ) -> tuple[np.ndarray, float]:
-    """Interpolated precision at each recall grid point, plus max recall."""
-    order = np.lexsort((det_ids, -scores))
-    tp = tp[order]
-    ignore = ignore[order]
+    """Interpolated precision at each recall grid point, plus max recall.
+
+    ``tp`` and ``ignore`` are per-detection flags in rank order.
+    """
     keep = ~ignore
     tps = np.cumsum(tp & keep)
     fps = np.cumsum(~tp & keep)
@@ -370,98 +514,13 @@ def _precision_on_grid(
     return q, float(recall[-1])
 
 
-def _ap_from_flags(
-    scores: np.ndarray,
-    det_ids: np.ndarray,
-    tp: np.ndarray,
-    ignore: np.ndarray,
-    n_gt: int,
-    recall_points: int,
-) -> tuple[float, float]:
-    """Interpolated AP and max recall from pooled per-detection flags."""
-    q, rmax = _precision_on_grid(scores, det_ids, tp, ignore, n_gt, recall_points)
-    return float(q.mean()), rmax
-
-
-@dataclass
-class _UnitResult:
-    """Matching output for one (image, class, stratum): rows per threshold."""
-
-    scores: np.ndarray
-    det_ids: np.ndarray
-    tp: np.ndarray  # (T, D)
-    ignore: np.ndarray  # (T, D)
-    n_gt: int
-
-
-def _evaluate_unit(
-    dets: list[Annotation],
-    gts: list[Annotation],
-    ious: np.ndarray,
-    thresholds: tuple[float, ...],
-    area_lo: float,
-    area_hi: float,
-) -> _UnitResult:
-    gt_ignore = np.array(
-        [bool(g.iscrowd) or not (area_lo <= g.area < area_hi) for g in gts],
-        dtype=bool,
+def _pr_curve(q: np.ndarray, n_gt: int) -> PRCurve:
+    return PRCurve(
+        recall=tuple(float(v) for v in _recall_grid(len(q))),
+        precision=tuple(float(v) for v in q),
+        ap=float(q.mean()) if n_gt else None,
+        n_gt=n_gt,
     )
-    gt_crowd = np.array([bool(g.iscrowd) for g in gts], dtype=bool)
-    # stable partition: non-ignored ground truth first, id order within
-    perm = np.argsort(gt_ignore, kind="stable")
-    gt_ignore_s = gt_ignore[perm]
-    gt_crowd_s = gt_crowd[perm]
-    ious_s = ious[:, perm] if len(gts) else ious
-
-    n_det = len(dets)
-    det_out = np.array(
-        [not (area_lo <= d.area < area_hi) for d in dets], dtype=bool
-    )
-    tp = np.zeros((len(thresholds), n_det), dtype=bool)
-    ignore = np.zeros((len(thresholds), n_det), dtype=bool)
-    for ti, thr in enumerate(thresholds):
-        match, det_ig = _greedy_match(ious_s, gt_ignore_s, gt_crowd_s, thr)
-        tp[ti] = (match >= 0) & ~det_ig
-        ignore[ti] = det_ig | ((match == -1) & det_out)
-    return _UnitResult(
-        scores=np.array([d.score for d in dets], dtype=float),
-        det_ids=np.array([d.id for d in dets], dtype=int),
-        tp=tp,
-        ignore=ignore,
-        n_gt=int(np.sum(~gt_ignore)),
-    )
-
-
-def _prepare(
-    gt: Dataset, detections: list[Annotation], params: EvalParams
-) -> tuple[dict[int, dict[int, list[Annotation]]], dict[int, dict[int, list[Annotation]]]]:
-    """Bucket ground truth and detections by (class, image), validated."""
-    images = gt.image_by_id()
-    cat_ids = {c.id for c in gt.categories}
-    gt_buckets: dict[int, dict[int, list[Annotation]]] = {c: {} for c in cat_ids}
-    for ann in gt.annotations:
-        gt_buckets[ann.category_id].setdefault(ann.image_id, []).append(ann)
-    for bucket in gt_buckets.values():
-        for anns in bucket.values():
-            anns.sort(key=lambda a: a.id)
-
-    det_buckets: dict[int, dict[int, list[Annotation]]] = {c: {} for c in cat_ids}
-    for det in detections:
-        if det.image_id not in images:
-            raise DataError(f"detection {det.id} references unknown image {det.image_id}")
-        if det.category_id not in cat_ids:
-            raise DataError(
-                f"detection {det.id} references unknown category {det.category_id}"
-            )
-        if det.score is None:
-            raise DataError(f"detection {det.id} has no score")
-        det_buckets[det.category_id].setdefault(det.image_id, []).append(det)
-    for bucket in det_buckets.values():
-        for image_id, anns in bucket.items():
-            anns.sort(key=lambda a: (-(a.score or 0.0), a.id))
-            if len(anns) > params.max_dets:
-                bucket[image_id] = anns[: params.max_dets]
-    return gt_buckets, det_buckets
 
 
 def evaluate_detections(
@@ -469,71 +528,37 @@ def evaluate_detections(
 ) -> EvalResult:
     """Score detections against ground truth with the interpolated-AP protocol."""
     params = params or EvalParams()
-    images = gt.image_by_id()
-    gt_buckets, det_buckets = _prepare(gt, detections, params)
-
     range_names = [r[0] for r in params.area_ranges]
     if "all" not in range_names:
         raise DataError("area ranges must include an 'all' stratum")
+    s_all = range_names.index("all")
+    n_thr = len(params.iou_thresholds)
+    # the PR row at IoU 0.5 comes from the same sweep, so 0.5 is always in it
+    thresholds = params.iou_thresholds + ((0.5,) if 0.5 not in params.iou_thresholds else ())
+    strata = tuple((lo, hi) for _, lo, hi in params.area_ranges)
+    units = _units(gt, detections, params.max_dets)
 
     per_class: dict[int, ClassMetrics] = {}
+    pr_curves: dict[int, PRCurve] = {}
     for cat in sorted(c.id for c in gt.categories):
-        cache = _MaskCache()
-        image_ids = sorted(set(gt_buckets[cat]) | set(det_buckets[cat]))
-        iou_by_image: dict[int, np.ndarray] = {}
-        for image_id in image_ids:
-            im = images[image_id]
-            iou_by_image[image_id] = _iou_matrix(
-                det_buckets[cat].get(image_id, []),
-                gt_buckets[cat].get(image_id, []),
-                params.iou_mode,
-                cache,
-                im.width,
-                im.height,
-            )
-
+        p = _match(units[cat], thresholds, strata, params.iou_mode, _MaskCache())
+        tp, ignore = p.tp[..., p.rank], p.ignore[..., p.rank]
+        pr_curves[cat] = _pr_curve(np.zeros(params.recall_points), 0)
         ap_by_range: dict[str, list[float] | None] = {}
         recalls_all: list[float] = []
-        n_gt_all = 0
-        for rname, lo, hi in params.area_ranges:
-            units = [
-                _evaluate_unit(
-                    det_buckets[cat].get(image_id, []),
-                    gt_buckets[cat].get(image_id, []),
-                    iou_by_image[image_id],
-                    params.iou_thresholds,
-                    lo,
-                    hi,
-                )
-                for image_id in image_ids
-            ]
-            n_gt = sum(u.n_gt for u in units)
-            if rname == "all":
-                n_gt_all = n_gt
+        for s, rname in enumerate(range_names):
+            n_gt = int(p.n_gt[s])
             if n_gt == 0:
                 ap_by_range[rname] = None
                 continue
-            scores = np.concatenate([u.scores for u in units]) if units else np.array([])
-            det_ids = np.concatenate([u.det_ids for u in units]) if units else np.array([])
-            aps = []
-            for ti in range(len(params.iou_thresholds)):
-                tp = (
-                    np.concatenate([u.tp[ti] for u in units])
-                    if units
-                    else np.array([], dtype=bool)
-                )
-                ig = (
-                    np.concatenate([u.ignore[ti] for u in units])
-                    if units
-                    else np.array([], dtype=bool)
-                )
-                ap, rmax = _ap_from_flags(
-                    scores, det_ids, tp, ig, n_gt, params.recall_points
-                )
-                aps.append(ap)
-                if rname == "all":
-                    recalls_all.append(rmax)
-            ap_by_range[rname] = aps
+            curves = [
+                _precision_on_grid(tp[s, t], ignore[s, t], n_gt, params.recall_points)
+                for t in range(len(thresholds))
+            ]
+            ap_by_range[rname] = [float(q.mean()) for q, _ in curves[:n_thr]]
+            if s == s_all:
+                recalls_all = [r for _, r in curves[:n_thr]]
+                pr_curves[cat] = _pr_curve(curves[thresholds.index(0.5)][0], n_gt)
 
         aps_all = ap_by_range.get("all")
         thr50 = params.iou_thresholds.index(0.5) if 0.5 in params.iou_thresholds else None
@@ -550,7 +575,7 @@ def evaluate_detections(
             ap_medium=mean_or_none(ap_by_range.get("medium")),
             ap_large=mean_or_none(ap_by_range.get("large")),
             ar100=(float(np.mean(recalls_all)) if recalls_all else None),
-            n_gt=n_gt_all,
+            n_gt=int(p.n_gt[s_all]),
         )
 
     def class_mean(attr: str) -> float | None:
@@ -566,18 +591,9 @@ def evaluate_detections(
         mean_ap_medium=class_mean("ap_medium"),
         mean_ap_large=class_mean("ap_large"),
         mean_ar100=class_mean("ar100"),
+        pr_curves=pr_curves,
         params=params,
     )
-
-
-@dataclass(frozen=True)
-class PRCurve:
-    """Interpolated precision over the recall grid, at one IoU threshold."""
-
-    recall: tuple[float, ...]
-    precision: tuple[float, ...]
-    ap: float | None
-    n_gt: int
 
 
 def pr_curve(
@@ -594,57 +610,16 @@ def pr_curve(
     excluded from means.
     """
     params = params or EvalParams()
-    images = gt.image_by_id()
-    gt_buckets, det_buckets = _prepare(gt, detections, params)
-    if class_id not in gt_buckets:
+    units = _units(gt, detections, params.max_dets)
+    if class_id not in units:
         raise DataError(f"unknown category id {class_id}")
-    cache = _MaskCache()
-    units = []
-    for image_id in sorted(set(gt_buckets[class_id]) | set(det_buckets[class_id])):
-        im = images[image_id]
-        dets = det_buckets[class_id].get(image_id, [])
-        gts = gt_buckets[class_id].get(image_id, [])
-        ious = _iou_matrix(dets, gts, params.iou_mode, cache, im.width, im.height)
-        units.append(
-            _evaluate_unit(dets, gts, ious, (iou_threshold,), 0.0, math.inf)
-        )
-    n_gt = sum(u.n_gt for u in units)
-    grid = _recall_grid(params.recall_points)
-    if n_gt == 0:
-        return PRCurve(
-            recall=tuple(float(v) for v in grid),
-            precision=(0.0,) * params.recall_points,
-            ap=None, n_gt=0,
-        )
-    scores = np.concatenate([u.scores for u in units]) if units else np.array([])
-    det_ids = np.concatenate([u.det_ids for u in units]) if units else np.array([])
-    tp = (
-        np.concatenate([u.tp[0] for u in units])
-        if units else np.array([], dtype=bool)
+    all_sizes = ((0.0, math.inf),)
+    p = _match(units[class_id], (iou_threshold,), all_sizes, params.iou_mode, _MaskCache())
+    n_gt = int(p.n_gt[0])
+    q, _ = _precision_on_grid(
+        p.tp[0, 0, p.rank], p.ignore[0, 0, p.rank], n_gt, params.recall_points
     )
-    ig = (
-        np.concatenate([u.ignore[0] for u in units])
-        if units else np.array([], dtype=bool)
-    )
-    q, _ = _precision_on_grid(scores, det_ids, tp, ig, n_gt, params.recall_points)
-    return PRCurve(
-        recall=tuple(float(v) for v in grid),
-        precision=tuple(float(v) for v in q),
-        ap=float(q.mean()), n_gt=n_gt,
-    )
-
-
-def coco_ap(
-    gt: Dataset,
-    detections: list[Annotation],
-    class_id: int,
-    iou_mode: Literal["segm", "bbox"] = "segm",
-) -> ClassMetrics:
-    """Full metric set for a single class (AP, AP50/75, size strata, AR100)."""
-    result = evaluate_detections(gt, detections, EvalParams(iou_mode=iou_mode))
-    if class_id not in result.per_class:
-        raise DataError(f"unknown category id {class_id}")
-    return result.per_class[class_id]
+    return _pr_curve(q, n_gt)
 
 
 def mean_ap(
@@ -768,8 +743,7 @@ def diagnose_errors(
     1 by definition. Nesting makes the ladder exactly non-decreasing.
     """
     params = params or EvalParams()
-    images = gt.image_by_id()
-    gt_buckets, det_buckets = _prepare(gt, detections, params)
+    units = _units(gt, detections, params.max_dets)
     supercat = {c.id: c.supercategory for c in gt.categories}
     gt_by_image: dict[int, list[Annotation]] = {}
     for ann in gt.annotations:
@@ -778,70 +752,33 @@ def diagnose_errors(
     per_class: dict[int, DiagnosisLadder] = {}
     for cat in sorted(c.id for c in gt.categories):
         cache = _MaskCache()
-        image_ids = sorted(set(gt_buckets[cat]) | set(det_buckets[cat]))
-        scores_l, ids_l = [], []
-        pair_iou_l, sim_l, oth_l, ig_l = [], [], [], []
-        n_gt = 0
-        for image_id in image_ids:
-            im = images[image_id]
-            dets = det_buckets[cat].get(image_id, [])
-            gts = gt_buckets[cat].get(image_id, [])
-            ious = _iou_matrix(dets, gts, params.iou_mode, cache, im.width, im.height)
-            gt_ignore = np.array([bool(g.iscrowd) for g in gts], dtype=bool)
-            gt_crowd = gt_ignore.copy()
-            perm = np.argsort(gt_ignore, kind="stable")
-            match, det_ig = _greedy_match(
-                ious[:, perm] if len(gts) else ious,
-                gt_ignore[perm],
-                gt_crowd[perm],
-                _LOC_IOU,
-            )
-            n_gt += int(np.sum(~gt_ignore))
-
-            others = [
-                g
-                for g in gt_by_image.get(image_id, [])
-                if g.category_id != cat
-            ]
-            for di, det in enumerate(dets):
-                scores_l.append(det.score)
-                ids_l.append(det.id)
-                ig_l.append(bool(det_ig[di]))
-                if match[di] >= 0:
-                    pair_iou_l.append(float(ious[di, perm[match[di]]]))
-                    sim_l.append(False)
-                    oth_l.append(False)
-                    continue
-                pair_iou_l.append(-1.0)
-                sim_hit = oth_hit = False
-                for g in others:
-                    v = (
-                        _bbox_pair_iou(det, g, bool(g.iscrowd))
-                        if params.iou_mode == "bbox"
-                        else _mask_pair_iou(
-                            det, g, bool(g.iscrowd), cache, im.width, im.height
-                        )
-                    )
-                    if v >= _LOC_IOU:
-                        oth_hit = True
-                        if supercat.get(g.category_id) == supercat.get(cat):
-                            sim_hit = True
-                            break
-                sim_l.append(sim_hit)
-                oth_l.append(oth_hit)
-
+        p = _match(units[cat], (_LOC_IOU,), None, params.iou_mode, cache)
+        n_gt = int(p.n_gt[0])
         if n_gt == 0:
             continue
-        scores = np.array(scores_l, dtype=float)
-        det_ids = np.array(ids_l, dtype=int)
-        pair_iou = np.array(pair_iou_l)
-        base_ig = np.array(ig_l, dtype=bool)
-        sim_extra = np.array(sim_l, dtype=bool)
-        oth_extra = np.array(oth_l, dtype=bool)
-        matched = pair_iou >= 0
+        match, base_ig = p.match[0, 0], p.ignore[0, 0]
+        matched = match >= 0
+        pair_iou = np.where(matched, p.ious[np.arange(len(match)), np.maximum(match, 0)], -1.0)
+
+        # Sim/Oth: does an unmatched detection overlap another class's ground truth?
+        sim_extra = np.zeros(len(match), dtype=bool)
+        oth_extra = np.zeros(len(match), dtype=bool)
+        for u, unit in enumerate(units[cat]):
+            rows = np.arange(p.start[u], p.start[u + 1])
+            rows = rows[~matched[rows]]
+            others = [g for g in gt_by_image.get(unit.image_id, []) if g.category_id != cat]
+            if len(rows) == 0 or not others:
+                continue
+            hit = _unit_ious(
+                [p.dets[i] for i in rows], others, params.iou_mode, unit.size, cache
+            ) >= _LOC_IOU
+            same = np.array([supercat.get(g.category_id) == supercat.get(cat) for g in others])
+            oth_extra[rows] = hit.any(axis=1)
+            sim_extra[rows] = (hit & same).any(axis=1)
 
         def ap_of(tp: np.ndarray, ig: np.ndarray) -> float:
-            return _ap_from_flags(scores, det_ids, tp, ig, n_gt, params.recall_points)[0]
+            q, _ = _precision_on_grid(tp[p.rank], ig[p.rank], n_gt, params.recall_points)
+            return float(q.mean())
 
         tp_loc = matched & ~base_ig
         c75 = ap_of(matched & (pair_iou >= 0.75) & ~base_ig, base_ig)

@@ -9,8 +9,9 @@ import pytest
 
 from posmap import __version__
 from posmap.cli import main
-from posmap.coco import load_dataset
+from posmap.coco import load_dataset, load_detections
 from posmap.density import load_density
+from posmap.evaluation import EvalParams, pr_curve
 
 LADDER = ("c75", "c50", "loc", "sim", "oth", "bg", "fn")
 
@@ -184,6 +185,29 @@ def test_eval_report_and_pr_curves(workspace):
     ped = [(float(r[1]), float(r[2])) for r in rows if r[0] == "pedestrian"]
     assert len(ped) == 101
     assert ped[0] == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("iou_mode", ["bbox", "segm"])
+def test_pr_curves_csv_matches_per_class_pr_curve(workspace, iou_mode):
+    sim = _sim(workspace)
+    pr = workspace / f"pr-{iou_mode}.csv"
+    rc = main(
+        [
+            "eval", "--gt", str(sim / "gt.json"),
+            "--detections", str(sim / "detections.json"),
+            "--iou-mode", iou_mode, "--pr-curves", str(pr),
+        ]
+    )
+    assert rc == 0
+    gt = load_dataset(sim / "gt.json")
+    dets = load_detections(sim / "detections.json")
+    lines = ["class,recall,precision"]
+    for cat in sorted(gt.categories, key=lambda c: c.id):
+        curve = pr_curve(gt, dets, cat.id, 0.5, EvalParams(iou_mode=iou_mode))
+        if curve.ap is not None:
+            lines += [f"{cat.name},{r!r},{p!r}" for r, p in zip(curve.recall, curve.precision)]
+    assert len(lines) > 101
+    assert pr.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_diagnose_report(workspace):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _reference_eval import reference_evaluate
 from posmap.coco import Annotation, Category, Dataset, ImageRecord
@@ -303,9 +307,7 @@ def _sim_fixture(seed, iou_mode):
     return gt, dets
 
 
-@pytest.mark.parametrize("iou_mode,seed", [("bbox", 11), ("segm", 12)])
-def test_matches_reference_evaluator(iou_mode, seed):
-    gt, dets = _sim_fixture(seed, iou_mode)
+def _assert_matches_reference(gt, dets, iou_mode):
     ours = evaluate_detections(gt, dets, EvalParams(iou_mode=iou_mode))
     ref = reference_evaluate(gt, dets, iou_mode=iou_mode)
 
@@ -325,6 +327,82 @@ def test_matches_reference_evaluator(iou_mode, seed):
         assert (a is None) == (b is None)
         if a is not None:
             assert abs(a - b) <= 1e-6, f"mean {f}: {a} vs {b}"
+
+
+@pytest.mark.parametrize("iou_mode,seed", [("bbox", 11), ("segm", 12)])
+def test_matches_reference_evaluator(iou_mode, seed):
+    gt, dets = _sim_fixture(seed, iou_mode)
+    _assert_matches_reference(gt, dets, iou_mode)
+
+
+# 32 x 32 and 96 x 96 boxes (and 16 x 64) sit exactly on the stratum edges
+_SIDES = (8, 16, 31, 32, 33, 64, 95, 96, 97)
+_BOX = st.tuples(st.integers(0, 100), st.integers(0, 60),
+                 st.sampled_from(_SIDES), st.sampled_from(_SIDES))
+
+
+def _poly_ann(ann_id, image_id, cat, box, crowd=0, score=None):
+    ann = _gt(ann_id, image_id, cat, box, crowd)
+    return dataclasses.replace(ann, segmentation=[_rect(*box)], score=score)
+
+
+def _draw_scene(draw):
+    """Two images of crowd regions, repeated and nested boxes and exact IoU
+    ties; dogs are detected but never annotated, and one image may hold more
+    than 100 pedestrian detections."""
+    gts, dets = [], []
+    scores = st.sampled_from([0.25, 0.5, 0.75])
+
+    def gt(image_id, cat, box, crowd=0):
+        gts.append(_poly_ann(len(gts) + 1, image_id, cat, box, crowd))
+
+    def det(image_id, cat, box, score):
+        dets.append(_poly_ann(1000 + len(dets), image_id, cat, box, score=score))
+
+    for image_id in (1, 2):
+        x, y = draw(st.integers(0, 80)), draw(st.integers(0, 60))
+        if draw(st.booleans()):
+            # a detection halfway between two overlapping ground truths has
+            # the same IoU (7/9) with both; which one it takes decides whether
+            # a second detection, on the right one, finds a partner above 0.6
+            w = draw(st.sampled_from([32, 64]))
+            gt(image_id, PED, (x, y, w, w))
+            gt(image_id, PED, (x + w // 4, y, w, w))
+            det(image_id, PED, (x + w // 8, y, w, w), 0.75)
+            det(image_id, PED, (x + w // 4, y, w, w), 0.5)
+        if draw(st.booleans()):
+            # a crowd region absorbs every detection inside it
+            gt(image_id, PED, (x, y, 64, 64), crowd=1)
+            for k in range(draw(st.integers(2, 3))):
+                det(image_id, PED, (x + 16 * k, y + 8, 16, 16), draw(scores))
+        boxes = []
+        for _ in range(draw(st.integers(0, 5))):
+            box = draw(st.sampled_from(boxes)) if boxes and draw(st.booleans()) else draw(_BOX)
+            boxes.append(box)
+            gt(image_id, draw(st.sampled_from([PED, CYC])), box, draw(st.sampled_from([0, 0, 1])))
+        for _ in range(draw(st.integers(0, 6))):
+            box = draw(_BOX)
+            if boxes and draw(st.booleans()):
+                # the same box, or one side halved, doubled or cut to 3/4 at
+                # the same corner: IoU exactly 1, 0.5 or 0.75
+                bx, by, bw, bh = draw(st.sampled_from(boxes))
+                box = (bx, by, draw(st.sampled_from([bw, bw // 2, 2 * bw, 3 * bw // 4])), bh)
+            det(image_id, draw(st.sampled_from([PED, CYC, DOG])), box, draw(scores))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        for _ in range(int(rng.integers(101, 111))):
+            box = (int(rng.integers(0, 100)), int(rng.integers(0, 60)),
+                   int(rng.choice(_SIDES)), int(rng.choice(_SIDES)))
+            det(1, PED, box, float(rng.random()))
+    return _dataset(gts, n_images=2, size=(200, 160)), dets
+
+
+@pytest.mark.parametrize("iou_mode", ["bbox", "segm"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_matches_reference_on_adversarial_scenes(iou_mode, data):
+    gt, dets = _draw_scene(data.draw)
+    _assert_matches_reference(gt, dets, iou_mode)
 
 
 # -- diagnosis ladder ---------------------------------------------------------
