@@ -34,7 +34,7 @@ from .evaluation import (
     mean_ap,
     pr_curve,
 )
-from .mapping import GroundObservation, MapExtent, locate, map_dataset, map_frame
+from .mapping import GroundObservation, MapExtent, locate, map_frame
 from .simulate import (
     SimConfig,
     default_camera,
@@ -78,7 +78,6 @@ __all__ = [
     "load_camera",
     "load_dataset",
     "locate",
-    "map_dataset",
     "map_frame",
     "match_detections",
     "mean_ap",

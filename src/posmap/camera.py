@@ -38,6 +38,8 @@ __all__ = [
     "rotate_point_jacobian",
     "load_camera",
     "save_camera",
+    "load_intrinsics",
+    "save_intrinsics",
 ]
 
 CAMERA_SCHEMA_UNITS = "m-px"
@@ -362,39 +364,73 @@ class CameraModel:
         return 0.0 <= u <= w and 0.0 <= v <= h
 
 
-def save_camera(path: str | Path, camera: CameraModel) -> None:
-    doc = {
+def _lens_to_dict(
+    intrinsics: Intrinsics, distortion: Distortion, image_size: tuple[int, int]
+) -> dict:
+    return {
         "units": CAMERA_SCHEMA_UNITS,
-        "image_size": [int(camera.image_size[0]), int(camera.image_size[1])],
+        "image_size": [int(image_size[0]), int(image_size[1])],
         "intrinsics": {
-            "fx": camera.intrinsics.fx,
-            "fy": camera.intrinsics.fy,
-            "cx": camera.intrinsics.cx,
-            "cy": camera.intrinsics.cy,
-            "skew": camera.intrinsics.skew,
+            "fx": intrinsics.fx,
+            "fy": intrinsics.fy,
+            "cx": intrinsics.cx,
+            "cy": intrinsics.cy,
+            "skew": intrinsics.skew,
         },
         "distortion": {
-            "k1": camera.distortion.k1,
-            "k2": camera.distortion.k2,
-            "k3": camera.distortion.k3,
-            "p1": camera.distortion.p1,
-            "p2": camera.distortion.p2,
+            "k1": distortion.k1,
+            "k2": distortion.k2,
+            "k3": distortion.k3,
+            "p1": distortion.p1,
+            "p2": distortion.p2,
         },
-        "pose": {
-            "axis_angle": [float(v) for v in camera.pose.rvec],
-            "t": [float(v) for v in camera.pose.t],
-        },
+    }
+
+
+def _lens_from_dict(doc: dict) -> tuple[Intrinsics, Distortion, tuple[int, int]]:
+    """Inverse of :func:`_lens_to_dict`; distortion and skew default to zero."""
+    intr = doc["intrinsics"]
+    dist = doc.get("distortion", {})
+    intrinsics = Intrinsics(
+        fx=float(intr["fx"]),
+        fy=float(intr["fy"]),
+        cx=float(intr["cx"]),
+        cy=float(intr["cy"]),
+        skew=float(intr.get("skew", 0.0)),
+    )
+    distortion = Distortion(
+        k1=float(dist.get("k1", 0.0)),
+        k2=float(dist.get("k2", 0.0)),
+        k3=float(dist.get("k3", 0.0)),
+        p1=float(dist.get("p1", 0.0)),
+        p2=float(dist.get("p2", 0.0)),
+    )
+    return intrinsics, distortion, (int(doc["image_size"][0]), int(doc["image_size"][1]))
+
+
+def _read_json(path: str | Path, kind: str) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise DataError(f"{kind} file {path} not found") from None
+    except json.JSONDecodeError as e:
+        raise DataError(f"{kind} file {path} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise DataError(f"{kind} file {path} must be a JSON object")
+    return doc
+
+
+def save_camera(path: str | Path, camera: CameraModel) -> None:
+    doc = _lens_to_dict(camera.intrinsics, camera.distortion, camera.image_size)
+    doc["pose"] = {
+        "axis_angle": [float(v) for v in camera.pose.rvec],
+        "t": [float(v) for v in camera.pose.t],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_camera(path: str | Path) -> CameraModel:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise DataError(f"camera file {path} not found") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"camera file {path} is not valid JSON: {e}") from e
+    doc = _read_json(path, "camera")
     units = doc.get("units")
     if units != CAMERA_SCHEMA_UNITS:
         raise ConfigError(
@@ -402,30 +438,38 @@ def load_camera(path: str | Path) -> CameraModel:
             f"{CAMERA_SCHEMA_UNITS!r} (metres in the world, pixels on the sensor)"
         )
     try:
-        intr = doc["intrinsics"]
-        dist = doc.get("distortion", {})
+        intrinsics, distortion, image_size = _lens_from_dict(doc)
         pose = doc["pose"]
-        model = CameraModel(
-            intrinsics=Intrinsics(
-                fx=float(intr["fx"]),
-                fy=float(intr["fy"]),
-                cx=float(intr["cx"]),
-                cy=float(intr["cy"]),
-                skew=float(intr.get("skew", 0.0)),
-            ),
-            distortion=Distortion(
-                k1=float(dist.get("k1", 0.0)),
-                k2=float(dist.get("k2", 0.0)),
-                k3=float(dist.get("k3", 0.0)),
-                p1=float(dist.get("p1", 0.0)),
-                p2=float(dist.get("p2", 0.0)),
-            ),
+        return CameraModel(
+            intrinsics=intrinsics,
+            distortion=distortion,
             pose=Pose(
                 rvec=tuple(float(v) for v in pose["axis_angle"]),
                 t=tuple(float(v) for v in pose["t"]),
             ),
-            image_size=(int(doc["image_size"][0]), int(doc["image_size"][1])),
+            image_size=image_size,
         )
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise DataError(f"camera file {path} is malformed: {e}") from e
-    return model
+
+
+def save_intrinsics(
+    path: str | Path,
+    intrinsics: Intrinsics,
+    distortion: Distortion,
+    image_size: tuple[int, int],
+    rms_px: float,
+) -> None:
+    """Write a camera file without a pose, as ``calibrate intrinsics`` produces."""
+    doc = _lens_to_dict(intrinsics, distortion, image_size)
+    doc["rms_px"] = rms_px
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def load_intrinsics(path: str | Path) -> tuple[Intrinsics, Distortion, tuple[int, int]]:
+    """Read the lens part of a camera file, which may or may not have a pose yet."""
+    doc = _read_json(path, "intrinsics")
+    try:
+        return _lens_from_dict(doc)
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise DataError(f"intrinsics file {path} is malformed: {e}") from e

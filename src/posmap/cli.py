@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,18 +25,18 @@ from .calibrate import (
     load_planar_views,
     solve_extrinsics,
 )
-from .camera import CameraModel, Distortion, Intrinsics, load_camera, save_camera
+from .camera import CameraModel, load_camera, load_intrinsics, save_camera, save_intrinsics
 from .coco import (
-    Dataset,
     export_labelme,
     filter_for_annotation,
     load_dataset,
     load_detections,
     save_dataset,
+    save_detections,
     split_dataset,
 )
 from .density import kde_raster, load_density, merge_rasters, save_density
-from .errors import ConfigError, DataError, PosmapError
+from .errors import ConfigError, PosmapError
 from .evaluation import (
     EvalParams,
     dataset_stats,
@@ -50,8 +48,10 @@ from .evaluation import (
 from .mapping import (
     MapExtent,
     SizePriors,
+    load_extent,
     load_observations,
     map_frame,
+    save_extent,
     save_observations,
 )
 from .simulate import SimConfig, default_camera, simulate
@@ -104,64 +104,6 @@ def _write_manifest(
     return path
 
 
-def _load_extent(path: str | Path) -> MapExtent:
-    try:
-        doc = json.loads(Path(path).read_text())
-        return MapExtent(
-            origin=(float(doc["origin"][0]), float(doc["origin"][1])),
-            rotation=float(doc["rotation"]),
-            width=float(doc["width"]),
-            length=float(doc["length"]),
-        )
-    except FileNotFoundError:
-        raise DataError(f"extent file {path} not found") from None
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as e:
-        raise DataError(f"extent file {path} is malformed: {e}") from e
-
-
-def _save_extent(path: Path, extent: MapExtent) -> None:
-    path.write_text(
-        json.dumps(
-            {
-                "origin": list(extent.origin),
-                "rotation": extent.rotation,
-                "width": extent.width,
-                "length": extent.length,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-
-
-def _load_intrinsics_file(path: str | Path) -> tuple[Intrinsics, Distortion, tuple[int, int]]:
-    """Read a camera JSON that may or may not have a pose yet."""
-    try:
-        doc = json.loads(Path(path).read_text())
-        intr = doc["intrinsics"]
-        dist = doc.get("distortion", {})
-        intrinsics = Intrinsics(
-            fx=float(intr["fx"]),
-            fy=float(intr["fy"]),
-            cx=float(intr["cx"]),
-            cy=float(intr["cy"]),
-            skew=float(intr.get("skew", 0.0)),
-        )
-        distortion = Distortion(
-            k1=float(dist.get("k1", 0.0)),
-            k2=float(dist.get("k2", 0.0)),
-            k3=float(dist.get("k3", 0.0)),
-            p1=float(dist.get("p1", 0.0)),
-            p2=float(dist.get("p2", 0.0)),
-        )
-        size = (int(doc["image_size"][0]), int(doc["image_size"][1]))
-        return intrinsics, distortion, size
-    except FileNotFoundError:
-        raise DataError(f"intrinsics file {path} not found") from None
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as e:
-        raise DataError(f"intrinsics file {path} is malformed: {e}") from e
-
-
 def _resolve_treatment(name: str, taxonomy_path: str | None):
     if taxonomy_path is not None:
         tax, treatments = load_taxonomy(taxonomy_path)
@@ -194,26 +136,9 @@ def cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "units": "m-px",
-        "image_size": [args.image_size[0], args.image_size[1]],
-        "intrinsics": {
-            "fx": result.intrinsics.fx,
-            "fy": result.intrinsics.fy,
-            "cx": result.intrinsics.cx,
-            "cy": result.intrinsics.cy,
-            "skew": result.intrinsics.skew,
-        },
-        "distortion": {
-            "k1": result.distortion.k1,
-            "k2": result.distortion.k2,
-            "k3": result.distortion.k3,
-            "p1": result.distortion.p1,
-            "p2": result.distortion.p2,
-        },
-        "rms_px": result.rms_px,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
+    save_intrinsics(
+        out, result.intrinsics, result.distortion, args.image_size, result.rms_px
+    )
     _write_manifest(out, args, [Path(args.views)], [out], t0)
     print(
         f"calibrated from {len(views)} views: "
@@ -226,7 +151,7 @@ def cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
 
 def cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    intrinsics, distortion, image_size = _load_intrinsics_file(args.intrinsics)
+    intrinsics, distortion, image_size = load_intrinsics(args.intrinsics)
     world, pixels = load_correspondences(args.points)
     result = solve_extrinsics(intrinsics, distortion, world, pixels)
     camera = CameraModel(
@@ -268,21 +193,6 @@ def cmd_project(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _map_one_image(payload):
-    (camera, anns, class_names, treatment, extent, priors, ts, image_id, source) = payload
-    return map_frame(
-        camera,
-        anns,
-        class_names,
-        treatment,
-        extent=extent,
-        priors=priors,
-        timestamp=ts,
-        image_id=image_id,
-        source=source,
-    )
-
-
 def _parse_priors(specs: list[str] | None) -> SizePriors:
     if not specs:
         return SizePriors()
@@ -300,37 +210,35 @@ def _parse_priors(specs: list[str] | None) -> SizePriors:
 
 def cmd_map(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
+    if args.fps <= 0:
+        raise ConfigError(f"fps must be positive, got {args.fps}")
     camera = load_camera(args.camera)
     ds = load_dataset(args.annotations)
     treatment = _resolve_treatment(args.treatment, args.taxonomy)
-    extent = _load_extent(args.extent) if args.extent else None
+    extent = load_extent(args.extent) if args.extent else None
     priors = _parse_priors(args.prior)
     class_names = {c.id: c.name for c in ds.categories}
     by_image = ds.anns_by_image()
     images = sorted(ds.images, key=lambda im: im.id)
 
-    payloads = []
+    # one map_frame call per image through this module's global, so a
+    # wrapper installed on posmap.cli.map_frame times every frame
+    frames = []
     for index, image in enumerate(images):
         raw_ts = image.extra.get("timestamp")
-        ts = float(raw_ts) if raw_ts is not None else index / args.fps
-        payloads.append(
-            (
+        frames.append(
+            map_frame(
                 camera,
                 by_image.get(image.id, []),
                 class_names,
                 treatment,
-                extent,
-                priors,
-                ts,
-                image.id,
-                args.source,
+                extent=extent,
+                priors=priors,
+                timestamp=float(raw_ts) if raw_ts is not None else index / args.fps,
+                image_id=image.id,
+                source=args.source,
             )
         )
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            frames = list(pool.map(_map_one_image, payloads, chunksize=16))
-    else:
-        frames = [_map_one_image(p) for p in payloads]
 
     if args.sample_rate is not None:
         from .density import accumulate, collect
@@ -391,7 +299,7 @@ def cmd_density(args: argparse.Namespace) -> int:
     if not args.observations or not args.extent:
         raise ConfigError("density needs --observations and --extent (or --merge)")
     observations = load_observations(args.observations)
-    extent = _load_extent(args.extent)
+    extent = load_extent(args.extent)
     bandwidth = None if args.bandwidth in (None, "auto") else float(args.bandwidth)
     classes = tuple(args.classes.split(",")) if args.classes else None
     grid = kde_raster(
@@ -591,20 +499,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for ann in kept:
-        row = {
-            "id": ann.id,
-            "image_id": ann.image_id,
-            "category_id": ann.category_id,
-            "bbox": list(ann.bbox),
-            "area": ann.area,
-            "segmentation": [list(p) for p in ann.segmentation],
-        }
-        if ann.score is not None:
-            row["score"] = ann.score
-        rows.append(row)
-    out.write_text(json.dumps(rows, indent=2) + "\n")
+    save_detections(out, kept)
     _write_manifest(out, args, [Path(args.detections)], [out], t0)
     print(
         f"kept {len(kept)} of {len(dets)} detections "
@@ -653,7 +548,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args.extent:
-        extent = _load_extent(args.extent)
+        extent = load_extent(args.extent)
     else:
         extent = MapExtent(origin=(0.0, 0.0), rotation=0.0, width=4.5, length=32.0)
     camera = default_camera(extent)
@@ -674,22 +569,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     save_camera(out_dir / "camera.json", camera)
-    _save_extent(out_dir / "extent.json", extent)
+    save_extent(out_dir / "extent.json", extent)
     save_dataset(out_dir / "gt.json", result.dataset)
-    det_rows = []
-    for ann in result.detections:
-        det_rows.append(
-            {
-                "id": ann.id,
-                "image_id": ann.image_id,
-                "category_id": ann.category_id,
-                "bbox": list(ann.bbox),
-                "area": ann.area,
-                "score": ann.score,
-                "segmentation": [list(p) for p in ann.segmentation],
-            }
-        )
-    (out_dir / "detections.json").write_text(json.dumps(det_rows) + "\n")
+    save_detections(out_dir / "detections.json", result.detections)
     truth_lines = ["frame,timestamp,class,x,y,heading,height"]
     for frame in result.frames:
         ts = frame.image.extra["timestamp"]
@@ -765,7 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--sample-rate", type=float, default=None,
                        help="subsample to one frame per source per 1/RATE s")
     p_map.add_argument("--source", default="")
-    p_map.add_argument("--jobs", type=int, default=1)
     p_map.add_argument("--out", required=True)
     p_map.set_defaults(func=cmd_map)
 

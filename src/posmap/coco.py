@@ -31,6 +31,7 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "load_detections",
+    "save_detections",
     "split_dataset",
     "filter_for_annotation",
     "remap_categories",
@@ -128,7 +129,7 @@ def _parse_segmentation(raw, ann_id: int) -> list[list[float]]:
         )
     polys: list[list[float]] = []
     for part in raw:
-        coords = [float(v) for v in part]
+        coords = list(map(float, part))
         if len(coords) < 6 or len(coords) % 2 != 0:
             raise DataError(
                 f"annotation {ann_id}: degenerate polygon with "
@@ -138,15 +139,79 @@ def _parse_segmentation(raw, ann_id: int) -> list[list[float]]:
     return polys
 
 
+def _parse_annotation(r: dict, ann_id: int) -> Annotation:
+    """Build one annotation from its JSON record.
+
+    The bbox must have 4 values; without one it is the polygon hull. A bbox
+    more than 1 px off the hull only warns. Without an area, the polygon
+    area (else the bbox area) is used. Errors from malformed fields
+    (``KeyError``, ``TypeError``, ``ValueError``, or ``AttributeError``
+    when the record is not an object) propagate to the caller.
+    """
+    seg = _parse_segmentation(r.get("segmentation"), ann_id)
+    score = r.get("score")
+    if score is not None:
+        score = float(score)
+        if not 0.0 <= score <= 1.0:
+            raise DataError(f"annotation {ann_id} has score {score} outside [0, 1]")
+    hull = polygons_bounds(seg) if seg else None
+    bbox_raw = r.get("bbox")
+    if bbox_raw is not None:
+        if len(bbox_raw) != 4:
+            raise DataError(f"annotation {ann_id} has a bbox with {len(bbox_raw)} values")
+        x, y, w, h = bbox_raw
+        bbox = (float(x), float(y), float(w), float(h))
+        if hull is not None and max(
+            abs(hull[0] - bbox[0]),
+            abs(hull[1] - bbox[1]),
+            abs(hull[2] - bbox[2]),
+            abs(hull[3] - bbox[3]),
+        ) > 1.0:
+            warnings.warn(
+                f"annotation {ann_id}: bbox {bbox} deviates more than "
+                f"1 px from its polygon hull {hull}",
+                stacklevel=4,
+            )
+    elif hull is not None:
+        bbox = hull
+    else:
+        raise DataError(f"annotation {ann_id} has neither bbox nor segmentation")
+    area_raw = r.get("area")
+    if area_raw is not None:
+        area = float(area_raw)
+    elif seg:
+        area = polygons_area(seg)
+    else:
+        area = bbox[2] * bbox[3]
+    return Annotation(
+        id=ann_id,
+        image_id=int(r["image_id"]),
+        category_id=int(r["category_id"]),
+        segmentation=seg,
+        bbox=bbox,
+        area=area,
+        iscrowd=int(r.get("iscrowd", 0)),
+        score=score,
+        extra=_extract_extra(r, _KNOWN_ANN_KEYS),
+    )
+
+
+def _read_json(path: Path, kind: str):
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        raise DataError(f"{kind} file {path} not found") from None
+    except json.JSONDecodeError as e:
+        raise DataError(f"{kind} file {path} is not valid JSON: {e}") from e
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Load an annotation JSON file, validating referential integrity."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise DataError(f"annotation file {path} not found") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"annotation file {path} is not valid JSON: {e}") from e
+    return _dataset_from_doc(_read_json(path, "annotation"), path)
+
+
+def _dataset_from_doc(doc, path: Path) -> Dataset:
     if not isinstance(doc, dict):
         raise DataError(f"annotation file {path} must be a JSON object")
 
@@ -183,17 +248,8 @@ def load_dataset(path: str | Path) -> Dataset:
     annotations = []
     for r in doc.get("annotations", []):
         try:
-            ann_id = int(r["id"])
-            ann = Annotation(
-                id=ann_id,
-                image_id=int(r["image_id"]),
-                category_id=int(r["category_id"]),
-                segmentation=_parse_segmentation(r.get("segmentation"), int(r["id"])),
-                iscrowd=int(r.get("iscrowd", 0)),
-                score=None if r.get("score") is None else float(r["score"]),
-                extra=_extract_extra(r, _KNOWN_ANN_KEYS),
-            )
-        except (KeyError, TypeError, ValueError) as e:
+            ann = _parse_annotation(r, int(r["id"]))
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise DataError(f"annotation record is malformed: {e}") from e
         if ann.image_id not in image_ids:
             raise DataError(
@@ -203,35 +259,6 @@ def load_dataset(path: str | Path) -> Dataset:
             raise DataError(
                 f"annotation {ann.id} references missing category {ann.category_id}"
             )
-        if ann.score is not None and not 0.0 <= ann.score <= 1.0:
-            raise DataError(f"annotation {ann.id} has score {ann.score} outside [0, 1]")
-
-        bbox_raw = r.get("bbox")
-        if bbox_raw is not None:
-            if len(bbox_raw) != 4:
-                raise DataError(f"annotation {ann.id} has a bbox with {len(bbox_raw)} values")
-            ann.bbox = tuple(float(v) for v in bbox_raw)
-        elif ann.segmentation:
-            ann.bbox = polygons_bounds(ann.segmentation)
-        else:
-            raise DataError(f"annotation {ann.id} has neither bbox nor segmentation")
-
-        if ann.segmentation and bbox_raw is not None:
-            hull = polygons_bounds(ann.segmentation)
-            if max(abs(h - b) for h, b in zip(hull, ann.bbox)) > 1.0:
-                warnings.warn(
-                    f"annotation {ann.id}: bbox {ann.bbox} deviates more than "
-                    f"1 px from its polygon hull {hull}",
-                    stacklevel=2,
-                )
-
-        area_raw = r.get("area")
-        if area_raw is not None:
-            ann.area = float(area_raw)
-        elif ann.segmentation:
-            ann.area = polygons_area(ann.segmentation)
-        else:
-            ann.area = ann.bbox[2] * ann.bbox[3]
         annotations.append(ann)
 
     return Dataset(
@@ -307,48 +334,43 @@ def load_detections(path: str | Path) -> list[Annotation]:
     segmentation}`` records; ids are assigned sequentially.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise DataError(f"detection file {path} not found") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"detection file {path} is not valid JSON: {e}") from e
+    doc = _read_json(path, "detection")
     if isinstance(doc, dict):
-        return load_dataset(path).annotations
+        return _dataset_from_doc(doc, path).annotations
     if not isinstance(doc, list):
         raise DataError(f"detection file {path} must be a JSON object or list")
     dets = []
     for i, r in enumerate(doc):
         try:
-            seg = _parse_segmentation(r.get("segmentation"), i + 1)
-            score = float(r["score"])
-            if not 0.0 <= score <= 1.0:
-                raise DataError(f"detection {i + 1} has score {score} outside [0, 1]")
-            bbox_raw = r.get("bbox")
-            if bbox_raw is not None:
-                bbox = tuple(float(v) for v in bbox_raw)
-            elif seg:
-                bbox = polygons_bounds(seg)
-            else:
-                raise DataError(f"detection {i + 1} has neither bbox nor segmentation")
-            area = float(r["area"]) if "area" in r else (
-                polygons_area(seg) if seg else bbox[2] * bbox[3]
-            )
-            dets.append(
-                Annotation(
-                    id=i + 1,
-                    image_id=int(r["image_id"]),
-                    category_id=int(r["category_id"]),
-                    segmentation=seg,
-                    bbox=bbox,
-                    area=area,
-                    score=score,
-                    extra=_extract_extra(r, _KNOWN_ANN_KEYS),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as e:
+            det = _parse_annotation(r, i + 1)
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise DataError(f"detection record {i} in {path} is malformed: {e}") from e
+        if det.score is None:
+            raise DataError(f"detection record {i} in {path} is malformed: no score")
+        dets.append(det)
     return dets
+
+
+def save_detections(path: str | Path, detections: list[Annotation]) -> None:
+    """Write detections as a compact bare result list.
+
+    Records hold id, image_id, category_id, bbox, area, score (when set) and
+    segmentation; :func:`load_detections` reads them back.
+    """
+    rows = []
+    for ann in detections:
+        row = {
+            "id": ann.id,
+            "image_id": ann.image_id,
+            "category_id": ann.category_id,
+            "bbox": list(ann.bbox),
+            "area": ann.area,
+        }
+        if ann.score is not None:
+            row["score"] = ann.score
+        row["segmentation"] = [list(p) for p in ann.segmentation]
+        rows.append(row)
+    Path(path).write_text(json.dumps(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .mapping import FrameMapResult, MapExtent, GroundObservation
+from .mapping import (
+    FrameMapResult,
+    GroundObservation,
+    MapExtent,
+    extent_from_dict,
+    extent_to_dict,
+)
 
 __all__ = [
     "DensityGrid",
@@ -280,12 +286,7 @@ def save_density(base: str | Path, grid: DensityGrid) -> dict[str, Path]:
     csv_path.write_text("\n".join(lines) + "\n")
 
     header = {
-        "extent": {
-            "origin": list(grid.extent.origin),
-            "rotation": grid.extent.rotation,
-            "width": grid.extent.width,
-            "length": grid.extent.length,
-        },
+        "extent": extent_to_dict(grid.extent),
         "cell_size": grid.cell_size,
         "bandwidth": grid.bandwidth,
         "total_count": grid.total_count,
@@ -324,16 +325,9 @@ def load_density(base: str | Path) -> DensityGrid:
             for line in csv_path.read_text().strip().splitlines()
         ]
         values = np.asarray(rows, dtype=float)
-        ext = header["extent"]
-        extent = MapExtent(
-            origin=(float(ext["origin"][0]), float(ext["origin"][1])),
-            rotation=float(ext["rotation"]),
-            width=float(ext["width"]),
-            length=float(ext["length"]),
-        )
         tw = header.get("time_window")
         grid = DensityGrid(
-            extent=extent,
+            extent=extent_from_dict(header["extent"]),
             cell_size=float(header["cell_size"]),
             values=values,
             bandwidth=header.get("bandwidth"),

@@ -62,10 +62,21 @@ def polygon_bounds(flat: Sequence[float]) -> tuple[float, float, float, float]:
 
 
 def polygons_bounds(polys: Sequence[Sequence[float]]) -> tuple[float, float, float, float]:
-    pts = np.vstack([as_points(p) for p in polys])
-    x0, y0 = pts.min(axis=0)
-    x1, y1 = pts.max(axis=0)
-    return float(x0), float(y0), float(x1 - x0), float(y1 - y0)
+    """Axis-aligned hull (x, y, w, h) of a multi-part polygon set.
+
+    Plain ``min``/``max`` rather than numpy: annotation loading calls this
+    once per record, and on coordinate lists this short numpy's array
+    set-up costs more than the scan itself.
+    """
+    xs: list[float] = []
+    ys: list[float] = []
+    for p in polys:
+        if len(p) % 2:
+            raise DataError(f"polygon coordinate list has odd length {len(p)}")
+        xs += p[0::2]
+        ys += p[1::2]
+    x0, y0 = float(min(xs)), float(min(ys))
+    return x0, y0, float(max(xs)) - x0, float(max(ys)) - y0
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
@@ -164,8 +175,8 @@ def rasterize_polygons(
             t = (yc - ys_a[straddle]) / (ys_b[straddle] - ys_a[straddle])
             xhits = np.sort(xs_a[straddle] + t * (xs_b[straddle] - xs_a[straddle]))
             for i in range(0, len(xhits) - 1, 2):
-                lo = int(np.ceil(xhits[i] - 0.5))
-                hi = int(np.floor(xhits[i + 1] - 0.5))
+                lo = max(int(np.ceil(xhits[i] - 0.5)), 0)
+                hi = min(int(np.floor(xhits[i + 1] - 0.5)), width - 1)
                 if hi >= lo:
-                    mask[row, max(lo, 0) : min(hi, width - 1) + 1] = True
+                    mask[row, lo : hi + 1] = True
     return mask

@@ -10,6 +10,7 @@ rectangle on the ground).
 from __future__ import annotations
 
 import csv
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import CameraModel
-from .coco import Annotation, Dataset
+from .coco import Annotation
 from .errors import DataError, DegenerateGeometryError, GeometryError
 from .taxonomy import Treatment
 
@@ -29,11 +30,14 @@ __all__ = [
     "Box3D",
     "estimate_box3d",
     "MapExtent",
+    "extent_to_dict",
+    "extent_from_dict",
+    "load_extent",
+    "save_extent",
     "GroundObservation",
     "locate",
     "FrameMapResult",
     "map_frame",
-    "map_dataset",
     "save_observations",
     "load_observations",
 ]
@@ -180,6 +184,43 @@ class MapExtent:
         return 0.0 <= lx <= self.width and 0.0 <= ly <= self.length
 
 
+def extent_to_dict(extent: MapExtent) -> dict:
+    """The extent as its JSON object: ``origin``, ``rotation``, ``width``, ``length``."""
+    return {
+        "origin": list(extent.origin),
+        "rotation": extent.rotation,
+        "width": extent.width,
+        "length": extent.length,
+    }
+
+
+def extent_from_dict(doc: dict) -> MapExtent:
+    """Inverse of :func:`extent_to_dict`.
+
+    A missing or non-numeric field raises ``KeyError``, ``IndexError``,
+    ``TypeError`` or ``ValueError``; callers name the file in the error.
+    """
+    return MapExtent(
+        origin=(float(doc["origin"][0]), float(doc["origin"][1])),
+        rotation=float(doc["rotation"]),
+        width=float(doc["width"]),
+        length=float(doc["length"]),
+    )
+
+
+def save_extent(path: str | Path, extent: MapExtent) -> None:
+    Path(path).write_text(json.dumps(extent_to_dict(extent), indent=2) + "\n")
+
+
+def load_extent(path: str | Path) -> MapExtent:
+    try:
+        return extent_from_dict(json.loads(Path(path).read_text()))
+    except FileNotFoundError:
+        raise DataError(f"extent file {path} not found") from None
+    except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as e:
+        raise DataError(f"extent file {path} is malformed: {e}") from e
+
+
 @dataclass(frozen=True)
 class GroundObservation:
     """One person located on the ground plane."""
@@ -299,45 +340,6 @@ def map_frame(
         timestamp=timestamp,
         source=source,
     )
-
-
-def map_dataset(
-    camera: CameraModel,
-    ds: Dataset,
-    treatment: Treatment,
-    *,
-    extent: MapExtent | None = None,
-    priors: SizePriors | None = None,
-    fps: float = 1.0,
-    source: str = "",
-) -> list[FrameMapResult]:
-    """Map every image of a dataset, in image-id order.
-
-    Timestamps come from a ``timestamp`` key in each image's extra metadata
-    when present, otherwise from the frame index at ``fps`` frames/second.
-    """
-    if fps <= 0:
-        raise DataError(f"fps must be positive, got {fps}")
-    class_names = {c.id: c.name for c in ds.categories}
-    by_image = ds.anns_by_image()
-    results = []
-    for index, image in enumerate(sorted(ds.images, key=lambda im: im.id)):
-        raw_ts = image.extra.get("timestamp")
-        ts = float(raw_ts) if raw_ts is not None else index / fps
-        results.append(
-            map_frame(
-                camera,
-                by_image.get(image.id, []),
-                class_names,
-                treatment,
-                extent=extent,
-                priors=priors,
-                timestamp=ts,
-                image_id=image.id,
-                source=source,
-            )
-        )
-    return results
 
 
 # ---------------------------------------------------------------------------

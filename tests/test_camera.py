@@ -278,6 +278,13 @@ def test_load_rejects_bad_json(tmp_path):
         load_camera(path)
 
 
+def test_load_rejects_non_object_json(tmp_path):
+    path = tmp_path / "cam.json"
+    path.write_text("[]")
+    with pytest.raises(DataError, match="JSON object"):
+        load_camera(path)
+
+
 def test_load_rejects_missing_fields(camera, tmp_path):
     import json
 

@@ -9,9 +9,10 @@ import pytest
 
 from posmap import __version__
 from posmap.cli import main
-from posmap.coco import load_dataset, load_detections
+from posmap.coco import load_dataset, load_detections, save_dataset
 from posmap.density import load_density
 from posmap.evaluation import EvalParams, pr_curve
+from posmap.mapping import load_observations
 
 LADDER = ("c75", "c50", "loc", "sim", "oth", "bg", "fn")
 
@@ -129,16 +130,28 @@ def test_map_then_density(workspace, capsys):
     assert abs(grid.mass() - grid.total_count) < 1e-6
 
 
-def test_map_parallel_matches_serial(workspace, tmp_path):
+def test_map_timestamps_from_image_or_fps(workspace, tmp_path):
+    """An image's own ``timestamp`` wins; otherwise it is index / fps."""
     sim = _sim(workspace)
-    base = [
-        "map", "--camera", str(sim / "camera.json"),
-        "--annotations", str(sim / "gt.json"),
-        "--extent", str(sim / "extent.json"),
-    ]
-    assert main(base + ["--out", str(tmp_path / "serial.csv")]) == 0
-    assert main(base + ["--jobs", "2", "--out", str(tmp_path / "par.csv")]) == 0
-    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
+    ds = load_dataset(sim / "gt.json")
+    ds.images = sorted(ds.images, key=lambda im: im.id)[:3]
+    kept = [im.id for im in ds.images]
+    ds.annotations = [a for a in ds.annotations if a.image_id in kept]
+    for im in ds.images[:2]:
+        del im.extra["timestamp"]
+    ds.images[2].extra["timestamp"] = 99.5
+    save_dataset(tmp_path / "gt.json", ds)
+    obs = tmp_path / "obs.csv"
+    rc = main(
+        ["map", "--camera", str(sim / "camera.json"),
+         "--annotations", str(tmp_path / "gt.json"), "--fps", "2",
+         "--out", str(obs)]
+    )
+    assert rc == 0
+    stamps = {}
+    for o in load_observations(obs):
+        stamps.setdefault(o.image_id, set()).add(o.timestamp)
+    assert stamps == {kept[0]: {0.0}, kept[1]: {0.5}, kept[2]: {99.5}}
 
 
 def test_density_merge(workspace, tmp_path, capsys):
@@ -307,10 +320,35 @@ def test_bad_prior_exits_2(workspace):
     assert rc == 2
 
 
+@pytest.mark.parametrize("fps", ["0", "-1"])
+def test_bad_fps_exits_2(workspace, tmp_path, capsys, fps):
+    sim = _sim(workspace)
+    out = tmp_path / "obs.csv"
+    rc = main(
+        ["map", "--camera", str(sim / "camera.json"),
+         "--annotations", str(sim / "gt.json"), f"--fps={fps}", "--out", str(out)]
+    )
+    assert rc == 2
+    assert "fps must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_data_error_exits_3(tmp_path, capsys):
     rc = main(["stats", "--annotations", str(tmp_path / "missing.json")])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_bare_list_bbox_with_3_values_exits_3(workspace, tmp_path, capsys):
+    sim = _sim(workspace)
+    dets = tmp_path / "dets.json"
+    dets.write_text(json.dumps(
+        [{"image_id": 1, "category_id": 1, "score": 0.9, "bbox": [0, 0, 5]}]
+    ))
+    rc = main(["eval", "--gt", str(sim / "gt.json"), "--detections", str(dets),
+               "--iou-mode", "bbox"])
+    assert rc == 3
+    assert "bbox with 3 values" in capsys.readouterr().err
 
 
 def test_numeric_error_exits_4(workspace, tmp_path, capsys):

@@ -202,6 +202,16 @@ def test_load_detections_requires_score(tmp_path):
         load_detections(path)
 
 
+@pytest.mark.parametrize("bbox", [[0, 0, 5], [0, 0, 5, 5, 1]])
+def test_load_detections_rejects_bbox_without_4_values(tmp_path, bbox):
+    path = tmp_path / "dets.json"
+    path.write_text(json.dumps(
+        [{"image_id": 1, "category_id": 1, "score": 0.5, "bbox": bbox}]
+    ))
+    with pytest.raises(DataError, match=f"bbox with {len(bbox)} values"):
+        load_detections(path)
+
+
 def test_load_detections_accepts_dataset_file(tmp_path):
     ds = _toy_dataset()
     path = tmp_path / "full.json"

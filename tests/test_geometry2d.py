@@ -105,6 +105,17 @@ def test_rasterize_respects_image_bounds():
     assert mask.all()
 
 
+@pytest.mark.parametrize(
+    "poly",
+    [
+        [-10.0, 2.0, -3.0, 2.0, -3.0, 5.0, -10.0, 5.0],  # wholly left of the image
+        [23.0, 2.0, 30.0, 2.0, 30.0, 5.0, 23.0, 5.0],  # wholly right of it
+    ],
+)
+def test_rasterize_polygon_outside_image_sets_nothing(poly):
+    assert not rasterize_polygons([poly], 20, 10).any()
+
+
 def test_rasterize_multiple_parts_union():
     a = [0.0, 0.0, 4.0, 0.0, 4.0, 4.0, 0.0, 4.0]
     b = [6.0, 6.0, 9.0, 6.0, 9.0, 9.0, 6.0, 9.0]

@@ -19,7 +19,6 @@ from posmap.mapping import (
     footpoint,
     load_observations,
     locate,
-    map_dataset,
     map_frame,
     save_observations,
     top_point,
@@ -199,28 +198,6 @@ def test_map_frame_unknown_category(camera):
     bad = _bbox_ann(100.0, 100.0, 10.0, 20.0, cat=999)
     with pytest.raises(DataError, match="unknown category"):
         map_frame(camera, [bad], CLASS_NAMES, MERGING)
-
-
-def test_map_dataset_timestamps(camera, extent):
-    from posmap.coco import Category, Dataset, ImageRecord
-
-    cats = [Category(id=c.class_id, name=c.name, supercategory=c.supercategory)
-            for c in TAX.classes]
-    images = [
-        ImageRecord(id=1, file_name="f1.jpg", width=1920, height=1080),
-        ImageRecord(id=2, file_name="f2.jpg", width=1920, height=1080),
-        ImageRecord(id=3, file_name="f3.jpg", width=1920, height=1080,
-                    extra={"timestamp": 99.5}),
-    ]
-    anns = [_person_ann(camera, 2.25, 12.0, ann_id=i) for i in (1, 2, 3)]
-    for i, a in enumerate(anns, start=1):
-        a.image_id = i
-    ds = Dataset(images=images, annotations=anns, categories=cats)
-    results = map_dataset(camera, ds, MERGING, extent=extent, fps=2.0)
-    assert [r.timestamp for r in results] == [0.0, 0.5, 99.5]
-    assert all(len(r.observations) == 1 for r in results)
-    with pytest.raises(DataError, match="fps"):
-        map_dataset(camera, ds, MERGING, fps=0.0)
 
 
 # -- persistence ----------------------------------------------------------------
