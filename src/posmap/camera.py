@@ -5,10 +5,11 @@ the camera sits above it (positive-Z camera center). Pixel frame: top-left
 origin, u right, v down. Rotations are stored as axis-angle vectors (the
 direction is the rotation axis, the norm is the angle in radians).
 
-The hot paths (:meth:`CameraModel.undistort_pixel` and
-:meth:`CameraModel.back_project_ground` with scalar inputs) deliberately use
-plain Python floats instead of numpy scalars; per-detection mapping cost is
-dominated by these and the float path is roughly 20x faster.
+The hot paths (:meth:`CameraModel.undistort_pixel`,
+:meth:`CameraModel.viewing_ray` and :meth:`CameraModel.back_project_ground`
+with scalar inputs) deliberately use plain Python floats instead of numpy
+scalars; per-detection mapping cost is dominated by these and the float
+path is roughly 20x faster.
 """
 
 from __future__ import annotations
@@ -334,6 +335,22 @@ class CameraModel:
         xd = (u - intr.cx - intr.skew * yd) / intr.fx
         return self.distortion.undistort(xd, yd)
 
+    def viewing_ray(
+        self, u: float, v: float
+    ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+        """World ray of pixel (u, v): the camera center and a direction.
+
+        The direction is ``R^T @ (xn, yn, 1)`` for the undistorted pixel,
+        not normalized; both come as plain floats.
+        """
+        xn, yn, _ = self.undistort_pixel(float(u), float(v))
+        r = self._rot_rows
+        return self._center, (
+            r[0][0] * xn + r[1][0] * yn + r[2][0],
+            r[0][1] * xn + r[1][1] * yn + r[2][1],
+            r[0][2] * xn + r[1][2] * yn + r[2][2],
+        )
+
     def back_project_ground(self, u: float, v: float) -> tuple[float, float]:
         """Intersect the viewing ray of pixel (u, v) with the ground plane Z=0.
 
@@ -341,13 +358,7 @@ class CameraModel:
         to the ground or meets it behind the camera (at or above the
         horizon).
         """
-        xn, yn, _ = self.undistort_pixel(float(u), float(v))
-        r = self._rot_rows
-        # world ray direction: R^T @ (xn, yn, 1)
-        dx = r[0][0] * xn + r[1][0] * yn + r[2][0]
-        dy = r[0][1] * xn + r[1][1] * yn + r[2][1]
-        dz = r[0][2] * xn + r[1][2] * yn + r[2][2]
-        cx, cy, cz = self._center
+        (cx, cy, cz), (dx, dy, dz) = self.viewing_ray(u, v)
         if abs(dz) < 1e-12:
             raise NoGroundIntersectionError(
                 f"viewing ray of pixel ({u:.1f}, {v:.1f}) is parallel to the ground"
@@ -409,6 +420,7 @@ def _lens_from_dict(doc: dict) -> tuple[Intrinsics, Distortion, tuple[int, int]]
 
 
 def _read_json(path: str | Path, kind: str) -> dict:
+    """The JSON object of a camera or intrinsics file, its units checked."""
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -417,6 +429,12 @@ def _read_json(path: str | Path, kind: str) -> dict:
         raise DataError(f"{kind} file {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise DataError(f"{kind} file {path} must be a JSON object")
+    units = doc.get("units")
+    if units != CAMERA_SCHEMA_UNITS:
+        raise ConfigError(
+            f"{kind} file {path} declares units {units!r}; expected "
+            f"{CAMERA_SCHEMA_UNITS!r} (metres in the world, pixels on the sensor)"
+        )
     return doc
 
 
@@ -431,12 +449,6 @@ def save_camera(path: str | Path, camera: CameraModel) -> None:
 
 def load_camera(path: str | Path) -> CameraModel:
     doc = _read_json(path, "camera")
-    units = doc.get("units")
-    if units != CAMERA_SCHEMA_UNITS:
-        raise ConfigError(
-            f"camera file {path} declares units {units!r}; expected "
-            f"{CAMERA_SCHEMA_UNITS!r} (metres in the world, pixels on the sensor)"
-        )
     try:
         intrinsics, distortion, image_size = _lens_from_dict(doc)
         pose = doc["pose"]

@@ -70,10 +70,19 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _hash_inputs(paths: list[Path]) -> dict[str, str]:
+    """SHA-256 of each input, taken before the command writes anything.
+
+    An output may overwrite an input (``density --merge A B --out A``), so
+    hashing after the write would record the output instead.
+    """
+    return {str(p): _sha256(Path(p)) for p in paths}
+
+
 def _write_manifest(
     where: Path,
     args: argparse.Namespace,
-    inputs: list[Path],
+    inputs: dict[str, str],
     outputs: list[Path],
     t0: float,
 ) -> Path:
@@ -85,7 +94,7 @@ def _write_manifest(
     manifest = {
         "argv": sys.argv,
         "config": resolved,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
+        "inputs": inputs,
         "outputs": [str(p) for p in outputs],
         "versions": {
             "posmap": __version__,
@@ -131,6 +140,7 @@ def _fmt(v: float | None, digits: int = 4) -> str:
 def cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     views = load_planar_views(args.views)
+    inputs = _hash_inputs([Path(args.views)])
     result = calibrate_intrinsics_planar(
         views, fit_distortion=not args.no_distortion, fix_skew=args.fix_skew
     )
@@ -139,7 +149,7 @@ def cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
     save_intrinsics(
         out, result.intrinsics, result.distortion, args.image_size, result.rms_px
     )
-    _write_manifest(out, args, [Path(args.views)], [out], t0)
+    _write_manifest(out, args, inputs, [out], t0)
     print(
         f"calibrated from {len(views)} views: "
         f"fx={result.intrinsics.fx:.2f} fy={result.intrinsics.fy:.2f} "
@@ -153,6 +163,7 @@ def cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     intrinsics, distortion, image_size = load_intrinsics(args.intrinsics)
     world, pixels = load_correspondences(args.points)
+    inputs = _hash_inputs([Path(args.intrinsics), Path(args.points)])
     result = solve_extrinsics(intrinsics, distortion, world, pixels)
     camera = CameraModel(
         intrinsics=intrinsics,
@@ -163,7 +174,7 @@ def cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_camera(out, camera)
-    _write_manifest(out, args, [Path(args.intrinsics), Path(args.points)], [out], t0)
+    _write_manifest(out, args, inputs, [out], t0)
     c = camera.pose.camera_center
     print(
         f"solved pose from {len(world)} points: rms={result.rms_px:.4f} px, "
@@ -217,6 +228,12 @@ def cmd_map(args: argparse.Namespace) -> int:
     treatment = _resolve_treatment(args.treatment, args.taxonomy)
     extent = load_extent(args.extent) if args.extent else None
     priors = _parse_priors(args.prior)
+    input_paths = [Path(args.camera), Path(args.annotations)]
+    if args.extent:
+        input_paths.append(Path(args.extent))
+    if args.taxonomy:
+        input_paths.append(Path(args.taxonomy))
+    inputs = _hash_inputs(input_paths)
     class_names = {c.id: c.name for c in ds.categories}
     by_image = ds.anns_by_image()
     images = sorted(ds.images, key=lambda im: im.id)
@@ -251,11 +268,6 @@ def cmd_map(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     save_observations(out, observations)
-    inputs = [Path(args.camera), Path(args.annotations)]
-    if args.extent:
-        inputs.append(Path(args.extent))
-    if args.taxonomy:
-        inputs.append(Path(args.taxonomy))
     _write_manifest(out, args, inputs, [out], t0)
 
     n_out = sum(len(f.out_of_extent) for f in frames)
@@ -282,13 +294,14 @@ def cmd_density(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if args.merge:
         grids = [load_density(base) for base in args.merge]
+        inputs = _hash_inputs(
+            [Path(b).with_suffix(".csv") for b in args.merge]
+            + [Path(b).with_suffix(".json") for b in args.merge]
+        )
         merged = grids[0]
         for grid in grids[1:]:
             merged = merge_rasters(merged, grid)
         paths = save_density(out, merged)
-        inputs = [Path(b).with_suffix(".csv") for b in args.merge] + [
-            Path(b).with_suffix(".json") for b in args.merge
-        ]
         _write_manifest(out.with_suffix(".json"), args, inputs, list(paths.values()), t0)
         print(
             f"merged {len(grids)} rasters: {merged.total_count} observations, "
@@ -300,19 +313,14 @@ def cmd_density(args: argparse.Namespace) -> int:
         raise ConfigError("density needs --observations and --extent (or --merge)")
     observations = load_observations(args.observations)
     extent = load_extent(args.extent)
+    inputs = _hash_inputs([Path(args.observations), Path(args.extent)])
     bandwidth = None if args.bandwidth in (None, "auto") else float(args.bandwidth)
     classes = tuple(args.classes.split(",")) if args.classes else None
     grid = kde_raster(
         observations, extent, args.cell, bandwidth=bandwidth, classes=classes
     )
     paths = save_density(out, grid)
-    _write_manifest(
-        out.with_suffix(".json"),
-        args,
-        [Path(args.observations), Path(args.extent)],
-        list(paths.values()),
-        t0,
-    )
+    _write_manifest(out.with_suffix(".json"), args, inputs, list(paths.values()), t0)
     print(
         f"rasterized {grid.total_count} observations onto "
         f"{grid.shape[1]}x{grid.shape[0]} cells "
@@ -330,6 +338,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     gt = load_dataset(args.gt)
     dets = load_detections(args.detections)
+    inputs = _hash_inputs([Path(args.gt), Path(args.detections)]) if args.out else {}
     if args.treatment:
         from .coco import remap_annotations, remap_categories
 
@@ -401,7 +410,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         }
         out.write_text(json.dumps(doc, indent=2) + "\n")
         outputs.append(out)
-        _write_manifest(out, args, [Path(args.gt), Path(args.detections)], outputs, t0)
+        _write_manifest(out, args, inputs, outputs, t0)
     return 0
 
 
@@ -409,6 +418,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     gt = load_dataset(args.gt)
     dets = load_detections(args.detections)
+    inputs = _hash_inputs([Path(args.gt), Path(args.detections)]) if args.out else {}
     params = EvalParams(iou_mode=args.iou_mode, max_dets=args.max_dets)
     result = diagnose_errors(gt, dets, params)
     names = {c.id: c.name for c in gt.categories}
@@ -436,7 +446,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             "iou_mode": args.iou_mode,
         }
         out.write_text(json.dumps(doc, indent=2) + "\n")
-        _write_manifest(out, args, [Path(args.gt), Path(args.detections)], [out], t0)
+        _write_manifest(out, args, inputs, [out], t0)
     return 0
 
 
@@ -494,13 +504,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_filter(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     dets = load_detections(args.detections)
+    inputs = _hash_inputs([Path(args.detections)])
     kept = filter_for_annotation(
         dets, score_threshold=args.score, min_area_px=args.min_area
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_detections(out, kept)
-    _write_manifest(out, args, [Path(args.detections)], [out], t0)
+    _write_manifest(out, args, inputs, [out], t0)
     print(
         f"kept {len(kept)} of {len(dets)} detections "
         f"(score >= {args.score}, area >= {args.min_area} px^2)"
@@ -511,9 +522,10 @@ def cmd_filter(args: argparse.Namespace) -> int:
 def cmd_export_labelme(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     ds = load_dataset(args.annotations)
+    inputs = _hash_inputs([Path(args.annotations)])
     out_dir = Path(args.out_dir)
     written = export_labelme(ds, out_dir)
-    _write_manifest(out_dir, args, [Path(args.annotations)], written, t0)
+    _write_manifest(out_dir, args, inputs, written, t0)
     print(f"wrote {len(written)} polygon files to {out_dir}")
     return 0
 
@@ -521,6 +533,7 @@ def cmd_export_labelme(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     ds = load_dataset(args.annotations)
+    inputs = _hash_inputs([Path(args.annotations)])
     train, test = split_dataset(
         ds, args.fraction, args.seed, stratify_key=args.stratify
     )
@@ -530,9 +543,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     out_test.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(out_train, train)
     save_dataset(out_test, test)
-    _write_manifest(
-        out_train, args, [Path(args.annotations)], [out_train, out_test], t0
-    )
+    _write_manifest(out_train, args, inputs, [out_train, out_test], t0)
     print(
         f"split {len(ds.images)} images into {len(train.images)} train / "
         f"{len(test.images)} test (seed {args.seed})"
@@ -588,7 +599,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out_dir / "detections.json",
         out_dir / "truth.csv",
     ]
-    _write_manifest(out_dir, args, [], outputs, t0)
+    _write_manifest(out_dir, args, {}, outputs, t0)
     n_gt = len(result.dataset.annotations)
     print(
         f"simulated {args.frames} frames, {args.agents} agents: "

@@ -46,6 +46,8 @@ __all__ = [
 
 QUANTUM = 2.0**-40
 _TRUNCATE_SIGMAS = 5.0
+# window cells computed at once: each kernel temporary stays at 256 KB
+_CHUNK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -153,60 +155,100 @@ def kde_raster(
     """Rasterize observations into a density grid over ``extent``.
 
     Observations outside the extent (or outside ``classes`` when given) are
-    excluded entirely: they neither add mass nor count. With no explicit
-    ``bandwidth`` the Silverman rule is used, floored at half a cell so a
-    single point still spreads over its neighborhood.
+    excluded entirely: they neither add mass nor count, and their
+    timestamps stay out of ``time_window``. With no explicit ``bandwidth``
+    the Silverman rule is used, floored at half a cell so a single point
+    still spreads over its neighborhood.
+
+    Kernels are computed in batches of points whose windows (clipped to
+    the grid) have the same shape, at most :data:`_CHUNK_CELLS` window
+    cells at a time. Each point's kernel goes through the same elementwise
+    steps and the same per-window sum as a point computed alone, and every
+    contribution is a multiple of :data:`QUANTUM`, so the raster does not
+    depend on how the points are batched or in which order they are added.
     """
     ny, nx = grid_shape(extent, cell_size)
-    included: list[tuple[float, float]] = []
-    names: set[str] = set()
-    for obs in observations:
-        if classes is not None and obs.class_name not in classes:
-            continue
-        if not extent.contains(obs.x, obs.y):
-            continue
-        included.append(extent.to_local(obs.x, obs.y))
-        names.add(obs.class_name)
+    if classes is not None:
+        observations = [o for o in observations if o.class_name in classes]
+    xs = np.array([o.x for o in observations], dtype=float)
+    ys = np.array([o.y for o in observations], dtype=float)
+    inside = extent.contains(xs, ys)
+    kept = [o for o, keep in zip(observations, inside.tolist()) if keep]
+    lx, ly = extent.to_local(xs[inside], ys[inside])
 
-    local = np.array(included, dtype=float).reshape(-1, 2)
     if bandwidth is None:
-        bandwidth = silverman_bandwidth(local)
-    if bandwidth < 0:
-        raise ConfigError(f"bandwidth must be non-negative, got {bandwidth}")
+        bandwidth = silverman_bandwidth(np.column_stack([lx, ly]))
+    if not 0.0 <= bandwidth < math.inf:
+        raise ConfigError(f"bandwidth must be finite and non-negative, got {bandwidth}")
     h = max(float(bandwidth), cell_size / 2.0)
 
-    values = np.zeros((ny, nx))
-    centers_x = (np.arange(nx) + 0.5) * cell_size
-    centers_y = (np.arange(ny) + 0.5) * cell_size
+    # each point's window of cells within 5 bandwidths, clipped to the grid
     reach = _TRUNCATE_SIGMAS * h
-    cell_area = cell_size * cell_size
-    for lx, ly in local:
-        c0 = max(0, int(math.ceil((lx - reach) / cell_size - 0.5)))
-        c1 = min(nx - 1, int(math.floor((lx + reach) / cell_size - 0.5)))
-        r0 = max(0, int(math.ceil((ly - reach) / cell_size - 0.5)))
-        r1 = min(ny - 1, int(math.floor((ly + reach) / cell_size - 0.5)))
-        if c1 < c0 or r1 < r0:
-            # point sits in the extent, so its own cell is always in range
-            raise DataError(
-                f"kernel for point ({lx:.3f}, {ly:.3f}) covers no grid cell"
-            )
-        kx = np.exp(-((centers_x[c0 : c1 + 1] - lx) ** 2) / (2.0 * h * h))
-        ky = np.exp(-((centers_y[r0 : r1 + 1] - ly) ** 2) / (2.0 * h * h))
-        kernel = np.outer(ky, kx)
-        mass = kernel.sum() * cell_area
-        contrib = np.round(kernel / mass / QUANTUM) * QUANTUM
-        values[r0 : r1 + 1, c0 : c1 + 1] += contrib
+    c0 = np.maximum(np.ceil((lx - reach) / cell_size - 0.5), 0.0).astype(np.intp)
+    c1 = np.minimum(np.floor((lx + reach) / cell_size - 0.5), nx - 1.0).astype(np.intp)
+    r0 = np.maximum(np.ceil((ly - reach) / cell_size - 0.5), 0.0).astype(np.intp)
+    r1 = np.minimum(np.floor((ly + reach) / cell_size - 0.5), ny - 1.0).astype(np.intp)
+    empty = (c1 < c0) | (r1 < r0)
+    if empty.any():
+        # a point in the extent always has its own cell, unless the grid has none
+        i = int(np.argmax(empty))
+        raise DataError(
+            f"kernel for point ({lx[i]:.3f}, {ly[i]:.3f}) covers no grid cell"
+        )
 
-    times = [o.timestamp for o in observations if o.timestamp is not None]
+    values = np.zeros((ny, nx))
+    # points whose clipped windows have one shape are computed together
+    shape_key = (r1 - r0 + 1) * (nx + 1) + (c1 - c0 + 1)
+    for key in sorted(set(shape_key.tolist())):
+        window = divmod(key, nx + 1)
+        members = np.flatnonzero(shape_key == key)
+        chunk = max(1, _CHUNK_CELLS // (window[0] * window[1]))
+        for begin in range(0, len(members), chunk):
+            idx = members[begin : begin + chunk]
+            _add_kernels(values, lx[idx], ly[idx], r0[idx], c0[idx], window, h, cell_size)
+
+    times = [o.timestamp for o in kept if o.timestamp is not None]
+    names = tuple(sorted({o.class_name for o in kept}))
     return DensityGrid(
         extent=extent,
         cell_size=cell_size,
         values=values,
         bandwidth=h,
-        total_count=len(local),
+        total_count=len(kept),
         time_window=(min(times), max(times)) if times else None,
-        classes=tuple(sorted(names)) if classes is None else tuple(classes),
+        classes=names if classes is None else tuple(classes),
     )
+
+
+def _add_kernels(
+    values: np.ndarray,
+    lx: np.ndarray,
+    ly: np.ndarray,
+    r0: np.ndarray,
+    c0: np.ndarray,
+    window: tuple[int, int],
+    h: float,
+    cell_size: float,
+) -> None:
+    """Add the kernels of points whose windows are ``window`` cells from (r0, c0).
+
+    Each kernel takes the steps of a kernel computed alone: Gaussians in x
+    and in y on the window's cell centers, their outer product, divided by
+    its integral over the window, rounded to a multiple of QUANTUM.
+    """
+    gy, gx = window
+    cols = c0[:, None] + np.arange(gx)
+    rows = r0[:, None] + np.arange(gy)
+    kx = np.exp(-(((cols + 0.5) * cell_size - lx[:, None]) ** 2) / (2.0 * h * h))
+    ky = np.exp(-(((rows + 0.5) * cell_size - ly[:, None]) ** 2) / (2.0 * h * h))
+    kernel = ky[:, :, None] * kx[:, None, :]
+    mass = kernel.reshape(len(lx), -1).sum(axis=1) * (cell_size * cell_size)
+    kernel /= mass[:, None, None]
+    kernel *= 1.0 / QUANTUM  # a power of two: the same bits as / QUANTUM
+    np.round(kernel, out=kernel)
+    kernel *= QUANTUM
+    for r, c, contrib in zip(r0.tolist(), c0.tolist(), kernel):
+        values[r : r + gy, c : c + gx] += contrib
 
 
 def zero_raster(extent: MapExtent, cell_size: float) -> DensityGrid:

@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .camera import CameraModel
 from .coco import Annotation
 from .errors import DataError, DegenerateGeometryError, GeometryError
@@ -46,20 +44,43 @@ _BAND_FRACTION = 0.05
 
 
 def _polygon_band_midpoint(ann: Annotation, bottom: bool) -> tuple[float, float]:
-    xs: list[float] = []
-    ys: list[float] = []
-    for part in ann.segmentation:
-        xs.extend(part[0::2])
-        ys.extend(part[1::2])
+    """Midpoint of the bounding box of the vertices in the bottom (or top) band.
+
+    The band holds the vertices within 5% of the polygon's height of its
+    lowest (or highest) vertex, which always belongs to it.
+    """
+    seg = ann.segmentation
+    if len(seg) == 1:
+        xs, ys = seg[0][0::2], seg[0][1::2]
+    else:
+        xs = [x for part in seg for x in part[0::2]]
+        ys = [y for part in seg for y in part[1::2]]
     y_min, y_max = min(ys), max(ys)
     band = _BAND_FRACTION * (y_max - y_min)
+    edge = y_max if bottom else y_min
+    x_lo = x_hi = xs[ys.index(edge)]
+    inner = edge  # the band vertex farthest from the edge
     if bottom:
-        keep = [i for i, y in enumerate(ys) if y >= y_max - band]
+        cut = y_max - band
+        for x, y in zip(xs, ys):
+            if y >= cut:
+                if x < x_lo:
+                    x_lo = x
+                elif x > x_hi:
+                    x_hi = x
+                if y < inner:
+                    inner = y
     else:
-        keep = [i for i, y in enumerate(ys) if y <= y_min + band]
-    bx = [xs[i] for i in keep]
-    by = [ys[i] for i in keep]
-    return (min(bx) + max(bx)) / 2.0, (min(by) + max(by)) / 2.0
+        cut = y_min + band
+        for x, y in zip(xs, ys):
+            if y <= cut:
+                if x < x_lo:
+                    x_lo = x
+                elif x > x_hi:
+                    x_hi = x
+                if y > inner:
+                    inner = y
+    return (x_lo + x_hi) / 2.0, (inner + edge) / 2.0
 
 
 def footpoint(ann: Annotation) -> tuple[float, float]:
@@ -133,22 +154,19 @@ def estimate_box3d(
     plausible person range.
     """
     gx, gy = ground_xy
-    cx, cy, cz = (float(v) for v in camera.pose.camera_center)
+    (cx, cy, cz), (dx, dy, dz) = camera.viewing_ray(top_pixel[0], top_pixel[1])
     yaw = math.atan2(gy - cy, gx - cx)
     width, length = prior
     center_x = gx + (length / 2.0) * math.cos(yaw)
     center_y = gy + (length / 2.0) * math.sin(yaw)
 
-    xn, yn, _ = camera.undistort_pixel(top_pixel[0], top_pixel[1])
-    rot = camera.pose.rotation
-    d = rot.T @ np.array([xn, yn, 1.0])
-    horiz2 = float(d[0] * d[0] + d[1] * d[1])
+    horiz2 = dx * dx + dy * dy
     if horiz2 < 1e-12:
         raise DegenerateGeometryError(
             "head-pixel ray is vertical; height is unobservable"
         )
-    s = ((gx - cx) * float(d[0]) + (gy - cy) * float(d[1])) / horiz2
-    height = cz + s * float(d[2])
+    s = ((gx - cx) * dx + (gy - cy) * dy) / horiz2
+    height = cz + s * dz
     height = min(max(height, _HEIGHT_RANGE[0]), _HEIGHT_RANGE[1])
     return Box3D(
         center_x=center_x,
@@ -166,7 +184,8 @@ class MapExtent:
 
     ``origin`` is the world position of the rectangle's corner; ``rotation``
     (radians, counter-clockwise) takes the rectangle's local +x axis into
-    the world. Containment is closed on all edges.
+    the world. Containment is closed on all edges. :meth:`to_local` and
+    :meth:`contains` take floats or equal-shaped numpy arrays.
     """
 
     origin: tuple[float, float]
@@ -179,9 +198,9 @@ class MapExtent:
         c, s = math.cos(-self.rotation), math.sin(-self.rotation)
         return c * dx - s * dy, s * dx + c * dy
 
-    def contains(self, x: float, y: float) -> bool:
+    def contains(self, x, y):
         lx, ly = self.to_local(x, y)
-        return 0.0 <= lx <= self.width and 0.0 <= ly <= self.length
+        return (0.0 <= lx) & (lx <= self.width) & (0.0 <= ly) & (ly <= self.length)
 
 
 def extent_to_dict(extent: MapExtent) -> dict:
@@ -390,25 +409,35 @@ def save_observations(path: str | Path, observations: list[GroundObservation]) -
 
 
 def load_observations(path: str | Path) -> list[GroundObservation]:
-    """Read observations written by :func:`save_observations`."""
+    """Read observations written by :func:`save_observations`.
+
+    Columns may come in any order; every row must have all of them.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"observation file {path} not found")
     out: list[GroundObservation] = []
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(_OBS_FIELDS) - set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or set(_OBS_FIELDS) - set(header):
             raise DataError(
                 f"observation file {path} must have columns {','.join(_OBS_FIELDS)}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        (
+            i_source, i_image, i_ann, i_ts, i_class,
+            i_x, i_y, i_yaw, i_width, i_length, i_height, i_score,
+        ) = (header.index(name) for name in _OBS_FIELDS)
+        for row in reader:
+            if not row:
+                continue
             try:
-                x = float(row["x"])
-                y = float(row["y"])
-                yaw = float(row["yaw"])
-                width = float(row["width"])
-                length = float(row["length"])
-                height = float(row["height"])
+                x = float(row[i_x])
+                y = float(row[i_y])
+                yaw = float(row[i_yaw])
+                width = float(row[i_width])
+                length = float(row[i_length])
+                height = float(row[i_height])
                 box = Box3D(
                     center_x=x + (length / 2.0) * math.cos(yaw),
                     center_y=y + (length / 2.0) * math.sin(yaw),
@@ -419,17 +448,19 @@ def load_observations(path: str | Path) -> list[GroundObservation]:
                 )
                 out.append(
                     GroundObservation(
-                        class_name=row["class_name"],
+                        class_name=row[i_class],
                         x=x,
                         y=y,
                         box=box,
-                        annotation_id=int(row["annotation_id"]),
-                        image_id=int(row["image_id"]),
-                        timestamp=float(row["timestamp"]) if row["timestamp"] else None,
-                        source=row["source"],
-                        score=float(row["score"]) if row.get("score") else None,
+                        annotation_id=int(row[i_ann]),
+                        image_id=int(row[i_image]),
+                        timestamp=float(row[i_ts]) if row[i_ts] else None,
+                        source=row[i_source],
+                        score=float(row[i_score]) if row[i_score] else None,
                     )
                 )
-            except (TypeError, ValueError) as e:
-                raise DataError(f"{path}:{lineno}: bad observation row: {e}") from e
+            except (IndexError, ValueError) as e:
+                raise DataError(
+                    f"{path}:{reader.line_num}: bad observation row: {e}"
+                ) from e
     return out

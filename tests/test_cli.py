@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 
@@ -167,6 +168,31 @@ def test_density_merge(workspace, tmp_path, capsys):
     assert "merged 2 rasters" in capsys.readouterr().out
     grid = load_density(merged)
     assert grid.total_count == 2 * load_density(half).total_count
+
+
+def test_in_place_merge_manifest_hashes_inputs_before_writing(workspace, tmp_path):
+    sim = _sim(workspace)
+    obs = tmp_path / "obs.csv"
+    assert main(
+        ["map", "--camera", str(sim / "camera.json"), "--annotations", str(sim / "gt.json"),
+         "--out", str(obs)]
+    ) == 0
+    running, clip = tmp_path / "running", tmp_path / "clip"
+    for base in (running, clip):
+        assert main(
+            ["density", "--observations", str(obs), "--extent", str(sim / "extent.json"),
+             "--out", str(base)]
+        ) == 0
+    before = {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+        for base in (running, clip) for p in (base.with_suffix(".csv"), base.with_suffix(".json"))
+    }
+    assert main(["density", "--merge", str(running), str(clip), "--out", str(running)]) == 0
+    manifest = json.loads((tmp_path / "running.manifest.json").read_text())
+    assert manifest["inputs"] == before
+    # the merge did overwrite its first input
+    assert hashlib.sha256(running.with_suffix(".csv").read_bytes()).hexdigest() != \
+        before[str(running.with_suffix(".csv"))]
 
 
 # -- eval / diagnose / stats -----------------------------------------------------
@@ -349,6 +375,25 @@ def test_bare_list_bbox_with_3_values_exits_3(workspace, tmp_path, capsys):
                "--iou-mode", "bbox"])
     assert rc == 3
     assert "bbox with 3 values" in capsys.readouterr().err
+
+
+def test_extrinsics_rejects_intrinsics_in_other_units(workspace, tmp_path, capsys):
+    intr = tmp_path / "intr.json"
+    intr.write_text(json.dumps({
+        "units": "ft-px",
+        "image_size": [1920, 1080],
+        "intrinsics": {"fx": 1200.0, "fy": 1200.0, "cx": 960.0, "cy": 540.0},
+    }))
+    points = tmp_path / "points.csv"
+    points.write_text("X,Y,Z,u,v\n" + "".join(
+        f"{x},{y},0.0,{800 + 40 * x},{500 + 30 * y}\n" for x in range(3) for y in range(3)
+    ))
+    out = tmp_path / "cam.json"
+    rc = main(["calibrate", "extrinsics", "--intrinsics", str(intr),
+               "--points", str(points), "--out", str(out)])
+    assert rc == 2
+    assert "'ft-px'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numeric_error_exits_4(workspace, tmp_path, capsys):

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_kde
+from posmap import density
 from posmap.density import (
     QUANTUM,
     DensityGrid,
@@ -23,7 +25,7 @@ from posmap.density import (
     zero_raster,
 )
 from posmap.errors import ConfigError, DataError
-from posmap.mapping import Box3D, FrameMapResult, GroundObservation
+from posmap.mapping import Box3D, FrameMapResult, GroundObservation, MapExtent
 
 
 def _obs(x, y, cls="pedestrian", ts=None, src="", oid=1):
@@ -80,6 +82,134 @@ def test_out_of_extent_and_filtered_classes_excluded(extent):
     both = kde_raster(obs, extent, 0.5)
     assert both.total_count == 2
     assert both.classes == ("cyclist", "pedestrian")
+
+
+def test_time_window_counts_included_observations_only(extent):
+    obs = [
+        _obs(2.0, 10.0, ts=10.0, oid=1),
+        _obs(2.0, 40.0, ts=999.0, oid=2),  # outside the extent
+        _obs(2.0, 12.0, cls="cyclist", ts=0.0, oid=3),  # filtered out
+    ]
+    grid = kde_raster(obs, extent, 0.5, classes=("pedestrian",))
+    assert grid.total_count == 1
+    assert grid.time_window == (10.0, 10.0)
+    assert kde_raster(obs, extent, 0.5).time_window == (0.0, 10.0)
+    assert kde_raster(obs[1:2], extent, 0.5).time_window is None
+
+
+# -- batched KDE against the per-point loop ----------------------------------
+
+
+def _local_obs(extent, points):
+    """Observations at local-frame (lx, ly, class, timestamp) positions."""
+    c, s = math.cos(extent.rotation), math.sin(extent.rotation)
+    return [
+        _obs(extent.origin[0] + c * lx - s * ly, extent.origin[1] + s * lx + c * ly,
+             cls=cls, ts=ts, oid=i)
+        for i, (lx, ly, cls, ts) in enumerate(points)
+    ]
+
+
+def _assert_kde_matches_reference(obs, extent, cell, **kw):
+    """``kde_raster`` equals the per-point loop bit for bit, errors included."""
+    try:
+        expected = _reference_kde.kde_raster(obs, extent, cell, **kw)
+    except DataError as e:
+        with pytest.raises(DataError) as got:
+            kde_raster(obs, extent, cell, **kw)
+        assert str(got.value) == str(e)
+        return None
+    grid = kde_raster(obs, extent, cell, **kw)
+    assert grid.values.shape == expected.values.shape
+    assert grid.values.tobytes() == expected.values.tobytes()
+    assert grid.bandwidth == expected.bandwidth
+    assert grid.total_count == expected.total_count
+    assert grid.classes == expected.classes
+    assert (grid.extent, grid.cell_size) == (expected.extent, expected.cell_size)
+    # the loop also counts excluded observations' timestamps; the batch does not
+    classes = kw.get("classes")
+    times = [
+        o.timestamp for o in obs
+        if (classes is None or o.class_name in classes)
+        and extent.contains(o.x, o.y) and o.timestamp is not None
+    ]
+    assert grid.time_window == ((min(times), max(times)) if times else None)
+    return grid
+
+
+_ROTATED = MapExtent(origin=(12.0, -3.0), rotation=0.35, width=4.5, length=32.0)
+
+
+@pytest.mark.parametrize(
+    "extent, cell, points, kw",
+    [
+        # one point: the Silverman rule gives 0, floored at half a cell
+        (_ROTATED, 0.5, [(2.0, 10.0, "pedestrian", 1.0)], {}),
+        # no input at all, with and without an explicit bandwidth
+        (_ROTATED, 0.25, [], {}),
+        (_ROTATED, 0.25, [], {"bandwidth": 0.7}),
+        # windows clipped at every edge and corner, on a rotated extent
+        (_ROTATED, 0.25,
+         [(lx, ly, "pedestrian", None)
+          for lx in (0.0, 0.01, 2.25, 4.49, 4.5) for ly in (0.0, 0.3, 16.0, 31.8, 32.0)],
+         {"bandwidth": 0.6}),
+        # points outside the extent and the class filter
+        (_ROTATED, 0.5,
+         [(-0.1, 5.0, "pedestrian", 1.0), (2.0, 32.5, "pedestrian", 2.0),
+          (2.0, 5.0, "cyclist", 3.0), (1.0, 7.0, "pedestrian", 4.0),
+          (3.0, 9.0, "pedestrian", 5.0)],
+         {"classes": ("pedestrian",)}),
+        # many points of one window shape: several chunks of one group
+        (MapExtent(origin=(0.0, 0.0), rotation=0.0, width=4.5, length=32.0), 0.1,
+         [(0.1 + 4.3 * (i % 13) / 12, 6.0 + 20.0 * i / 199, "pedestrian", None)
+          for i in range(200)],
+         {"bandwidth": 1.0}),
+        # a zero-width extent has no grid cell: "covers no grid cell"
+        (MapExtent(origin=(0.0, 0.0), rotation=0.0, width=0.0, length=5.0), 0.5,
+         [(0.0, 1.0, "pedestrian", None)], {}),
+    ],
+    ids=["one-point", "empty", "empty-bandwidth", "clipped-edges", "filtered",
+         "chunks", "no-cell"],
+)
+def test_kde_matches_per_point_loop(extent, cell, points, kw):
+    obs = _local_obs(extent, points)
+    grid = _assert_kde_matches_reference(obs, extent, cell, **kw)
+    if points and extent.width == 0.0:
+        assert grid is None  # both raised the same DataError
+    if len(points) == 200:
+        ny, nx = grid.shape
+        # every point's window spans the 45 columns and at least 100 rows
+        assert 200 * nx * 100 > 4 * density._CHUNK_CELLS
+
+
+_coord = st.one_of(
+    st.sampled_from([0.0, 1.0]),  # exactly on an edge
+    st.floats(-0.15, 1.15, allow_nan=False),  # a fraction of the side; some outside
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rotation=st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)),
+    width=st.floats(0.3, 6.0),
+    length=st.floats(0.3, 12.0),
+    cell=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+    points=st.lists(
+        st.tuples(_coord, _coord, st.sampled_from(["pedestrian", "cyclist"]),
+                  st.one_of(st.none(), st.floats(0.0, 100.0))),
+        max_size=40,
+    ),
+    bandwidth=st.one_of(st.none(), st.floats(0.0, 3.0)),
+    classes=st.sampled_from([None, ("pedestrian",), ("cyclist", "dog")]),
+)
+def test_kde_matches_per_point_loop_on_random_scenes(
+    rotation, width, length, cell, points, bandwidth, classes
+):
+    extent = MapExtent(origin=(3.0, -7.0), rotation=rotation, width=width, length=length)
+    scaled = [(fx * width, fy * length, cls, ts) for fx, fy, cls, ts in points]
+    _assert_kde_matches_reference(
+        _local_obs(extent, scaled), extent, cell, bandwidth=bandwidth, classes=classes
+    )
 
 
 # -- merge monoid ----------------------------------------------------------

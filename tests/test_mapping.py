@@ -237,3 +237,37 @@ def test_observation_csv_errors(tmp_path):
     )
     with pytest.raises(DataError, match=":2"):
         load_observations(bad)
+
+
+_OBS_HEADER = (
+    "source,image_id,annotation_id,timestamp,class_name,x,y,yaw,width,length,height,score\n"
+)
+_OBS_ROW = "c0,1,1,0.0,pedestrian,1.0,2.0,0.0,0.5,0.6,1.7,\n"
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        "c0,1,1,0.0,pedestrian,1.0,2.0,0.0,0.5,0.6,1.7\n",  # score column missing
+        "c0,1,1,0.0,pedestrian,1.0,2.0\n",  # cut off mid-row
+        "c0,1,1,0.0,pedestrian,1.0,2.0,0.0,0.5,0.6,1.",  # file ends mid-row
+        "c0\n",
+    ],
+    ids=["no-score", "short", "truncated-field", "one-field"],
+)
+def test_observation_csv_short_row_names_its_line(tmp_path, bad_row):
+    path = tmp_path / "obs.csv"
+    # line 3 is blank: the error names the row's line in the file
+    path.write_text(_OBS_HEADER + _OBS_ROW + "\n" + _OBS_ROW + bad_row)
+    with pytest.raises(DataError, match=r"obs\.csv:5: bad observation row"):
+        load_observations(path)
+
+
+def test_observation_csv_columns_in_any_order(camera, tmp_path):
+    obs = [locate(camera, _person_ann(camera, 2.25, 12.0, score=0.5), "pedestrian",
+                  image_id=4, timestamp=2.0, source="c1")]
+    path = tmp_path / "obs.csv"
+    save_observations(path, obs)
+    header, row = (line.split(",") for line in path.read_text().splitlines())
+    path.write_text(",".join(reversed(header)) + "\n" + ",".join(reversed(row)) + "\n")
+    assert load_observations(path) == obs
