@@ -21,9 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import CameraModel, Distortion, Intrinsics, Pose, rotate_point_jacobian
-from .errors import DataError, DegenerateGeometryError
-from .lm import LMResult, levenberg_marquardt
+from .camera import (
+    CameraModel,
+    Distortion,
+    Intrinsics,
+    Pose,
+    project_jacobians,
+    project_points,
+    undistort_pixel,
+)
+from .errors import DataError, DegenerateGeometryError, UndistortionError
+from .lm import levenberg_marquardt
 
 __all__ = [
     "ExtrinsicsResult",
@@ -118,56 +126,8 @@ def _pose_from_plane_homography(h: np.ndarray, world_xy: np.ndarray) -> Pose:
 
 
 # ---------------------------------------------------------------------------
-# shared projection helpers (no CameraModel: poses may be provisional)
+# pose refinement
 # ---------------------------------------------------------------------------
-
-
-def _project_raw(
-    intr: Intrinsics,
-    dist: Distortion,
-    rvec: np.ndarray,
-    t: np.ndarray,
-    world: np.ndarray,
-) -> np.ndarray:
-    """Project without pose validation; +inf rows for non-positive depth."""
-    from .camera import axis_angle_to_matrix
-
-    rot = axis_angle_to_matrix(rvec)
-    cam = world @ rot.T + t
-    z = cam[:, 2]
-    uv = np.full((len(world), 2), np.inf)
-    ok = z > 1e-9
-    if not np.any(ok):
-        return uv
-    xn = cam[ok, 0] / z[ok]
-    yn = cam[ok, 1] / z[ok]
-    xd, yd = dist.distort(xn, yn)
-    uv[ok, 0] = intr.fx * xd + intr.skew * yd + intr.cx
-    uv[ok, 1] = intr.fy * yd + intr.cy
-    return uv
-
-
-def _pose_jacobian_rows(
-    intr: Intrinsics,
-    dist: Distortion,
-    rvec: np.ndarray,
-    t: np.ndarray,
-    world: np.ndarray,
-) -> np.ndarray:
-    """Stacked 2Nx6 Jacobian of pixel residuals wrt (rvec, t)."""
-    from .camera import axis_angle_to_matrix
-
-    rot = axis_angle_to_matrix(rvec)
-    pix = np.array([[intr.fx, intr.skew], [0.0, intr.fy]])
-    out = np.zeros((2 * len(world), 6))
-    for i, pw in enumerate(world):
-        cam = rot @ pw + t
-        x, y, z = cam
-        persp = np.array([[1.0 / z, 0.0, -x / z**2], [0.0, 1.0 / z, -y / z**2]])
-        front = pix @ dist.jacobian(x / z, y / z) @ persp
-        out[2 * i : 2 * i + 2, :3] = front @ rotate_point_jacobian(rvec, pw)
-        out[2 * i : 2 * i + 2, 3:] = front
-    return out
 
 
 def _refine_pose(
@@ -176,18 +136,21 @@ def _refine_pose(
     pose0: Pose,
     world: np.ndarray,
     pixels: np.ndarray,
-) -> tuple[Pose, LMResult]:
+) -> tuple[Pose, float]:
+    """The pose minimizing pixel reprojection error, and its RMS in pixels."""
+
     def residuals(theta: np.ndarray) -> np.ndarray:
-        uv = _project_raw(intr, dist, theta[:3], theta[3:], world)
+        uv = project_points(intr, dist, theta[:3], theta[3:], world)
         return (uv - pixels).ravel()
 
     def jac(theta: np.ndarray) -> np.ndarray:
-        return _pose_jacobian_rows(intr, dist, theta[:3], theta[3:], world)
+        j_pose, _ = project_jacobians(intr, dist, theta[:3], theta[3:], world)
+        return j_pose.reshape(-1, 6)
 
     theta0 = np.array([*pose0.rvec, *pose0.t])
     res = levenberg_marquardt(residuals, theta0, jac=jac, max_iter=200)
     pose = Pose(tuple(float(v) for v in res.params[:3]), tuple(float(v) for v in res.params[3:]))
-    return pose, res
+    return pose, _rms_px(residuals(res.params), len(world))
 
 
 def _rms_px(residuals: np.ndarray, n_points: int) -> float:
@@ -224,9 +187,12 @@ def solve_extrinsics(
         )
 
     # work in ideal normalized coordinates for the linear initialization
-    norm = np.array(
-        [list(_undistort_px(intrinsics, distortion, u, v)) for u, v in pixels]
-    )
+    norm = np.empty((len(pixels), 2))
+    for i, (u, v) in enumerate(pixels):
+        try:
+            norm[i] = undistort_pixel(intrinsics, distortion, u, v)
+        except UndistortionError as e:
+            raise DataError(f"reference point {i}: {e}") from e
 
     planar = bool(np.all(np.abs(world[:, 2]) < 1e-9))
     if planar:
@@ -240,9 +206,8 @@ def solve_extrinsics(
             )
         pose0 = _pose_from_dlt(world, norm)
 
-    pose, _ = _refine_pose(intrinsics, distortion, pose0, world, pixels)
-    final = _final_residuals(intrinsics, distortion, pose, world, pixels)
-    return ExtrinsicsResult(pose=pose, rms_px=_rms_px(final, len(world)))
+    pose, rms_px = _refine_pose(intrinsics, distortion, pose0, world, pixels)
+    return ExtrinsicsResult(pose=pose, rms_px=rms_px)
 
 
 @dataclass(frozen=True)
@@ -284,22 +249,6 @@ def ground_mapping_error(
         max_m=float(np.max(errors)),
         per_point=tuple(errors),
     )
-
-
-def _final_residuals(
-    intr: Intrinsics, dist: Distortion, pose: Pose, world: np.ndarray, pixels: np.ndarray
-) -> np.ndarray:
-    uv = _project_raw(intr, dist, np.array(pose.rvec), np.array(pose.t), world)
-    return (uv - pixels).ravel()
-
-
-def _undistort_px(
-    intr: Intrinsics, dist: Distortion, u: float, v: float
-) -> tuple[float, float]:
-    yd = (v - intr.cy) / intr.fy
-    xd = (u - intr.cx - intr.skew * yd) / intr.fx
-    xn, yn, _ = dist.undistort(xd, yd)
-    return xn, yn
 
 
 def _pose_from_dlt(world: np.ndarray, norm: np.ndarray) -> Pose:
@@ -404,7 +353,7 @@ def calibrate_intrinsics_planar(
         chunks = []
         for (plane_xy, pixels), pv in zip(prepared, pose_vecs):
             world = np.column_stack([plane_xy, np.zeros(len(plane_xy))])
-            uv = _project_raw(intr, dist, pv[:3], pv[3:], world)
+            uv = project_points(intr, dist, pv[:3], pv[3:], world)
             chunks.append((uv - pixels).ravel())
         return np.concatenate(chunks)
 

@@ -1,15 +1,21 @@
 """Pinhole camera model with lens distortion and a world ground plane.
 
+The only module that knows the projection model: calibration uses its
+functions of an unchecked pose ``(rvec, t)``, and :class:`CameraModel` is
+built on the same ones. :func:`undistort_pixel`, which every pixel-to-ray
+path goes through, raises :class:`~posmap.errors.UndistortionError` for a
+pixel the lens cannot invert exactly (see :meth:`Distortion.undistort`).
+
 World frame convention: right-handed, Z up, the ground is the plane Z=0 and
 the camera sits above it (positive-Z camera center). Pixel frame: top-left
 origin, u right, v down. Rotations are stored as axis-angle vectors (the
 direction is the rotation axis, the norm is the angle in radians).
 
-The hot paths (:meth:`CameraModel.undistort_pixel`,
-:meth:`CameraModel.viewing_ray` and :meth:`CameraModel.back_project_ground`
-with scalar inputs) deliberately use plain Python floats instead of numpy
-scalars; per-detection mapping cost is dominated by these and the float
-path is roughly 20x faster.
+The hot paths (:func:`undistort_pixel`, :meth:`CameraModel.viewing_ray`
+and :meth:`CameraModel.back_project_ground` with scalar inputs)
+deliberately use plain Python floats instead of numpy scalars;
+per-detection mapping cost is dominated by these and the float path is
+roughly 20x faster.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .errors import (
     ConfigError,
     DataError,
     NoGroundIntersectionError,
+    UndistortionError,
 )
 
 __all__ = [
@@ -37,6 +44,9 @@ __all__ = [
     "axis_angle_to_matrix",
     "matrix_to_axis_angle",
     "rotate_point_jacobian",
+    "project_points",
+    "project_jacobians",
+    "undistort_pixel",
     "load_camera",
     "save_camera",
     "load_intrinsics",
@@ -46,6 +56,13 @@ __all__ = [
 CAMERA_SCHEMA_UNITS = "m-px"
 
 _MIN_DEPTH = 1e-9
+
+# Undistortion accepts a solution that re-distorts to its input within
+# _UNDISTORT_TOL (normalized units). Newton converges quadratically, so after
+# a step below _NEWTON_STEP_TOL the iterate is at machine precision.
+_UNDISTORT_TOL = 1e-9
+_NEWTON_STEP_TOL = 1e-8
+_NEWTON_MAX_ITER = 30
 
 
 def axis_angle_to_matrix(rvec: np.ndarray) -> np.ndarray:
@@ -163,6 +180,10 @@ class Distortion:
     p1: float = 0.0
     p2: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.k1, self.k2, self.k3, self.p1, self.p2))):
+            raise ConfigError(f"distortion coefficients must be finite, got {self}")
+
     def is_zero(self) -> bool:
         return self.k1 == self.k2 == self.k3 == self.p1 == self.p2 == 0.0
 
@@ -174,50 +195,65 @@ class Distortion:
         yd = yn * radial + self.p1 * (r2 + 2.0 * yn * yn) + 2.0 * self.p2 * xn * yn
         return xd, yd
 
-    def undistort(
-        self, xd: float, yd: float, *, tol: float = 1e-8, max_iter: int = 20
-    ) -> tuple[float, float, bool]:
-        """Invert :meth:`distort` by fixed-point iteration.
+    @cached_property
+    def monotone_radius(self) -> float:
+        """Smallest positive root of ``1 + 3 k1 r^2 + 5 k2 r^4 + 7 k3 r^6``, else inf.
 
-        Returns ``(xn, yn, converged)``; the flag is False when the update
-        has not dropped below ``tol`` after ``max_iter`` sweeps (pixels far
-        outside the calibrated field can diverge).
+        Past this radius ``r (1 + k1 r^2 + k2 r^4 + k3 r^6)`` stops increasing.
+        """
+        # in w = 1 / r^2 the cubic is monic, so tiny k3 or k2 cannot break it
+        roots = np.roots([1.0, 3.0 * self.k1, 5.0 * self.k2, 7.0 * self.k3])
+        positive = [float(w.real) for w in roots if w.imag == 0.0 and w.real > 0.0]
+        return 1.0 / math.sqrt(max(positive)) if positive else math.inf
+
+    def undistort(self, xd: float, yd: float) -> tuple[float, float, bool]:
+        """Invert :meth:`distort` by Newton steps on its analytic Jacobian.
+
+        Returns ``(xn, yn, valid)``. ``valid`` is True only when the
+        solution lies inside :attr:`monotone_radius` and re-distorts to
+        ``(xd, yd)`` within 1e-9; points outside the lens's invertible field
+        have no such solution and come back with False.
         """
         if self.is_zero():
             return xd, yd, True
-        k1, k2, k3, p1, p2 = self.k1, self.k2, self.k3, self.p1, self.p2
         x, y = xd, yd
-        for _ in range(max_iter):
-            r2 = x * x + y * y
-            radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-            dx = 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
-            dy = p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
-            x_new = (xd - dx) / radial
-            y_new = (yd - dy) / radial
-            step = max(abs(x_new - x), abs(y_new - y))
-            x, y = x_new, y_new
-            if step < tol:
-                return x, y, True
-        return x, y, False
+        for _ in range(_NEWTON_MAX_ITER):
+            fx, fy = self.distort(x, y)
+            jxx, jxy, jyy = self._jacobian_entries(x, y)
+            det = jxx * jyy - jxy * jxy
+            if det == 0.0:
+                break
+            ex, ey = fx - xd, fy - yd
+            sx = (jyy * ex - jxy * ey) / det
+            sy = (jxx * ey - jxy * ex) / det
+            x -= sx
+            y -= sy
+            if abs(sx) <= _NEWTON_STEP_TOL and abs(sy) <= _NEWTON_STEP_TOL:
+                break
+        fx, fy = self.distort(x, y)
+        valid = (
+            math.hypot(x, y) < self.monotone_radius
+            and abs(fx - xd) <= _UNDISTORT_TOL
+            and abs(fy - yd) <= _UNDISTORT_TOL
+        )
+        return x, y, valid
+
+    def _jacobian_entries(self, xn: float, yn: float) -> tuple[float, float, float]:
+        """The entries (dxd/dxn, dxd/dyn = dyd/dxn, dyd/dyn) of :meth:`jacobian`."""
+        k1, k2, k3, p1, p2 = self.k1, self.k2, self.k3, self.p1, self.p2
+        r2 = xn * xn + yn * yn
+        radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+        dradial = k1 + 2.0 * k2 * r2 + 3.0 * k3 * r2 * r2
+        return (
+            radial + 2.0 * xn * xn * dradial + 2.0 * p1 * yn + 6.0 * p2 * xn,
+            2.0 * xn * yn * dradial + 2.0 * p1 * xn + 2.0 * p2 * yn,
+            radial + 2.0 * yn * yn * dradial + 6.0 * p1 * yn + 2.0 * p2 * xn,
+        )
 
     def jacobian(self, xn: float, yn: float) -> np.ndarray:
         """d(xd, yd)/d(xn, yn), a 2x2 matrix."""
-        r2 = xn * xn + yn * yn
-        radial = 1.0 + r2 * (self.k1 + r2 * (self.k2 + r2 * self.k3))
-        dradial = self.k1 + 2.0 * self.k2 * r2 + 3.0 * self.k3 * r2 * r2
-        off = 2.0 * xn * yn * dradial + 2.0 * self.p1 * xn + 2.0 * self.p2 * yn
-        return np.array(
-            [
-                [
-                    radial + 2.0 * xn * xn * dradial + 2.0 * self.p1 * yn + 6.0 * self.p2 * xn,
-                    off,
-                ],
-                [
-                    off,
-                    radial + 2.0 * yn * yn * dradial + 6.0 * self.p1 * yn + 2.0 * self.p2 * xn,
-                ],
-            ]
-        )
+        jxx, jxy, jyy = self._jacobian_entries(xn, yn)
+        return np.array([[jxx, jxy], [jxy, jyy]])
 
 
 @dataclass(frozen=True)
@@ -242,9 +278,74 @@ class Pose:
         """Camera position in world coordinates, -R^T t."""
         return -self.rotation.T @ np.array(self.t)
 
-    def transform(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + np.array(self.t)
+
+def project_points(
+    intrinsics: Intrinsics,
+    distortion: Distortion,
+    rvec: np.ndarray,
+    t: np.ndarray,
+    world: np.ndarray,
+) -> np.ndarray:
+    """Pixels (N,2) of world points (N,3) under the pose ``(rvec, t)``.
+
+    The pose is not checked; rows of points at or behind the camera plane
+    are +inf.
+    """
+    cam = world @ axis_angle_to_matrix(rvec).T + np.asarray(t, dtype=float)
+    z = cam[:, 2]
+    front = z > _MIN_DEPTH
+    xd, yd = distortion.distort(cam[front, 0] / z[front], cam[front, 1] / z[front])
+    uv = np.full((len(world), 2), np.inf)
+    uv[front, 0] = intrinsics.fx * xd + intrinsics.skew * yd + intrinsics.cx
+    uv[front, 1] = intrinsics.fy * yd + intrinsics.cy
+    return uv
+
+
+def project_jacobians(
+    intrinsics: Intrinsics,
+    distortion: Distortion,
+    rvec: np.ndarray,
+    t: np.ndarray,
+    world: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic pixel Jacobians of world points (N,3) under the pose ``(rvec, t)``.
+
+    Returns ``(J_pose, J_point)``: (N,2,6) with columns rvec then t, and
+    (N,2,3), both in pixels per unit parameter. The pose is not checked.
+    """
+    rvec = np.asarray(rvec, dtype=float).reshape(3)
+    t = np.asarray(t, dtype=float).reshape(3)
+    rot = axis_angle_to_matrix(rvec)
+    pix = np.array([[intrinsics.fx, intrinsics.skew], [0.0, intrinsics.fy]])
+    j_pose = np.empty((len(world), 2, 6))
+    j_point = np.empty((len(world), 2, 3))
+    for i, point in enumerate(world):
+        x, y, z = rot @ point + t
+        persp = np.array([[1.0 / z, 0.0, -x / z**2], [0.0, 1.0 / z, -y / z**2]])
+        front = pix @ distortion.jacobian(x / z, y / z) @ persp  # d(pixel)/d(cam point)
+        j_pose[i, :, :3] = front @ rotate_point_jacobian(rvec, point)
+        j_pose[i, :, 3:] = front
+        j_point[i] = front @ rot
+    return j_pose, j_point
+
+
+def undistort_pixel(
+    intrinsics: Intrinsics, distortion: Distortion, u: float, v: float
+) -> tuple[float, float]:
+    """Ideal normalized coordinates of pixel (u, v).
+
+    Raises :class:`UndistortionError` when the lens has no valid inverse
+    there (see :meth:`Distortion.undistort`).
+    """
+    yd = (v - intrinsics.cy) / intrinsics.fy
+    xd = (u - intrinsics.cx - intrinsics.skew * yd) / intrinsics.fx
+    xn, yn, valid = distortion.undistort(xd, yd)
+    if not valid:
+        raise UndistortionError(
+            f"pixel ({u:.1f}, {v:.1f}) cannot be undistorted: the lens has no "
+            f"inverse there inside its monotone radius {distortion.monotone_radius:.4g}"
+        )
+    return xn, yn
 
 
 @dataclass(frozen=True)
@@ -287,22 +388,12 @@ class CameraModel:
         if any point lands at non-positive camera depth.
         """
         pts = np.asarray(points_world, dtype=float)
-        single = pts.ndim == 1
-        cam = self.pose.transform(pts.reshape(-1, 3))
-        z = cam[:, 2]
-        if np.any(z <= _MIN_DEPTH):
-            bad = int(np.argmin(z))
-            raise BehindCameraError(
-                f"point {np.reshape(pts, (-1, 3))[bad]} has camera depth {z[bad]:.4g}"
-            )
-        xn = cam[:, 0] / z
-        yn = cam[:, 1] / z
-        xd, yd = self.distortion.distort(xn, yn)
-        intr = self.intrinsics
-        uv = np.stack(
-            [intr.fx * xd + intr.skew * yd + intr.cx, intr.fy * yd + intr.cy], axis=1
-        )
-        return uv[0] if single else uv
+        world = pts.reshape(-1, 3)
+        uv = project_points(self.intrinsics, self.distortion, self.pose.rvec, self.pose.t, world)
+        behind = np.isinf(uv[:, 0])
+        if behind.any():
+            raise BehindCameraError(f"point {world[behind.argmax()]} is at or behind the camera")
+        return uv[0] if pts.ndim == 1 else uv
 
     def project_jacobian(self, point_world: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Analytic projection Jacobians at one world point.
@@ -310,30 +401,14 @@ class CameraModel:
         Returns ``(J_pose, J_point)`` where J_pose is 2x6 (columns: rvec
         then t) and J_point is 2x3, both in pixels per unit parameter.
         """
-        point = np.asarray(point_world, dtype=float).reshape(3)
-        rot = self.pose.rotation
-        cam = rot @ point + np.array(self.pose.t)
-        x, y, z = cam
-        if z <= _MIN_DEPTH:
-            raise BehindCameraError(f"point {point} has camera depth {z:.4g}")
-        persp = np.array([[1.0 / z, 0.0, -x / z**2], [0.0, 1.0 / z, -y / z**2]])
-        dist_j = self.distortion.jacobian(x / z, y / z)
-        intr = self.intrinsics
-        pix = np.array([[intr.fx, intr.skew], [0.0, intr.fy]])
-        front = pix @ dist_j @ persp  # 2x3, d(pixel)/d(cam point)
-        j_rvec = front @ rotate_point_jacobian(np.array(self.pose.rvec), point)
-        j_pose = np.hstack([j_rvec, front])
-        j_point = front @ rot
-        return j_pose, j_point
+        point = np.asarray(point_world, dtype=float).reshape(1, 3)
+        self.project(point)  # raises BehindCameraError for a point behind the camera
+        j_pose, j_point = project_jacobians(
+            self.intrinsics, self.distortion, self.pose.rvec, self.pose.t, point
+        )
+        return j_pose[0], j_point[0]
 
     # -- inverse mapping ------------------------------------------------
-
-    def undistort_pixel(self, u: float, v: float) -> tuple[float, float, bool]:
-        """Pixel -> ideal normalized coordinates. Returns (xn, yn, converged)."""
-        intr = self.intrinsics
-        yd = (v - intr.cy) / intr.fy
-        xd = (u - intr.cx - intr.skew * yd) / intr.fx
-        return self.distortion.undistort(xd, yd)
 
     def viewing_ray(
         self, u: float, v: float
@@ -341,9 +416,10 @@ class CameraModel:
         """World ray of pixel (u, v): the camera center and a direction.
 
         The direction is ``R^T @ (xn, yn, 1)`` for the undistorted pixel,
-        not normalized; both come as plain floats.
+        not normalized; both come as plain floats. Raises
+        :class:`UndistortionError` for a pixel the lens cannot invert.
         """
-        xn, yn, _ = self.undistort_pixel(float(u), float(v))
+        xn, yn = undistort_pixel(self.intrinsics, self.distortion, float(u), float(v))
         r = self._rot_rows
         return self._center, (
             r[0][0] * xn + r[1][0] * yn + r[2][0],
@@ -356,7 +432,8 @@ class CameraModel:
 
         Raises :class:`NoGroundIntersectionError` when the ray is parallel
         to the ground or meets it behind the camera (at or above the
-        horizon).
+        horizon), and :class:`UndistortionError` when the lens cannot
+        invert the pixel.
         """
         (cx, cy, cz), (dx, dy, dz) = self.viewing_ray(u, v)
         if abs(dz) < 1e-12:

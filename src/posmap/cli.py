@@ -35,7 +35,7 @@ from .coco import (
     save_detections,
     split_dataset,
 )
-from .density import kde_raster, load_density, merge_rasters, save_density
+from .density import density_paths, kde_raster, load_density, merge_rasters, save_density
 from .errors import ConfigError, PosmapError
 from .evaluation import (
     EvalParams,
@@ -291,18 +291,17 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_density(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    out = Path(args.out)
     if args.merge:
         grids = [load_density(base) for base in args.merge]
         inputs = _hash_inputs(
-            [Path(b).with_suffix(".csv") for b in args.merge]
-            + [Path(b).with_suffix(".json") for b in args.merge]
+            [density_paths(b)["csv"] for b in args.merge]
+            + [density_paths(b)["json"] for b in args.merge]
         )
         merged = grids[0]
         for grid in grids[1:]:
             merged = merge_rasters(merged, grid)
-        paths = save_density(out, merged)
-        _write_manifest(out.with_suffix(".json"), args, inputs, list(paths.values()), t0)
+        paths = save_density(args.out, merged)
+        _write_manifest(paths["json"], args, inputs, list(paths.values()), t0)
         print(
             f"merged {len(grids)} rasters: {merged.total_count} observations, "
             f"mass {merged.mass():.6f}"
@@ -319,8 +318,8 @@ def cmd_density(args: argparse.Namespace) -> int:
     grid = kde_raster(
         observations, extent, args.cell, bandwidth=bandwidth, classes=classes
     )
-    paths = save_density(out, grid)
-    _write_manifest(out.with_suffix(".json"), args, inputs, list(paths.values()), t0)
+    paths = save_density(args.out, grid)
+    _write_manifest(paths["json"], args, inputs, list(paths.values()), t0)
     print(
         f"rasterized {grid.total_count} observations onto "
         f"{grid.shape[1]}x{grid.shape[0]} cells "

@@ -40,6 +40,7 @@ __all__ = [
     "kde_raster",
     "zero_raster",
     "merge_rasters",
+    "density_paths",
     "save_density",
     "load_density",
 ]
@@ -309,6 +310,15 @@ def merge_rasters(a: DensityGrid, b: DensityGrid) -> DensityGrid:
 # ---------------------------------------------------------------------------
 
 
+def density_paths(base: str | Path) -> dict[str, Path]:
+    """The files of raster ``base``: ``<base>.csv``, ``<base>.json``, ``<base>.pgm``.
+
+    The suffix is appended, so ``dens0.25`` and ``dens0.1`` name two rasters.
+    """
+    base = Path(base)
+    return {kind: base.with_name(f"{base.name}.{kind}") for kind in ("csv", "json", "pgm")}
+
+
 def save_density(base: str | Path, grid: DensityGrid) -> dict[str, Path]:
     """Write ``<base>.csv`` (values), ``<base>.json`` (header), ``<base>.pgm``.
 
@@ -316,11 +326,9 @@ def save_density(base: str | Path, grid: DensityGrid) -> dict[str, Path]:
     lossless and reruns are byte-identical. The PGM is a quick-look image
     scaled to the raster maximum.
     """
-    base = Path(base)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    pgm_path = base.with_suffix(".pgm")
+    paths = density_paths(base)
+    csv_path, json_path, pgm_path = paths["csv"], paths["json"], paths["pgm"]
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
 
     lines = [
         ",".join(repr(float(v)) for v in row) for row in grid.values
@@ -347,14 +355,13 @@ def save_density(base: str | Path, grid: DensityGrid) -> dict[str, Path]:
     pgm_lines = ["P2", f"{nx} {ny}", "255"]
     pgm_lines += [" ".join(str(v) for v in row) for row in img]
     pgm_path.write_text("\n".join(pgm_lines) + "\n")
-    return {"csv": csv_path, "json": json_path, "pgm": pgm_path}
+    return paths
 
 
 def load_density(base: str | Path) -> DensityGrid:
     """Read a raster written by :func:`save_density` (CSV + JSON header)."""
-    base = Path(base)
-    json_path = base.with_suffix(".json")
-    csv_path = base.with_suffix(".csv")
+    paths = density_paths(base)
+    json_path, csv_path = paths["json"], paths["csv"]
     try:
         header = json.loads(json_path.read_text())
     except FileNotFoundError:

@@ -43,6 +43,10 @@ class NoGroundIntersectionError(GeometryError):
     """Viewing ray does not hit the ground plane in front of the camera."""
 
 
+class UndistortionError(GeometryError):
+    """Pixel lies where the lens distortion has no valid inverse."""
+
+
 class DegenerateGeometryError(GeometryError):
     """Input configuration is degenerate (collinear points, parallel planes, ...)."""
 

@@ -271,7 +271,8 @@ def locate(
     The footpoint pixel is back-projected onto Z=0 and a prior-sized 3D box
     is fitted. ``class_name`` is the detection's class before treatment;
     the returned observation carries the post-treatment name. Geometry
-    errors (horizon footpoint, vertical head ray) propagate to the caller.
+    errors (horizon footpoint, vertical head ray, a pixel the lens cannot
+    undistort) propagate to the caller.
     """
     mapped = treatment.apply(class_name) if treatment is not None else class_name
     fu, fv = footpoint(ann)
@@ -318,7 +319,8 @@ def map_frame(
 
     Only annotations whose post-treatment class belongs to the ``people``
     super-category are mapped; geometry failures (horizon pixels, vertical
-    rays) are recorded per annotation rather than aborting the frame.
+    rays, pixels the lens cannot undistort) are recorded per annotation
+    rather than aborting the frame.
     """
     priors = priors or SizePriors()
     t0 = time.perf_counter()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from posmap import MapExtent, default_camera
 from posmap.camera import (
     CameraModel,
     Distortion,
@@ -20,12 +21,14 @@ from posmap.camera import (
     matrix_to_axis_angle,
     rotate_point_jacobian,
     save_camera,
+    undistort_pixel,
 )
 from posmap.errors import (
     BehindCameraError,
     ConfigError,
     DataError,
     NoGroundIntersectionError,
+    UndistortionError,
 )
 from posmap.lm import numeric_jacobian
 
@@ -130,7 +133,7 @@ def test_rotate_point_jacobian_matches_fd(rx, ry, rz):
 def test_distortion_inversion(k1, k2, k3, p1, p2, xn, yn):
     dist = Distortion(k1=k1, k2=k2, k3=k3, p1=p1, p2=p2)
     xd, yd = dist.distort(xn, yn)
-    xb, yb, ok = dist.undistort(xd, yd, max_iter=60)
+    xb, yb, ok = dist.undistort(xd, yd)
     assert ok
     assert max(abs(xb - xn), abs(yb - yn)) <= 1e-8
 
@@ -140,6 +143,87 @@ def test_distortion_zero_is_identity():
     assert dist.is_zero()
     assert dist.distort(0.3, -0.2) == (0.3, -0.2)
     assert dist.undistort(0.3, -0.2) == (0.3, -0.2, True)
+
+
+# any lens, including ones whose radial map turns back inside the field
+any_lens = st.builds(
+    Distortion,
+    k1=st.floats(-1.0, 1.0),
+    k2=st.floats(-1.0, 1.0),
+    k3=st.floats(-1.0, 1.0),
+    p1=st.floats(-0.01, 0.01),
+    p2=st.floats(-0.01, 0.01),
+)
+UNIT = Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)  # pixels are normalized coords
+WIDE = Distortion(k1=-0.45, k2=0.25, k3=-0.1)  # distorted radius peaks at 0.709
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_lens, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_undistortion_is_valid_or_raises(dist, xd, yd):
+    try:
+        xn, yn = undistort_pixel(UNIT, dist, xd, yd)
+    except UndistortionError:
+        assert not dist.undistort(xd, yd)[2]
+        return
+    assert math.hypot(xn, yn) < dist.monotone_radius
+    xb, yb = dist.distort(xn, yn)
+    assert max(abs(xb - xd), abs(yb - yd)) <= 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_lens)
+def test_monotone_radius_is_first_turning_point(dist):
+    def terms(r):
+        return (1.0, 3.0 * dist.k1 * r**2, 5.0 * dist.k2 * r**4, 7.0 * dist.k3 * r**6)
+
+    radius = dist.monotone_radius
+    reach = min(radius, 100.0)
+    assert all(sum(terms(r)) > 0.0 for r in np.linspace(0.0, reach, 400)[:-1])
+    if radius <= 100.0:
+        assert abs(sum(terms(radius))) <= 1e-9 * sum(abs(t) for t in terms(radius))
+
+
+def test_wide_angle_lens_refuses_radii_it_never_produces():
+    assert WIDE.monotone_radius == pytest.approx(1.0854, abs=1e-4)
+    xn, yn, valid = WIDE.undistort(0.8, 0.0)
+    assert not valid
+    with pytest.raises(UndistortionError, match="cannot be undistorted"):
+        undistort_pixel(UNIT, WIDE, 0.8, 0.0)
+    # inside the radius the same lens still inverts exactly
+    xd, yd = WIDE.distort(1.0, 0.2)
+    assert undistort_pixel(UNIT, WIDE, xd, yd) == pytest.approx((1.0, 0.2), abs=1e-12)
+
+
+def _wide_camera() -> CameraModel:
+    """The default survey pose behind a full-HD wide-angle lens (fx = 1000)."""
+    extent = MapExtent(origin=(0.0, 0.0), rotation=0.0, width=4.5, length=32.0)
+    return CameraModel(
+        intrinsics=Intrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0),
+        distortion=WIDE,
+        pose=default_camera(extent).pose,
+        image_size=(1920, 1080),
+    )
+
+
+def test_back_project_raises_where_the_lens_cannot_invert():
+    wide = _wide_camera()
+    with pytest.raises(UndistortionError):
+        wide.back_project_ground(20.0, 1070.0)
+    gx, gy = wide.back_project_ground(960.0, 900.0)
+    assert wide.project(np.array([gx, gy, 0.0])) == pytest.approx((960.0, 900.0), abs=1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1920.0), st.floats(0.0, 1080.0))
+def test_ground_points_reproject_to_their_pixel_or_raise(u, v):
+    wide = _wide_camera()
+    try:
+        gx, gy = wide.back_project_ground(u, v)
+    except (UndistortionError, NoGroundIntersectionError):
+        return
+    u2, v2 = wide.project(np.array([gx, gy, 0.0]))
+    assert math.hypot(u2 - u, v2 - v) <= 1e-6
 
 
 @settings(max_examples=100, deadline=None)
@@ -242,6 +326,12 @@ def test_camera_must_sit_above_ground():
             pose=pose,
             image_size=(640, 480),
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_distortion_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        Distortion(k1=-0.25, p2=bad)
 
 
 def test_intrinsics_reject_nonpositive_focal():

@@ -157,7 +157,11 @@ def test_map_timestamps_from_image_or_fps(workspace, tmp_path):
 
 def test_density_merge(workspace, tmp_path, capsys):
     sim = _sim(workspace)
-    obs = workspace / "obs.csv"
+    obs = tmp_path / "obs.csv"
+    assert main(
+        ["map", "--camera", str(sim / "camera.json"), "--annotations", str(sim / "gt.json"),
+         "--out", str(obs)]
+    ) == 0
     half = tmp_path / "half"
     assert main(
         ["density", "--observations", str(obs), "--extent", str(sim / "extent.json"),
@@ -168,6 +172,25 @@ def test_density_merge(workspace, tmp_path, capsys):
     assert "merged 2 rasters" in capsys.readouterr().out
     grid = load_density(merged)
     assert grid.total_count == 2 * load_density(half).total_count
+
+
+def test_density_names_keep_dotted_bases(workspace, tmp_path):
+    sim = _sim(workspace)
+    obs = tmp_path / "obs.csv"
+    assert main(
+        ["map", "--camera", str(sim / "camera.json"), "--annotations", str(sim / "gt.json"),
+         "--out", str(obs)]
+    ) == 0
+    for cell in ("0.25", "0.1"):
+        assert main(
+            ["density", "--observations", str(obs), "--extent", str(sim / "extent.json"),
+             "--cell", cell, "--out", str(tmp_path / f"d{cell}")]
+        ) == 0
+    for cell in ("0.25", "0.1"):
+        for suffix in ("csv", "json", "pgm", "manifest.json"):
+            assert (tmp_path / f"d{cell}.{suffix}").exists()
+        assert load_density(tmp_path / f"d{cell}").cell_size == float(cell)
+    assert not (tmp_path / "d0.csv").exists()
 
 
 def test_in_place_merge_manifest_hashes_inputs_before_writing(workspace, tmp_path):
@@ -394,6 +417,42 @@ def test_extrinsics_rejects_intrinsics_in_other_units(workspace, tmp_path, capsy
     assert rc == 2
     assert "'ft-px'" in capsys.readouterr().err
     assert not out.exists()
+
+
+WIDE_LENS = {"k1": -0.45, "k2": 0.25, "k3": -0.1}  # distorted radius peaks at 0.709
+
+
+def test_extrinsics_reference_point_the_lens_cannot_invert_exits_3(tmp_path, capsys):
+    intr = tmp_path / "intr.json"
+    intr.write_text(json.dumps({
+        "units": "m-px",
+        "image_size": [1920, 1080],
+        "intrinsics": {"fx": 1000.0, "fy": 1000.0, "cx": 960.0, "cy": 540.0},
+        "distortion": WIDE_LENS,
+    }))
+    points = tmp_path / "points.csv"
+    rows = [f"{x},{y},0.0,{800 + 40 * x},{500 + 30 * y}" for x in range(3) for y in range(2)]
+    rows.append("9.0,9.0,0.0,20.0,1070.0")  # a corner pixel: radius 1.08 > 0.709
+    points.write_text("X,Y,Z,u,v\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "cam.json"
+    rc = main(["calibrate", "extrinsics", "--intrinsics", str(intr),
+               "--points", str(points), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "reference point 6" in err and "(20.0, 1070.0)" in err
+    assert not out.exists()
+
+
+def test_project_pixel_the_lens_cannot_invert_exits_4(workspace, tmp_path, capsys):
+    doc = json.loads((_sim(workspace) / "camera.json").read_text())
+    doc["intrinsics"].update(fx=1000.0, fy=1000.0)
+    doc["distortion"].update(WIDE_LENS, p1=0.0, p2=0.0)
+    camera = tmp_path / "wide.json"
+    camera.write_text(json.dumps(doc))
+    assert main(["project", "--camera", str(camera), "--pixel", "960", "1000"]) == 0
+    capsys.readouterr()
+    assert main(["project", "--camera", str(camera), "--pixel", "20", "1070"]) == 4
+    assert "cannot be undistorted" in capsys.readouterr().err
 
 
 def test_numeric_error_exits_4(workspace, tmp_path, capsys):

@@ -194,6 +194,29 @@ def test_map_frame_records_geometry_failures(camera, extent):
     assert result.failures[0][0] == 5
 
 
+def test_map_frame_records_pixels_the_lens_cannot_undistort(camera, extent):
+    # a wide-angle barrel lens whose distorted radius never exceeds 0.709:
+    # at fx = 1000 the image corners lie past it
+    wide = CameraModel(
+        intrinsics=Intrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0),
+        distortion=Distortion(k1=-0.45, k2=0.25, k3=-0.1),
+        pose=camera.pose,
+        image_size=(1920, 1080),
+    )
+    corners = [
+        _bbox_ann(0.0, 980.0, 40.0, 100.0, ann_id=1),  # footpoint at the bottom-left
+        _bbox_ann(1880.0, 980.0, 40.0, 100.0, ann_id=2),  # bottom-right
+        _bbox_ann(0.0, 0.0, 40.0, 600.0, ann_id=3),  # head at the top-left
+    ]
+    inside = [_person_ann(wide, 2.25, 12.0, ann_id=4), _person_ann(wide, 1.0, 20.0, ann_id=5)]
+    result = map_frame(wide, corners + inside, CLASS_NAMES, MERGING)
+    assert [ann_id for ann_id, _ in result.failures] == [1, 2, 3]
+    assert all("cannot be undistorted" in reason for _, reason in result.failures)
+    assert [o.annotation_id for o in result.observations] == [4, 5]
+    for obs, (gx, gy) in zip(result.observations, [(2.25, 12.0), (1.0, 20.0)]):
+        assert math.hypot(obs.x - gx, obs.y - gy) < 1e-6
+
+
 def test_map_frame_unknown_category(camera):
     bad = _bbox_ann(100.0, 100.0, 10.0, 20.0, cat=999)
     with pytest.raises(DataError, match="unknown category"):
