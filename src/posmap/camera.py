@@ -157,6 +157,8 @@ class Intrinsics:
     skew: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy, self.skew))):
+            raise ConfigError(f"intrinsics must be finite, got {self}")
         if self.fx <= 0 or self.fy <= 0:
             raise ConfigError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
 
@@ -212,11 +214,19 @@ class Distortion:
         Returns ``(xn, yn, valid)``. ``valid`` is True only when the
         solution lies inside :attr:`monotone_radius` and re-distorts to
         ``(xd, yd)`` within 1e-9; points outside the lens's invertible field
-        have no such solution and come back with False.
+        have no such solution and come back with False. Newton starts and
+        stays inside the radius, where the inverse is unique: a start past
+        half the radius moves to half the radius, away from the fold where
+        the Jacobian vanishes, and a step that would leave the radius is
+        halved until it does not.
         """
         if self.is_zero():
             return xd, yd, True
+        radius = self.monotone_radius
         x, y = xd, yd
+        r = math.hypot(x, y)
+        if r > 0.5 * radius:
+            x, y = x * 0.5 * radius / r, y * 0.5 * radius / r
         for _ in range(_NEWTON_MAX_ITER):
             fx, fy = self.distort(x, y)
             jxx, jxy, jyy = self._jacobian_entries(x, y)
@@ -226,13 +236,18 @@ class Distortion:
             ex, ey = fx - xd, fy - yd
             sx = (jyy * ex - jxy * ey) / det
             sy = (jxx * ey - jxy * ex) / det
+            if not (math.isfinite(sx) and math.isfinite(sy)):
+                break  # an infinite step never halves into the radius
+            converged = abs(sx) <= _NEWTON_STEP_TOL and abs(sy) <= _NEWTON_STEP_TOL
+            while math.hypot(x - sx, y - sy) >= radius:
+                sx, sy = 0.5 * sx, 0.5 * sy
             x -= sx
             y -= sy
-            if abs(sx) <= _NEWTON_STEP_TOL and abs(sy) <= _NEWTON_STEP_TOL:
+            if converged:
                 break
         fx, fy = self.distort(x, y)
         valid = (
-            math.hypot(x, y) < self.monotone_radius
+            math.hypot(x, y) < radius
             and abs(fx - xd) <= _UNDISTORT_TOL
             and abs(fy - yd) <= _UNDISTORT_TOL
         )

@@ -10,6 +10,7 @@ numeric/geometry failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -382,17 +383,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         doc = {
             "per_class": {
-                names[cat_id]: {
-                    "ap": m.ap,
-                    "ap50": m.ap50,
-                    "ap75": m.ap75,
-                    "ap_small": m.ap_small,
-                    "ap_medium": m.ap_medium,
-                    "ap_large": m.ap_large,
-                    "ar100": m.ar100,
-                    "n_gt": m.n_gt,
-                }
-                for cat_id, m in result.per_class.items()
+                names[cat_id]: dataclasses.asdict(m) for cat_id, m in result.per_class.items()
             },
             "mean": {
                 "ap": result.mean_ap,

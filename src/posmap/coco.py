@@ -14,6 +14,7 @@ mishandled.
 from __future__ import annotations
 
 import json
+import math
 import random
 import warnings
 from dataclasses import dataclass, field, replace
@@ -144,7 +145,8 @@ def _parse_annotation(r: dict, ann_id: int) -> Annotation:
 
     The bbox must have 4 values; without one it is the polygon hull. A bbox
     more than 1 px off the hull only warns. Without an area, the polygon
-    area (else the bbox area) is used. Errors from malformed fields
+    area (else the bbox area) is used; a non-finite or negative area is a
+    ``DataError``. Errors from malformed fields
     (``KeyError``, ``TypeError``, ``ValueError``, or ``AttributeError``
     when the record is not an object) propagate to the caller.
     """
@@ -183,6 +185,8 @@ def _parse_annotation(r: dict, ann_id: int) -> Annotation:
         area = polygons_area(seg)
     else:
         area = bbox[2] * bbox[3]
+    if not (math.isfinite(area) and area >= 0.0):
+        raise DataError(f"annotation {ann_id} has area {area}, not a finite number >= 0")
     return Annotation(
         id=ann_id,
         image_id=int(r["image_id"]),

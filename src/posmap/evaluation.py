@@ -1,10 +1,12 @@
 """Detector evaluation on polygon annotations.
 
-Implements the standard interpolated-AP protocol: greedy score-ordered
-matching per image and class, IoU thresholds 0.50:0.05:0.95, a 101-point
-recall grid, object-size strata with crowd/out-of-stratum ignore handling,
-and recall at 100 detections per image. IoU can be computed on rasterized
-polygon masks (default) or on axis-aligned boxes.
+The protocol is fixed: greedy score-ordered matching per image and class,
+the ten IoU thresholds 0.50:0.05:0.95, a 101-point recall grid, the area
+strata all / small (< 32²) / medium (32²–96²) / large (≥ 96² px) with
+crowd and out-of-stratum ignore handling, and recall at ``max_dets``
+detections per image. :class:`EvalParams` sets only ``iou_mode`` — IoU on
+rasterized polygon masks (``segm``, the default) or on axis-aligned boxes
+(``bbox``) — and ``max_dets`` (default 100).
 
 Every entry point runs on one matching pass per class (:func:`_match`).
 It builds each (image, class) IoU matrix once — a numpy broadcast over
@@ -12,7 +14,9 @@ the box arrays, or one whole-image AND per mask pair — pads the class's
 images to (U, D, G) and sweeps detection rank once for all S strata and
 T thresholds together, keeping an (S, T, U, G) "taken" array. Strata differ only in which ground truths
 are ignored: crowd regions always, plus those outside the stratum's area
-range; unmatched detections outside the range are ignored too.
+range; unmatched detections outside the range are ignored too. Single-IoU
+entry points run the all-sizes stratum alone, which ignores crowd ground
+truth only.
 
 Tie-breaking is deterministic: detections are ranked by (-score, id). At
 each rank a detection takes the available non-ignored ground truth of
@@ -63,23 +67,27 @@ __all__ = [
     "dataset_stats",
 ]
 
-_AREA_RANGES: tuple[tuple[str, float, float], ...] = (
-    ("all", 0.0, math.inf),
-    ("small", 0.0, 32.0**2),
-    ("medium", 32.0**2, 96.0**2),
-    ("large", 96.0**2, math.inf),
+_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
+_AP50, _AP75 = _IOU_THRESHOLDS.index(0.5), _IOU_THRESHOLDS.index(0.75)
+# correctly-rounded k/100, so recalls that are exact hundredths land on the
+# grid point rather than one ulp to either side of it
+_RECALL_GRID = np.arange(101, dtype=float) / 100
+# (lowest area, exclusive area bound) of the strata all, small, medium, large
+_AREA_RANGES: tuple[tuple[float, float], ...] = (
+    (0.0, math.inf),
+    (0.0, 32.0**2),
+    (32.0**2, 96.0**2),
+    (96.0**2, math.inf),
 )
+_ALL_SIZES = _AREA_RANGES[:1]
 
 
 @dataclass(frozen=True)
 class EvalParams:
-    iou_thresholds: tuple[float, ...] = tuple(
-        round(0.5 + 0.05 * i, 2) for i in range(10)
-    )
-    recall_points: int = 101
+    """The two settable parts of the protocol; the rest is fixed."""
+
     max_dets: int = 100
     iou_mode: Literal["segm", "bbox"] = "segm"
-    area_ranges: tuple[tuple[str, float, float], ...] = _AREA_RANGES
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,6 @@ class EvalResult:
     mean_ap_large: float | None
     mean_ar100: float | None
     pr_curves: dict[int, PRCurve]  # per class, IoU 0.5, all sizes
-    params: EvalParams
 
 
 @dataclass(frozen=True)
@@ -367,11 +374,11 @@ class _Pass:
 def _match(
     units: list[_Unit],
     thresholds: tuple[float, ...],
-    strata: tuple[tuple[float, float], ...] | None,
+    strata: tuple[tuple[float, float], ...],
     mode: str,
     cache: _MaskCache,
 ) -> _Pass:
-    """Run the matching pass; ``strata=None`` ignores crowd ground truth only."""
+    """Run the matching pass at each (lowest area, area bound) stratum."""
     n_det = np.array([len(u.dets) for u in units], dtype=int)
     n_gt = np.array([len(u.gts) for u in units], dtype=int)
     n_units, depth, n_cols = len(units), int(n_det.max(initial=0)), int(n_gt.max(initial=1))
@@ -388,12 +395,8 @@ def _match(
     gt_area = np.full((n_units, n_cols), np.nan)
     gt_area[gu, gr] = [g.area for g in gts]
     det_area = np.array([d.area for d in dets], dtype=float)
-    if strata is None:
-        gt_ignore = gt_crowd[None]
-        det_out = np.zeros((1, len(dets)), dtype=bool)
-    else:
-        gt_ignore = np.stack([gt_crowd | ~((lo <= gt_area) & (gt_area < hi)) for lo, hi in strata])
-        det_out = np.stack([~((lo <= det_area) & (det_area < hi)) for lo, hi in strata])
+    gt_ignore = np.stack([gt_crowd | ~((lo <= gt_area) & (gt_area < hi)) for lo, hi in strata])
+    det_out = np.stack([~((lo <= det_area) & (det_area < hi)) for lo, hi in strata])
 
     if mode == "bbox":
         det_boxes = np.zeros((n_units, depth, 4))
@@ -460,14 +463,17 @@ def match_detections(
     Detections are taken in score-descending order; each claims the
     highest-IoU available ground truth at or above the threshold, lowest
     id on ties. Crowd ground truth can absorb any number of detections,
-    which become ignored rather than true positives.
+    which become ignored rather than true positives. ``segm`` mode needs
+    the positive ``image_size`` the masks are rasterized at.
     """
     for det in dets:
         if det.score is None:
             raise DataError(f"detection {det.id} has no score")
+    if iou_mode == "segm" and min(image_size) <= 0:
+        raise DataError(f"segm matching needs a positive image_size, got {image_size}")
     dets = sorted(dets, key=lambda a: (-(a.score or 0.0), a.id))
     gts = sorted(gts, key=lambda a: a.id)
-    p = _match([_Unit(0, image_size, dets, gts)], (threshold,), None, iou_mode, _MaskCache())
+    p = _match([_Unit(0, image_size, dets, gts)], (threshold,), _ALL_SIZES, iou_mode, _MaskCache())
     matched = tuple(None if m < 0 else gts[m].id for m in p.match[0, 0])
     taken = {g for g in matched if g is not None}
     return MatchResult(
@@ -484,15 +490,7 @@ def match_detections(
 # ---------------------------------------------------------------------------
 
 
-def _recall_grid(n: int) -> np.ndarray:
-    # correctly-rounded k/(n-1), so recalls that are exact hundredths land
-    # on the grid point rather than one ulp to either side of it
-    return np.arange(n, dtype=float) / (n - 1)
-
-
-def _precision_on_grid(
-    tp: np.ndarray, ignore: np.ndarray, n_gt: int, recall_points: int
-) -> tuple[np.ndarray, float]:
+def _precision_on_grid(tp: np.ndarray, ignore: np.ndarray, n_gt: int) -> tuple[np.ndarray, float]:
     """Interpolated precision at each recall grid point, plus max recall.
 
     ``tp`` and ``ignore`` are per-detection flags in rank order.
@@ -501,14 +499,13 @@ def _precision_on_grid(
     tps = np.cumsum(tp & keep)
     fps = np.cumsum(~tp & keep)
     if len(tps) == 0 or n_gt == 0:
-        return np.zeros(recall_points), 0.0
+        return np.zeros(len(_RECALL_GRID)), 0.0
     recall = tps / n_gt
     precision = tps / np.maximum(tps + fps, 1e-12)
     # envelope: precision at recall r is the best precision at recall >= r
     precision = np.maximum.accumulate(precision[::-1])[::-1]
-    grid = _recall_grid(recall_points)
-    idx = np.searchsorted(recall, grid, side="left")
-    q = np.zeros(recall_points)
+    idx = np.searchsorted(recall, _RECALL_GRID, side="left")
+    q = np.zeros(len(_RECALL_GRID))
     valid = idx < len(precision)
     q[valid] = precision[idx[valid]]
     return q, float(recall[-1])
@@ -516,11 +513,15 @@ def _precision_on_grid(
 
 def _pr_curve(q: np.ndarray, n_gt: int) -> PRCurve:
     return PRCurve(
-        recall=tuple(float(v) for v in _recall_grid(len(q))),
+        recall=tuple(float(v) for v in _RECALL_GRID),
         precision=tuple(float(v) for v in q),
         ap=float(q.mean()) if n_gt else None,
         n_gt=n_gt,
     )
+
+
+def _mean_or_none(values: list[float]) -> float | None:
+    return float(np.mean(values)) if values else None
 
 
 def evaluate_detections(
@@ -528,59 +529,41 @@ def evaluate_detections(
 ) -> EvalResult:
     """Score detections against ground truth with the interpolated-AP protocol."""
     params = params or EvalParams()
-    range_names = [r[0] for r in params.area_ranges]
-    if "all" not in range_names:
-        raise DataError("area ranges must include an 'all' stratum")
-    s_all = range_names.index("all")
-    n_thr = len(params.iou_thresholds)
-    # the PR row at IoU 0.5 comes from the same sweep, so 0.5 is always in it
-    thresholds = params.iou_thresholds + ((0.5,) if 0.5 not in params.iou_thresholds else ())
-    strata = tuple((lo, hi) for _, lo, hi in params.area_ranges)
     units = _units(gt, detections, params.max_dets)
+    n_thr = len(_IOU_THRESHOLDS)
 
     per_class: dict[int, ClassMetrics] = {}
     pr_curves: dict[int, PRCurve] = {}
     for cat in sorted(c.id for c in gt.categories):
-        p = _match(units[cat], thresholds, strata, params.iou_mode, _MaskCache())
+        p = _match(units[cat], _IOU_THRESHOLDS, _AREA_RANGES, params.iou_mode, _MaskCache())
         tp, ignore = p.tp[..., p.rank], p.ignore[..., p.rank]
-        pr_curves[cat] = _pr_curve(np.zeros(params.recall_points), 0)
-        ap_by_range: dict[str, list[float] | None] = {}
-        recalls_all: list[float] = []
-        for s, rname in enumerate(range_names):
-            n_gt = int(p.n_gt[s])
-            if n_gt == 0:
-                ap_by_range[rname] = None
-                continue
-            curves = [
-                _precision_on_grid(tp[s, t], ignore[s, t], n_gt, params.recall_points)
-                for t in range(len(thresholds))
-            ]
-            ap_by_range[rname] = [float(q.mean()) for q, _ in curves[:n_thr]]
-            if s == s_all:
-                recalls_all = [r for _, r in curves[:n_thr]]
-                pr_curves[cat] = _pr_curve(curves[thresholds.index(0.5)][0], n_gt)
-
-        aps_all = ap_by_range.get("all")
-        thr50 = params.iou_thresholds.index(0.5) if 0.5 in params.iou_thresholds else None
-        thr75 = params.iou_thresholds.index(0.75) if 0.75 in params.iou_thresholds else None
-
-        def mean_or_none(values: list[float] | None) -> float | None:
-            return float(np.mean(values)) if values else None
-
-        per_class[cat] = ClassMetrics(
-            ap=mean_or_none(aps_all),
-            ap50=(aps_all[thr50] if aps_all and thr50 is not None else None),
-            ap75=(aps_all[thr75] if aps_all and thr75 is not None else None),
-            ap_small=mean_or_none(ap_by_range.get("small")),
-            ap_medium=mean_or_none(ap_by_range.get("medium")),
-            ap_large=mean_or_none(ap_by_range.get("large")),
-            ar100=(float(np.mean(recalls_all)) if recalls_all else None),
-            n_gt=int(p.n_gt[s_all]),
+        # (precision on the grid, max recall) per stratum and threshold;
+        # empty for a stratum without ground truth
+        curves = [
+            [_precision_on_grid(tp[s, t], ignore[s, t], int(n)) for t in range(n_thr)] if n else []
+            for s, n in enumerate(p.n_gt)
+        ]
+        aps_all, aps_small, aps_medium, aps_large = (
+            [float(q.mean()) for q, _ in c] for c in curves
         )
+        n_gt = int(p.n_gt[0])
+        per_class[cat] = ClassMetrics(
+            ap=_mean_or_none(aps_all),
+            ap50=aps_all[_AP50] if aps_all else None,
+            ap75=aps_all[_AP75] if aps_all else None,
+            ap_small=_mean_or_none(aps_small),
+            ap_medium=_mean_or_none(aps_medium),
+            ap_large=_mean_or_none(aps_large),
+            ar100=_mean_or_none([r for _, r in curves[0]]),
+            n_gt=n_gt,
+        )
+        q50 = curves[0][_AP50][0] if n_gt else np.zeros(len(_RECALL_GRID))
+        pr_curves[cat] = _pr_curve(q50, n_gt)
 
     def class_mean(attr: str) -> float | None:
-        vals = [getattr(m, attr) for m in per_class.values() if getattr(m, attr) is not None]
-        return float(np.mean(vals)) if vals else None
+        return _mean_or_none(
+            [getattr(m, attr) for m in per_class.values() if getattr(m, attr) is not None]
+        )
 
     return EvalResult(
         per_class=per_class,
@@ -592,7 +575,6 @@ def evaluate_detections(
         mean_ap_large=class_mean("ap_large"),
         mean_ar100=class_mean("ar100"),
         pr_curves=pr_curves,
-        params=params,
     )
 
 
@@ -613,12 +595,9 @@ def pr_curve(
     units = _units(gt, detections, params.max_dets)
     if class_id not in units:
         raise DataError(f"unknown category id {class_id}")
-    all_sizes = ((0.0, math.inf),)
-    p = _match(units[class_id], (iou_threshold,), all_sizes, params.iou_mode, _MaskCache())
+    p = _match(units[class_id], (iou_threshold,), _ALL_SIZES, params.iou_mode, _MaskCache())
     n_gt = int(p.n_gt[0])
-    q, _ = _precision_on_grid(
-        p.tp[0, 0, p.rank], p.ignore[0, 0, p.rank], n_gt, params.recall_points
-    )
+    q, _ = _precision_on_grid(p.tp[0, 0, p.rank], p.ignore[0, 0, p.rank], n_gt)
     return _pr_curve(q, n_gt)
 
 
@@ -752,7 +731,7 @@ def diagnose_errors(
     per_class: dict[int, DiagnosisLadder] = {}
     for cat in sorted(c.id for c in gt.categories):
         cache = _MaskCache()
-        p = _match(units[cat], (_LOC_IOU,), None, params.iou_mode, cache)
+        p = _match(units[cat], (_LOC_IOU,), _ALL_SIZES, params.iou_mode, cache)
         n_gt = int(p.n_gt[0])
         if n_gt == 0:
             continue
@@ -777,7 +756,7 @@ def diagnose_errors(
             sim_extra[rows] = (hit & same).any(axis=1)
 
         def ap_of(tp: np.ndarray, ig: np.ndarray) -> float:
-            q, _ = _precision_on_grid(tp[p.rank], ig[p.rank], n_gt, params.recall_points)
+            q, _ = _precision_on_grid(tp[p.rank], ig[p.rank], n_gt)
             return float(q.mean())
 
         tp_loc = matched & ~base_ig

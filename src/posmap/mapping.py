@@ -184,8 +184,9 @@ class MapExtent:
 
     ``origin`` is the world position of the rectangle's corner; ``rotation``
     (radians, counter-clockwise) takes the rectangle's local +x axis into
-    the world. Containment is closed on all edges. :meth:`to_local` and
-    :meth:`contains` take floats or equal-shaped numpy arrays.
+    the world. Containment is closed on all edges. :meth:`to_local`,
+    :meth:`to_world` and :meth:`contains` take floats or equal-shaped numpy
+    arrays.
     """
 
     origin: tuple[float, float]
@@ -197,6 +198,11 @@ class MapExtent:
         dx, dy = x - self.origin[0], y - self.origin[1]
         c, s = math.cos(-self.rotation), math.sin(-self.rotation)
         return c * dx - s * dy, s * dx + c * dy
+
+    def to_world(self, lx: float, ly: float) -> tuple[float, float]:
+        """Inverse of :meth:`to_local`."""
+        c, s = math.cos(self.rotation), math.sin(self.rotation)
+        return self.origin[0] + c * lx - s * ly, self.origin[1] + s * lx + c * ly
 
     def contains(self, x, y):
         lx, ly = self.to_local(x, y)

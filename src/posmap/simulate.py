@@ -135,17 +135,8 @@ def default_camera(
     the extent several metres from the camera, where the body-box
     approximation of a person stays well-behaved.
     """
-    cx_l, cy_l = extent.width / 2.0, -setback
-    cos_r, sin_r = math.cos(extent.rotation), math.sin(extent.rotation)
-
-    def to_world(lx: float, ly: float) -> tuple[float, float]:
-        return (
-            extent.origin[0] + cos_r * lx - sin_r * ly,
-            extent.origin[1] + sin_r * lx + cos_r * ly,
-        )
-
-    cam_xy = to_world(cx_l, cy_l)
-    target_xy = to_world(extent.width / 2.0, extent.length / 2.0)
+    cam_xy = extent.to_world(extent.width / 2.0, -setback)
+    target_xy = extent.to_world(extent.width / 2.0, extent.length / 2.0)
     center = np.array([cam_xy[0], cam_xy[1], height])
     target = np.array([target_xy[0], target_xy[1], 0.0])
 
@@ -238,11 +229,6 @@ def _agent_local_position(agent: _Agent, config: SimConfig, t: float) -> tuple[f
     return x, y
 
 
-def _local_to_world(extent: MapExtent, lx: float, ly: float) -> tuple[float, float]:
-    c, s = math.cos(extent.rotation), math.sin(extent.rotation)
-    return extent.origin[0] + c * lx - s * ly, extent.origin[1] + s * lx + c * ly
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -327,7 +313,7 @@ def simulate(config: SimConfig, n_frames: int) -> SimResult:
         frame_det: list[Annotation] = []
         for agent in agents:
             lx, ly = _agent_local_position(agent, config, t)
-            wx, wy = _local_to_world(config.extent, lx, ly)
+            wx, wy = config.extent.to_world(lx, ly)
             state = AgentState(
                 class_name=agent.class_name,
                 x=wx,

@@ -195,6 +195,42 @@ def test_wide_angle_lens_refuses_radii_it_never_produces():
     assert undistort_pixel(UNIT, WIDE, xd, yd) == pytest.approx((1.0, 0.2), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "dist, xn",
+    [
+        # distorted past the radius (1.677): the start moves inside it
+        (Distortion(k1=0.3, k2=-0.05, k3=-0.01), 1.3),
+        # distorted to just inside the radius (2.570), by the fold where the
+        # Jacobian vanishes: starting there, Newton cycles
+        (Distortion(k1=0.5, k2=-0.05), 1.3724),
+        # the first step from half the radius (2.475) overshoots it and is halved
+        (Distortion(k1=-0.2, k2=0.1, k3=-0.01), 2.2),
+    ],
+)
+def test_undistortion_inverts_points_near_the_radius(dist, xn):
+    xd, yd = dist.distort(xn, 0.0)
+    assert undistort_pixel(UNIT, dist, xd, yd) == pytest.approx((xn, 0.0), abs=1e-12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(-0.3, 0.3),
+    st.floats(-0.05, 0.05),
+    st.floats(-0.01, 0.01),
+    st.floats(-0.002, 0.002),
+    st.floats(-0.002, 0.002),
+    st.floats(0.0, 0.95),
+    st.floats(0.0, 2.0 * math.pi),
+)
+def test_every_point_inside_the_radius_is_recovered(k1, k2, k3, p1, p2, frac, angle):
+    dist = Distortion(k1=k1, k2=k2, k3=k3, p1=p1, p2=p2)
+    r = frac * min(dist.monotone_radius, 2.0)
+    xn, yn = r * math.cos(angle), r * math.sin(angle)
+    xb, yb, ok = dist.undistort(*dist.distort(xn, yn))
+    assert ok
+    assert max(abs(xb - xn), abs(yb - yn)) <= 1e-8
+
+
 def _wide_camera() -> CameraModel:
     """The default survey pose behind a full-HD wide-angle lens (fx = 1000)."""
     extent = MapExtent(origin=(0.0, 0.0), rotation=0.0, width=4.5, length=32.0)
@@ -332,6 +368,14 @@ def test_camera_must_sit_above_ground():
 def test_distortion_rejects_non_finite_coefficients(bad):
     with pytest.raises(ConfigError, match="finite"):
         Distortion(k1=-0.25, p2=bad)
+
+
+@pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy", "skew"])
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_intrinsics_reject_non_finite_values(field, bad):
+    values = {"fx": 1000.0, "fy": 1000.0, "cx": 320.0, "cy": 240.0, "skew": 0.0}
+    with pytest.raises(ConfigError, match="finite"):
+        Intrinsics(**{**values, field: bad})
 
 
 def test_intrinsics_reject_nonpositive_focal():

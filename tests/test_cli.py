@@ -95,6 +95,15 @@ def test_project_round_trip(workspace, capsys):
     assert abs(x - 1.0) < 1e-5 and abs(y - 10.0) < 1e-5
 
 
+def test_project_with_non_finite_intrinsics_exits_2(workspace, tmp_path, capsys):
+    doc = json.loads((_sim(workspace) / "camera.json").read_text())
+    doc["intrinsics"]["fx"] = float("nan")
+    camera = tmp_path / "nan.json"
+    camera.write_text(json.dumps(doc))
+    assert main(["project", "--camera", str(camera), "--world", "1", "10", "0"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 # -- map / density -------------------------------------------------------------
 
 

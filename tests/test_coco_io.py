@@ -141,6 +141,24 @@ def test_load_rejects_out_of_range_score(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("area", [float("nan"), -5.0])
+def test_load_rejects_non_finite_or_negative_area(tmp_path, area):
+    record = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5], "area": area}
+    doc = {
+        "images": [{"id": 1, "file_name": "a.jpg", "width": 64, "height": 48}],
+        "categories": [{"id": 1, "name": "pedestrian"}],
+        "annotations": [{"id": 1, **record}],
+    }
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(doc))  # json writes and reads NaN
+    with pytest.raises(DataError, match=f"annotation 1 has area {area}"):
+        load_dataset(path)
+    bare = tmp_path / "dets.json"
+    bare.write_text(json.dumps([{**record, "score": 0.5}]))
+    with pytest.raises(DataError, match=f"area {area}"):
+        load_detections(bare)
+
+
 def test_load_warns_on_bbox_hull_mismatch(tmp_path):
     doc = {
         "images": [{"id": 1, "file_name": "a.jpg", "width": 640, "height": 480}],

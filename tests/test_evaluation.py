@@ -147,6 +147,18 @@ def test_match_requires_scores():
         match_detections(gts, [_gt(2, 1, PED, (0, 0, 10, 10))], 0.5, iou_mode="bbox")
 
 
+def test_segm_match_needs_a_positive_image_size():
+    square = [[0.0, 0.0, 10.0, 0.0, 10.0, 10.0, 0.0, 10.0]]
+    gt = Annotation(id=1, image_id=1, category_id=PED, segmentation=square,
+                    bbox=(0.0, 0.0, 10.0, 10.0), area=100.0)
+    det = dataclasses.replace(gt, id=2, score=0.9)
+    with pytest.raises(DataError, match="image_size"):
+        match_detections([gt], [det], 0.5)
+    m = match_detections([gt], [det], 0.5, image_size=(20, 20))
+    assert m.matched_gt == (1,)
+    assert m.true_positive == (True,)
+
+
 # -- interpolated AP ------------------------------------------------------------
 
 

@@ -164,6 +164,15 @@ def test_extent_rotation():
     assert not ext.contains(4.0, 0.1)
     lx, ly = ext.to_local(-10.0, 2.0)
     assert (lx, ly) == pytest.approx((2.0, 10.0), abs=1e-12)
+    assert ext.to_world(2.0, 10.0) == pytest.approx((-10.0, 2.0), abs=1e-12)
+
+
+def test_extent_to_world_inverts_to_local(roadside_extent):
+    assert roadside_extent.to_world(0.0, 0.0) == roadside_extent.origin
+    lx, ly = np.array([0.0, 4.5, 1.2, -3.0]), np.array([0.0, 32.0, -7.5, 40.0])
+    wx, wy = roadside_extent.to_world(lx, ly)
+    back = roadside_extent.to_local(wx, wy)
+    assert np.allclose(back, (lx, ly), rtol=0.0, atol=1e-12)
 
 
 # -- frame / dataset mapping ---------------------------------------------------
