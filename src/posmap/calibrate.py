@@ -30,7 +30,7 @@ from .camera import (
     project_points,
     undistort_pixel,
 )
-from .errors import DataError, DegenerateGeometryError, UndistortionError
+from .errors import DataError, DegenerateGeometryError, UndistortionError, read_json
 from .lm import levenberg_marquardt
 
 __all__ = [
@@ -449,16 +449,8 @@ def load_correspondences(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 def load_planar_views(path: str | Path) -> list[tuple[np.ndarray, np.ndarray]]:
     """Read planar calibration views from JSON: [{"plane": [[x,y]..], "pixels": [[u,v]..]}..]."""
-    import json
-
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise DataError(f"view file {path} not found") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"view file {path} is not valid JSON: {e}") from e
-    if not isinstance(doc, list) or not doc:
+    doc = read_json(path, "view", list)
+    if not doc:
         raise DataError(f"view file {path} must be a non-empty JSON list")
     views = []
     for i, entry in enumerate(doc):

@@ -34,6 +34,7 @@ from .errors import (
     DataError,
     NoGroundIntersectionError,
     UndistortionError,
+    read_json,
 )
 
 __all__ = [
@@ -513,14 +514,7 @@ def _lens_from_dict(doc: dict) -> tuple[Intrinsics, Distortion, tuple[int, int]]
 
 def _read_json(path: str | Path, kind: str) -> dict:
     """The JSON object of a camera or intrinsics file, its units checked."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise DataError(f"{kind} file {path} not found") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"{kind} file {path} is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise DataError(f"{kind} file {path} must be a JSON object")
+    doc = read_json(path, kind)
     units = doc.get("units")
     if units != CAMERA_SCHEMA_UNITS:
         raise ConfigError(

@@ -1,10 +1,14 @@
 """Command-line interface.
 
-Every subcommand that writes files also writes a run manifest recording the
-exact argument vector, resolved options, SHA-256 of each input, the output
-paths, library versions, and wall time — enough to reproduce or audit a
-run. Exit codes: 2 for configuration problems, 3 for bad data, 4 for
-numeric/geometry failures.
+:func:`main` owns the run manifest. The parser marks each file argument as
+an input or an output through its ``type``; when an output is set, ``main``
+hashes every declared input before the command runs, creates the output
+directories, and after the command returns writes one manifest recording
+the exact argument vector, resolved options, SHA-256 of each input, the
+paths written, library versions, and wall time — enough to reproduce or
+audit a run. Each ``cmd_*`` only reads, computes, writes and returns the
+paths it wrote. Exit codes: 2 for configuration problems, 3 for bad data,
+4 for numeric/geometry failures.
 """
 
 from __future__ import annotations
@@ -59,8 +63,54 @@ from .simulate import SimConfig, default_camera, simulate
 from .taxonomy import default_taxonomy, default_treatments, load_taxonomy
 
 # ---------------------------------------------------------------------------
-# shared helpers
+# the command frame: declared inputs and outputs, their hashes, the manifest
 # ---------------------------------------------------------------------------
+
+
+class _Input(str):
+    """A file argument the command reads."""
+
+    def files(self) -> list[Path]:
+        return [Path(self)]
+
+
+class _RasterInput(_Input):
+    """A raster base the command reads: ``<base>.csv`` and ``<base>.json``."""
+
+    def files(self) -> list[Path]:
+        return [density_paths(self)[kind] for kind in ("csv", "json")]
+
+
+class _Output(str):
+    """A file argument the command writes; its manifest is ``<stem>.manifest.json``.
+
+    The manifest's directory is the one the command writes into.
+    """
+
+    def manifest(self) -> Path:
+        return Path(self).with_name(Path(self).stem + ".manifest.json")
+
+
+class _RasterOutput(_Output):
+    """A raster base the command writes; its manifest is ``<base>.manifest.json``."""
+
+    def manifest(self) -> Path:
+        return Path(self).with_name(Path(self).name + ".manifest.json")
+
+
+class _DirOutput(_Output):
+    """A directory the command writes into; its manifest is ``<dir>/manifest.json``."""
+
+    def manifest(self) -> Path:
+        return Path(self) / "manifest.json"
+
+
+def _declared(args: argparse.Namespace, kind: type) -> list:
+    """The set arguments whose parser ``type`` is ``kind``, in declaration order."""
+    found = []
+    for value in vars(args).values():
+        found += [v for v in (value if isinstance(value, list) else [value]) if isinstance(v, kind)]
+    return found
 
 
 def _sha256(path: Path) -> str:
@@ -71,27 +121,14 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _hash_inputs(paths: list[Path]) -> dict[str, str]:
-    """SHA-256 of each input, taken before the command writes anything.
-
-    An output may overwrite an input (``density --merge A B --out A``), so
-    hashing after the write would record the output instead.
-    """
-    return {str(p): _sha256(Path(p)) for p in paths}
-
-
 def _write_manifest(
-    where: Path,
+    path: Path,
     args: argparse.Namespace,
     inputs: dict[str, str],
     outputs: list[Path],
     t0: float,
-) -> Path:
-    resolved = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k != "func" and not k.startswith("_")
-    }
+) -> None:
+    resolved = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "argv": sys.argv,
         "config": resolved,
@@ -106,12 +143,7 @@ def _write_manifest(
     }
     if "seed" in resolved:
         manifest["seed"] = resolved["seed"]
-    if where.is_dir():
-        path = where / "manifest.json"
-    else:
-        path = where.with_name(where.stem + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
 
 
 def _resolve_treatment(name: str, taxonomy_path: str | None):
@@ -138,33 +170,26 @@ def _fmt(v: float | None, digits: int = 4) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_calibrate_intrinsics(args: argparse.Namespace) -> list[Path]:
     views = load_planar_views(args.views)
-    inputs = _hash_inputs([Path(args.views)])
     result = calibrate_intrinsics_planar(
         views, fit_distortion=not args.no_distortion, fix_skew=args.fix_skew
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_intrinsics(
-        out, result.intrinsics, result.distortion, args.image_size, result.rms_px
+        args.out, result.intrinsics, result.distortion, args.image_size, result.rms_px
     )
-    _write_manifest(out, args, inputs, [out], t0)
     print(
         f"calibrated from {len(views)} views: "
         f"fx={result.intrinsics.fx:.2f} fy={result.intrinsics.fy:.2f} "
         f"cx={result.intrinsics.cx:.2f} cy={result.intrinsics.cy:.2f} "
         f"rms={result.rms_px:.4f} px"
     )
-    return 0
+    return [Path(args.out)]
 
 
-def cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_calibrate_extrinsics(args: argparse.Namespace) -> list[Path]:
     intrinsics, distortion, image_size = load_intrinsics(args.intrinsics)
     world, pixels = load_correspondences(args.points)
-    inputs = _hash_inputs([Path(args.intrinsics), Path(args.points)])
     result = solve_extrinsics(intrinsics, distortion, world, pixels)
     camera = CameraModel(
         intrinsics=intrinsics,
@@ -172,16 +197,13 @@ def cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
         pose=result.pose,
         image_size=image_size,
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_camera(out, camera)
-    _write_manifest(out, args, inputs, [out], t0)
+    save_camera(args.out, camera)
     c = camera.pose.camera_center
     print(
         f"solved pose from {len(world)} points: rms={result.rms_px:.4f} px, "
         f"camera at ({c[0]:.2f}, {c[1]:.2f}, {c[2]:.2f}) m"
     )
-    return 0
+    return [Path(args.out)]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +211,7 @@ def cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_project(args: argparse.Namespace) -> int:
+def cmd_project(args: argparse.Namespace) -> list[Path]:
     camera = load_camera(args.camera)
     if args.pixel is not None:
         x, y = camera.back_project_ground(args.pixel[0], args.pixel[1])
@@ -197,7 +219,7 @@ def cmd_project(args: argparse.Namespace) -> int:
     else:
         u, v = camera.project(np.array(args.world))
         print(f"{u:.6f} {v:.6f}")
-    return 0
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +242,7 @@ def _parse_priors(specs: list[str] | None) -> SizePriors:
     return SizePriors(by_class=table)
 
 
-def cmd_map(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_map(args: argparse.Namespace) -> list[Path]:
     if args.fps <= 0:
         raise ConfigError(f"fps must be positive, got {args.fps}")
     camera = load_camera(args.camera)
@@ -229,12 +250,6 @@ def cmd_map(args: argparse.Namespace) -> int:
     treatment = _resolve_treatment(args.treatment, args.taxonomy)
     extent = load_extent(args.extent) if args.extent else None
     priors = _parse_priors(args.prior)
-    input_paths = [Path(args.camera), Path(args.annotations)]
-    if args.extent:
-        input_paths.append(Path(args.extent))
-    if args.taxonomy:
-        input_paths.append(Path(args.taxonomy))
-    inputs = _hash_inputs(input_paths)
     class_names = {c.id: c.name for c in ds.categories}
     by_image = ds.anns_by_image()
     images = sorted(ds.images, key=lambda im: im.id)
@@ -267,9 +282,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     else:
         observations = [o for f in frames for o in f.observations]
 
-    out = Path(args.out)
-    save_observations(out, observations)
-    _write_manifest(out, args, inputs, [out], t0)
+    save_observations(args.out, observations)
 
     n_out = sum(len(f.out_of_extent) for f in frames)
     n_fail = sum(len(f.failures) for f in frames)
@@ -282,7 +295,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     for frame in frames:
         for ann_id, reason in frame.failures:
             print(f"  annotation {ann_id}: {reason}", file=sys.stderr)
-    return 0
+    return [Path(args.out)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,43 +303,35 @@ def cmd_map(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_density(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_density(args: argparse.Namespace) -> list[Path]:
     if args.merge:
         grids = [load_density(base) for base in args.merge]
-        inputs = _hash_inputs(
-            [density_paths(b)["csv"] for b in args.merge]
-            + [density_paths(b)["json"] for b in args.merge]
-        )
         merged = grids[0]
         for grid in grids[1:]:
             merged = merge_rasters(merged, grid)
         paths = save_density(args.out, merged)
-        _write_manifest(paths["json"], args, inputs, list(paths.values()), t0)
         print(
             f"merged {len(grids)} rasters: {merged.total_count} observations, "
             f"mass {merged.mass():.6f}"
         )
-        return 0
+        return list(paths.values())
 
     if not args.observations or not args.extent:
         raise ConfigError("density needs --observations and --extent (or --merge)")
     observations = load_observations(args.observations)
     extent = load_extent(args.extent)
-    inputs = _hash_inputs([Path(args.observations), Path(args.extent)])
     bandwidth = None if args.bandwidth in (None, "auto") else float(args.bandwidth)
     classes = tuple(args.classes.split(",")) if args.classes else None
     grid = kde_raster(
         observations, extent, args.cell, bandwidth=bandwidth, classes=classes
     )
     paths = save_density(args.out, grid)
-    _write_manifest(paths["json"], args, inputs, list(paths.values()), t0)
     print(
         f"rasterized {grid.total_count} observations onto "
         f"{grid.shape[1]}x{grid.shape[0]} cells "
         f"(bandwidth {grid.bandwidth:.3f} m, mass {grid.mass():.6f})"
     )
-    return 0
+    return list(paths.values())
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +339,9 @@ def cmd_density(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_eval(args: argparse.Namespace) -> list[Path]:
     gt = load_dataset(args.gt)
     dets = load_detections(args.detections)
-    inputs = _hash_inputs([Path(args.gt), Path(args.detections)]) if args.out else {}
     if args.treatment:
         from .coco import remap_annotations, remap_categories
 
@@ -368,7 +371,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     outputs = []
     if args.pr_curves:
         pr_path = Path(args.pr_curves)
-        pr_path.parent.mkdir(parents=True, exist_ok=True)
         lines = ["class,recall,precision"]
         for cat_id in sorted(result.per_class):
             curve = result.pr_curves[cat_id]
@@ -380,7 +382,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         outputs.append(pr_path)
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         doc = {
             "per_class": {
                 names[cat_id]: dataclasses.asdict(m) for cat_id, m in result.per_class.items()
@@ -400,15 +401,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         }
         out.write_text(json.dumps(doc, indent=2) + "\n")
         outputs.append(out)
-        _write_manifest(out, args, inputs, outputs, t0)
-    return 0
+    return outputs
 
 
-def cmd_diagnose(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_diagnose(args: argparse.Namespace) -> list[Path]:
     gt = load_dataset(args.gt)
     dets = load_detections(args.detections)
-    inputs = _hash_inputs([Path(args.gt), Path(args.detections)]) if args.out else {}
     params = EvalParams(iou_mode=args.iou_mode, max_dets=args.max_dets)
     result = diagnose_errors(gt, dets, params)
     names = {c.id: c.name for c in gt.categories}
@@ -426,7 +424,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         print(f"{'mean':>14s}  " + "  ".join(f"{v:6.4f}" for _, v in result.mean.steps()))
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         doc = {
             "per_class": {
                 names[cat_id]: dict(ladder.steps())
@@ -436,8 +433,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             "iou_mode": args.iou_mode,
         }
         out.write_text(json.dumps(doc, indent=2) + "\n")
-        _write_manifest(out, args, inputs, [out], t0)
-    return 0
+        return [out]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +442,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> list[Path]:
     ds = load_dataset(args.annotations)
     taxonomy = load_taxonomy(args.taxonomy)[0] if args.taxonomy else default_taxonomy()
     if args.treatment:
@@ -483,7 +480,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.out:
         doc = {"per_class": rows, "conditions": stats.condition_tallies}
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-    return 0
+        return [Path(args.out)]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -491,54 +489,37 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_filter(args: argparse.Namespace) -> list[Path]:
     dets = load_detections(args.detections)
-    inputs = _hash_inputs([Path(args.detections)])
     kept = filter_for_annotation(
         dets, score_threshold=args.score, min_area_px=args.min_area
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_detections(out, kept)
-    _write_manifest(out, args, inputs, [out], t0)
+    save_detections(args.out, kept)
     print(
         f"kept {len(kept)} of {len(dets)} detections "
         f"(score >= {args.score}, area >= {args.min_area} px^2)"
     )
-    return 0
+    return [Path(args.out)]
 
 
-def cmd_export_labelme(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_export_labelme(args: argparse.Namespace) -> list[Path]:
+    written = export_labelme(load_dataset(args.annotations), args.out_dir)
+    print(f"wrote {len(written)} polygon files to {Path(args.out_dir)}")
+    return written
+
+
+def cmd_split(args: argparse.Namespace) -> list[Path]:
     ds = load_dataset(args.annotations)
-    inputs = _hash_inputs([Path(args.annotations)])
-    out_dir = Path(args.out_dir)
-    written = export_labelme(ds, out_dir)
-    _write_manifest(out_dir, args, inputs, written, t0)
-    print(f"wrote {len(written)} polygon files to {out_dir}")
-    return 0
-
-
-def cmd_split(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    ds = load_dataset(args.annotations)
-    inputs = _hash_inputs([Path(args.annotations)])
     train, test = split_dataset(
         ds, args.fraction, args.seed, stratify_key=args.stratify
     )
-    out_train = Path(args.out_train)
-    out_test = Path(args.out_test)
-    out_train.parent.mkdir(parents=True, exist_ok=True)
-    out_test.parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(out_train, train)
-    save_dataset(out_test, test)
-    _write_manifest(out_train, args, inputs, [out_train, out_test], t0)
+    save_dataset(args.out_train, train)
+    save_dataset(args.out_test, test)
     print(
         f"split {len(ds.images)} images into {len(train.images)} train / "
         f"{len(test.images)} test (seed {args.seed})"
     )
-    return 0
+    return [Path(args.out_train), Path(args.out_test)]
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +527,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args: argparse.Namespace) -> list[Path]:
     if args.extent:
         extent = load_extent(args.extent)
     else:
@@ -567,8 +547,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     result = simulate(config, args.frames)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     save_camera(out_dir / "camera.json", camera)
     save_extent(out_dir / "extent.json", extent)
     save_dataset(out_dir / "gt.json", result.dataset)
@@ -582,21 +560,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"{state.y!r},{state.heading!r},{state.height!r}"
             )
     (out_dir / "truth.csv").write_text("\n".join(truth_lines) + "\n")
-    outputs = [
-        out_dir / "camera.json",
-        out_dir / "extent.json",
-        out_dir / "gt.json",
-        out_dir / "detections.json",
-        out_dir / "truth.csv",
-    ]
-    _write_manifest(out_dir, args, {}, outputs, t0)
     n_gt = len(result.dataset.annotations)
     print(
         f"simulated {args.frames} frames, {args.agents} agents: "
         f"{n_gt} ground-truth objects, {len(result.detections)} detections "
         f"-> {out_dir}"
     )
-    return 0
+    names = ("camera.json", "extent.json", "gt.json", "detections.json", "truth.csv")
+    return [out_dir / name for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -617,93 +588,97 @@ def build_parser() -> argparse.ArgumentParser:
     cal_sub = p_cal.add_subparsers(dest="mode", required=True)
 
     p_ci = cal_sub.add_parser("intrinsics", help="intrinsics from planar pattern views")
-    p_ci.add_argument("--views", required=True, help="JSON list of plane/pixel views")
+    p_ci.add_argument("--views", type=_Input, required=True,
+                      help="JSON list of plane/pixel views")
     p_ci.add_argument("--image-size", nargs=2, type=int, required=True, metavar=("W", "H"))
     p_ci.add_argument("--no-distortion", action="store_true")
     p_ci.add_argument("--fix-skew", action="store_true")
-    p_ci.add_argument("--out", required=True)
+    p_ci.add_argument("--out", type=_Output, required=True)
     p_ci.set_defaults(func=cmd_calibrate_intrinsics)
 
     p_ce = cal_sub.add_parser("extrinsics", help="world pose from surveyed points")
-    p_ce.add_argument("--intrinsics", required=True, help="camera JSON without pose")
-    p_ce.add_argument("--points", required=True, help="CSV with columns X,Y,Z,u,v")
-    p_ce.add_argument("--out", required=True)
+    p_ce.add_argument("--intrinsics", type=_Input, required=True,
+                      help="camera JSON without pose")
+    p_ce.add_argument("--points", type=_Input, required=True,
+                      help="CSV with columns X,Y,Z,u,v")
+    p_ce.add_argument("--out", type=_Output, required=True)
     p_ce.set_defaults(func=cmd_calibrate_extrinsics)
 
     p_proj = sub.add_parser("project", help="project between pixels and the ground plane")
-    p_proj.add_argument("--camera", required=True)
+    p_proj.add_argument("--camera", type=_Input, required=True)
     g = p_proj.add_mutually_exclusive_group(required=True)
     g.add_argument("--pixel", nargs=2, type=float, metavar=("U", "V"))
     g.add_argument("--world", nargs=3, type=float, metavar=("X", "Y", "Z"))
     p_proj.set_defaults(func=cmd_project)
 
     p_map = sub.add_parser("map", help="map detections onto the ground plane")
-    p_map.add_argument("--camera", required=True)
-    p_map.add_argument("--annotations", required=True)
+    p_map.add_argument("--camera", type=_Input, required=True)
+    p_map.add_argument("--annotations", type=_Input, required=True)
     p_map.add_argument("--treatment", default="merging")
-    p_map.add_argument("--taxonomy", default=None)
-    p_map.add_argument("--extent", default=None)
+    p_map.add_argument("--taxonomy", type=_Input, default=None)
+    p_map.add_argument("--extent", type=_Input, default=None)
     p_map.add_argument("--prior", action="append", metavar="CLASS:W:L")
     p_map.add_argument("--fps", type=float, default=1.0)
     p_map.add_argument("--sample-rate", type=float, default=None,
                        help="subsample to one frame per source per 1/RATE s")
     p_map.add_argument("--source", default="")
-    p_map.add_argument("--out", required=True)
+    p_map.add_argument("--out", type=_Output, required=True)
     p_map.set_defaults(func=cmd_map)
 
     p_den = sub.add_parser("density", help="rasterize observations to a density grid")
-    p_den.add_argument("--observations")
-    p_den.add_argument("--extent")
+    p_den.add_argument("--observations", type=_Input)
+    p_den.add_argument("--extent", type=_Input)
     p_den.add_argument("--cell", type=float, default=0.25)
     p_den.add_argument("--bandwidth", default="auto")
     p_den.add_argument("--classes", default=None, help="comma-separated filter")
-    p_den.add_argument("--merge", nargs="+", default=None, metavar="BASE")
-    p_den.add_argument("--out", required=True)
+    p_den.add_argument("--merge", type=_RasterInput, nargs="+", default=None, metavar="BASE")
+    p_den.add_argument("--out", type=_RasterOutput, required=True)
     p_den.set_defaults(func=cmd_density)
 
     p_eval = sub.add_parser("eval", help="score detections against ground truth")
-    p_eval.add_argument("--gt", required=True)
-    p_eval.add_argument("--detections", required=True)
+    p_eval.add_argument("--gt", type=_Input, required=True)
+    p_eval.add_argument("--detections", type=_Input, required=True)
     p_eval.add_argument("--iou-mode", choices=("segm", "bbox"), default="segm")
     p_eval.add_argument("--max-dets", type=int, default=100)
     p_eval.add_argument("--treatment", default=None)
-    p_eval.add_argument("--taxonomy", default=None)
-    p_eval.add_argument("--pr-curves", default=None, metavar="CSV",
+    p_eval.add_argument("--taxonomy", type=_Input, default=None)
+    # the first output set hosts the manifest: --out before --pr-curves
+    p_eval.add_argument("--out", type=_Output, default=None)
+    p_eval.add_argument("--pr-curves", type=_Output, default=None, metavar="CSV",
                         help="write per-class recall/precision at IoU 0.5")
-    p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_diag = sub.add_parser("diagnose", help="cumulative error ladder")
-    p_diag.add_argument("--gt", required=True)
-    p_diag.add_argument("--detections", required=True)
+    p_diag.add_argument("--gt", type=_Input, required=True)
+    p_diag.add_argument("--detections", type=_Input, required=True)
     p_diag.add_argument("--iou-mode", choices=("segm", "bbox"), default="segm")
     p_diag.add_argument("--max-dets", type=int, default=100)
-    p_diag.add_argument("--out", default=None)
+    p_diag.add_argument("--out", type=_Output, default=None)
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_stats = sub.add_parser("stats", help="per-class annotation statistics")
-    p_stats.add_argument("--annotations", required=True)
+    p_stats.add_argument("--annotations", type=_Input, required=True)
     p_stats.add_argument("--treatment", default=None)
-    p_stats.add_argument("--taxonomy", default=None)
-    p_stats.add_argument("--out", default=None)
+    p_stats.add_argument("--taxonomy", type=_Input, default=None)
+    p_stats.add_argument("--out", type=_Output, default=None)
     p_stats.set_defaults(func=cmd_stats)
 
     p_filt = sub.add_parser(
         "filter-annotations", help="keep detections worth human annotation"
     )
-    p_filt.add_argument("--detections", required=True)
+    p_filt.add_argument("--detections", type=_Input, required=True)
     p_filt.add_argument("--score", type=float, default=0.75)
     p_filt.add_argument("--min-area", type=float, default=600.0)
-    p_filt.add_argument("--out", required=True)
+    p_filt.add_argument("--out", type=_Output, required=True)
     p_filt.set_defaults(func=cmd_filter)
 
     p_lm = sub.add_parser("export-labelme", help="export per-image polygon files")
-    p_lm.add_argument("--annotations", required=True)
-    p_lm.add_argument("--out-dir", required=True)
+    p_lm.add_argument("--annotations", type=_Input, required=True)
+    p_lm.add_argument("--out-dir", type=_DirOutput, required=True)
     p_lm.set_defaults(func=cmd_export_labelme)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic scene")
-    p_sim.add_argument("--out-dir", required=True)
+    p_sim.add_argument("--out-dir", type=_DirOutput, required=True)
     p_sim.add_argument("--frames", type=int, default=60)
     p_sim.add_argument("--agents", type=int, default=12)
     p_sim.add_argument("--cyclists", type=float, default=0.0)
@@ -713,27 +688,48 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--miss", type=float, default=0.0, help="miss rate in [0,1]")
     p_sim.add_argument("--confusion", type=float, default=0.0,
                        help="class confusion rate in [0,1]")
-    p_sim.add_argument("--extent", default=None, help="extent JSON (default 4.5x32 m)")
+    p_sim.add_argument("--extent", type=_Input, default=None,
+                       help="extent JSON (default 4.5x32 m)")
     p_sim.add_argument("--attractor", nargs=2, type=float, default=None, metavar=("X", "Y"))
     p_sim.set_defaults(func=cmd_simulate)
 
     p_split = sub.add_parser("split", help="train/test split by image")
-    p_split.add_argument("--annotations", required=True)
+    p_split.add_argument("--annotations", type=_Input, required=True)
     p_split.add_argument("--fraction", type=float, default=0.9)
     p_split.add_argument("--seed", type=int, default=0)
     p_split.add_argument("--stratify", default=None)
-    p_split.add_argument("--out-train", required=True)
-    p_split.add_argument("--out-test", required=True)
+    p_split.add_argument("--out-train", type=_Output, required=True)
+    p_split.add_argument("--out-test", type=_Output, required=True)
     p_split.set_defaults(func=cmd_split)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; with an output set, hash its inputs and write its manifest.
+
+    Inputs are hashed before the command runs, since an output may overwrite
+    one (``density --merge A B --out A``). A declared input that does not
+    exist is left to its loader, whose ``DataError`` names it.
+    """
+    args = build_parser().parse_args(argv)
+    outputs = _declared(args, _Output)
     try:
-        return args.func(args) or 0
+        if not outputs:
+            args.func(args)
+            return 0
+        t0 = time.perf_counter()
+        inputs = {
+            str(p): _sha256(p)
+            for arg in _declared(args, _Input)
+            for p in arg.files()
+            if p.is_file()
+        }
+        for out in outputs:
+            out.manifest().parent.mkdir(parents=True, exist_ok=True)
+        written = args.func(args)
+        _write_manifest(outputs[0].manifest(), args, inputs, written, t0)
+        return 0
     except PosmapError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

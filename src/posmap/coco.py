@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_json
 from .geometry2d import polygons_area, polygons_bounds
 from .taxonomy import Taxonomy, Treatment
 
@@ -200,25 +200,12 @@ def _parse_annotation(r: dict, ann_id: int) -> Annotation:
     )
 
 
-def _read_json(path: Path, kind: str):
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        raise DataError(f"{kind} file {path} not found") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"{kind} file {path} is not valid JSON: {e}") from e
-
-
 def load_dataset(path: str | Path) -> Dataset:
     """Load an annotation JSON file, validating referential integrity."""
-    path = Path(path)
-    return _dataset_from_doc(_read_json(path, "annotation"), path)
+    return _dataset_from_doc(read_json(path, "annotation"), path)
 
 
-def _dataset_from_doc(doc, path: Path) -> Dataset:
-    if not isinstance(doc, dict):
-        raise DataError(f"annotation file {path} must be a JSON object")
-
+def _dataset_from_doc(doc: dict, path: str | Path) -> Dataset:
     try:
         images = [
             ImageRecord(
@@ -337,12 +324,9 @@ def load_detections(path: str | Path) -> list[Annotation]:
     A bare list holds ``{image_id, category_id, score, bbox and/or
     segmentation}`` records; ids are assigned sequentially.
     """
-    path = Path(path)
-    doc = _read_json(path, "detection")
+    doc = read_json(path, "detection", (dict, list))
     if isinstance(doc, dict):
         return _dataset_from_doc(doc, path).annotations
-    if not isinstance(doc, list):
-        raise DataError(f"detection file {path} must be a JSON object or list")
     dets = []
     for i, r in enumerate(doc):
         try:
@@ -622,12 +606,7 @@ def import_labelme(
     annotations: list[Annotation] = []
     next_ann_id = 1
     for image_id, p in enumerate(sorted(Path(q) for q in paths), start=1):
-        try:
-            doc = json.loads(Path(p).read_text())
-        except FileNotFoundError:
-            raise DataError(f"polygon file {p} not found") from None
-        except json.JSONDecodeError as e:
-            raise DataError(f"polygon file {p} is not valid JSON: {e}") from e
+        doc = read_json(p, "polygon")
         try:
             images.append(
                 ImageRecord(

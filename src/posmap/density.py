@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_json
 from .mapping import (
     FrameMapResult,
     GroundObservation,
@@ -359,15 +359,14 @@ def save_density(base: str | Path, grid: DensityGrid) -> dict[str, Path]:
 
 
 def load_density(base: str | Path) -> DensityGrid:
-    """Read a raster written by :func:`save_density` (CSV + JSON header)."""
+    """Read a raster written by :func:`save_density` (CSV + JSON header).
+
+    A cell that is not a finite, non-negative multiple of :data:`QUANTUM`
+    is refused: the exact merge law holds only for such cells.
+    """
     paths = density_paths(base)
     json_path, csv_path = paths["json"], paths["csv"]
-    try:
-        header = json.loads(json_path.read_text())
-    except FileNotFoundError:
-        raise DataError(f"density header {json_path} not found") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"density header {json_path} is not valid JSON: {e}") from e
+    header = read_json(json_path, "density header")
     try:
         rows = [
             [float(v) for v in line.split(",")]
@@ -384,11 +383,22 @@ def load_density(base: str | Path) -> DensityGrid:
             time_window=(float(tw[0]), float(tw[1])) if tw else None,
             classes=tuple(header.get("classes", [])),
         )
+    except FileNotFoundError:
+        raise DataError(f"density values file {csv_path} not found") from None
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise DataError(f"density raster {base} is malformed: {e}") from e
     if list(values.shape) != list(header.get("shape", values.shape)):
         raise DataError(
             f"density raster {base}: CSV shape {values.shape} does not match "
             f"header {header.get('shape')}"
+        )
+    # a multiple of QUANTUM scales exactly to a whole number; every float >= 2**12 is one
+    scaled = np.minimum(values, 2.0**12) * (1.0 / QUANTUM)
+    bad = ~((values >= 0.0) & (values < math.inf)) | (np.floor(scaled) != scaled)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise DataError(
+            f"density values file {csv_path}: cell ({row}, {col}) = "
+            f"{float(values[row, col])!r} is not a non-negative multiple of 2**-40"
         )
     return grid

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .camera import CameraModel
 from .coco import Annotation
-from .errors import DataError, DegenerateGeometryError, GeometryError
+from .errors import ConfigError, DataError, DegenerateGeometryError, GeometryError, read_json
 from .taxonomy import Treatment
 
 __all__ = [
@@ -186,13 +186,22 @@ class MapExtent:
     (radians, counter-clockwise) takes the rectangle's local +x axis into
     the world. Containment is closed on all edges. :meth:`to_local`,
     :meth:`to_world` and :meth:`contains` take floats or equal-shaped numpy
-    arrays.
+    arrays. A non-finite origin or rotation, or a size that is not finite
+    and positive, is a :class:`ConfigError`.
     """
 
     origin: tuple[float, float]
     rotation: float
     width: float
     length: float
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (*self.origin, self.rotation))):
+            raise ConfigError(f"extent origin and rotation must be finite, got {self}")
+        if not (0.0 < self.width < math.inf and 0.0 < self.length < math.inf):
+            raise ConfigError(
+                f"extent width and length must be finite and positive, got {self}"
+            )
 
     def to_local(self, x: float, y: float) -> tuple[float, float]:
         dx, dy = x - self.origin[0], y - self.origin[1]
@@ -224,6 +233,7 @@ def extent_from_dict(doc: dict) -> MapExtent:
 
     A missing or non-numeric field raises ``KeyError``, ``IndexError``,
     ``TypeError`` or ``ValueError``; callers name the file in the error.
+    Values :class:`MapExtent` refuses raise its ``ConfigError``.
     """
     return MapExtent(
         origin=(float(doc["origin"][0]), float(doc["origin"][1])),
@@ -238,11 +248,10 @@ def save_extent(path: str | Path, extent: MapExtent) -> None:
 
 
 def load_extent(path: str | Path) -> MapExtent:
+    doc = read_json(path, "extent")
     try:
-        return extent_from_dict(json.loads(Path(path).read_text()))
-    except FileNotFoundError:
-        raise DataError(f"extent file {path} not found") from None
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as e:
+        return extent_from_dict(doc)
+    except (KeyError, IndexError, TypeError, ValueError) as e:
         raise DataError(f"extent file {path} is malformed: {e}") from e
 
 

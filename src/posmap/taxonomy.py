@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_json
 
 __all__ = [
     "ClassDef",
@@ -211,12 +211,7 @@ def save_taxonomy(
 
 
 def load_taxonomy(path: str | Path) -> tuple[Taxonomy, dict[str, Treatment]]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise DataError(f"taxonomy file {path} not found") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"taxonomy file {path} is not valid JSON: {e}") from e
+    doc = read_json(path, "taxonomy")
     version = doc.get("version")
     if version != TAXONOMY_SCHEMA_VERSION:
         raise ConfigError(
@@ -236,4 +231,6 @@ def load_taxonomy(path: str | Path) -> tuple[Taxonomy, dict[str, Treatment]]:
         }
     except KeyError as e:
         raise DataError(f"taxonomy file {path} is missing field {e}") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise DataError(f"taxonomy file {path} is malformed: {e}") from e
     return tax, treatments

@@ -5,15 +5,20 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import posmap.cli
 from posmap import __version__
+from posmap.camera import Distortion, Intrinsics, load_camera, project_points
 from posmap.cli import main
 from posmap.coco import load_dataset, load_detections, save_dataset
-from posmap.density import load_density
+from posmap.density import density_paths, load_density, save_density, zero_raster
 from posmap.evaluation import EvalParams, pr_curve
-from posmap.mapping import load_observations
+from posmap.mapping import MapExtent, load_observations
+from posmap.taxonomy import default_taxonomy, default_treatments, save_taxonomy
 
 LADDER = ("c75", "c50", "loc", "sim", "oth", "bg", "fn")
 
@@ -354,18 +359,162 @@ def test_export_labelme_command(workspace, tmp_path):
     assert doc["shapes"] and doc["shapes"][0]["shape_type"] == "polygon"
 
 
+# -- manifests ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def inputs(workspace):
+    """Input files beyond the scene: taxonomy, calibration data, observations, rasters."""
+    sim, root = _sim(workspace), workspace / "inputs"
+    root.mkdir()
+    tax = default_taxonomy()
+    save_taxonomy(root / "tax.json", tax, default_treatments(tax))
+    pattern = np.array([[0.12 * i, 0.12 * j, 0.0] for i in range(7) for j in range(5)])
+    views = []
+    for rvec in ((0.3, 0.0, 0.05), (-0.35, 0.1, -0.03), (0.1, 0.4, 0.0), (0.05, -0.38, 0.08)):
+        pixels = project_points(Intrinsics(1200.0, 1180.0, 960.0, 540.0), Distortion(),
+                                np.array(rvec), np.array([-0.36, -0.24, 1.4]), pattern)
+        views.append({"plane": pattern[:, :2].tolist(), "pixels": pixels.tolist()})
+    (root / "views.json").write_text(json.dumps(views))
+    ground = np.array([[x, y, 0.0] for x in (0.5, 2.0, 4.0) for y in (4.0, 12.0, 24.0)])
+    pixels = load_camera(sim / "camera.json").project(ground)
+    (root / "points.csv").write_text("X,Y,Z,u,v\n" + "".join(
+        f"{x},{y},{z},{u},{v}\n" for (x, y, z), (u, v) in zip(ground, pixels)
+    ))
+    assert main(["map", "--camera", str(sim / "camera.json"), "--annotations",
+                 str(sim / "gt.json"), "--out", str(root / "obs.csv")]) == 0
+    for base in ("a", "b"):
+        assert main(["density", "--observations", str(root / "obs.csv"), "--extent",
+                     str(sim / "extent.json"), "--out", str(root / base)]) == 0
+    return root
+
+
+_SCENE = "--gt {s}/gt.json --detections {s}/detections.json --iou-mode bbox"
+
+# argv, the files it reads, and where its manifest goes: {s} is the scene,
+# {i} the prepared inputs, {o} an empty directory that receives every output
+MANIFEST_CASES = {
+    "calibrate-intrinsics": (
+        "calibrate intrinsics --views {i}/views.json --image-size 1920 1080 "
+        "--no-distortion --out {o}/intr.json",
+        ["{i}/views.json"], "{o}/intr.manifest.json"),
+    "calibrate-extrinsics": (
+        "calibrate extrinsics --intrinsics {s}/camera.json --points {i}/points.csv "
+        "--out {o}/cam.json",
+        ["{s}/camera.json", "{i}/points.csv"], "{o}/cam.manifest.json"),
+    "map": (
+        "map --camera {s}/camera.json --annotations {s}/gt.json --extent {s}/extent.json "
+        "--taxonomy {i}/tax.json --out {o}/obs.csv",
+        ["{s}/camera.json", "{s}/gt.json", "{s}/extent.json", "{i}/tax.json"],
+        "{o}/obs.manifest.json"),
+    "density": (
+        "density --observations {i}/obs.csv --extent {s}/extent.json --out {o}/d0.25",
+        ["{i}/obs.csv", "{s}/extent.json"], "{o}/d0.25.manifest.json"),
+    "density-merge": (
+        "density --merge {i}/a {i}/b --out {o}/m",
+        ["{i}/a.csv", "{i}/a.json", "{i}/b.csv", "{i}/b.json"], "{o}/m.manifest.json"),
+    "eval": (
+        "eval " + _SCENE + " --treatment merging --taxonomy {i}/tax.json "
+        "--pr-curves {o}/pr.csv --out {o}/eval.json",
+        ["{s}/gt.json", "{s}/detections.json", "{i}/tax.json"], "{o}/eval.manifest.json"),
+    "eval-pr-curves": (
+        "eval " + _SCENE + " --pr-curves {o}/pr.csv",
+        ["{s}/gt.json", "{s}/detections.json"], "{o}/pr.manifest.json"),
+    "diagnose": (
+        "diagnose " + _SCENE + " --out {o}/diag.json",
+        ["{s}/gt.json", "{s}/detections.json"], "{o}/diag.manifest.json"),
+    "stats": (
+        "stats --annotations {s}/gt.json --taxonomy {i}/tax.json --out {o}/stats.json",
+        ["{s}/gt.json", "{i}/tax.json"], "{o}/stats.manifest.json"),
+    "filter-annotations": (
+        "filter-annotations --detections {s}/detections.json --out {o}/kept.json",
+        ["{s}/detections.json"], "{o}/kept.manifest.json"),
+    "export-labelme": (
+        "export-labelme --annotations {s}/gt.json --out-dir {o}/lm",
+        ["{s}/gt.json"], "{o}/lm/manifest.json"),
+    "split": (
+        "split --annotations {s}/gt.json --out-train {o}/tr.json --out-test {o}/te.json",
+        ["{s}/gt.json"], "{o}/tr.manifest.json"),
+    "simulate": (
+        "simulate --frames 2 --agents 3 --extent {s}/extent.json --out-dir {o}/sim",
+        ["{s}/extent.json"], "{o}/sim/manifest.json"),
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(MANIFEST_CASES))
+def test_every_file_writing_command_writes_a_full_manifest(workspace, inputs, tmp_path, case):
+    argv, reads, where = MANIFEST_CASES[case]
+    dirs = {"s": _sim(workspace), "i": inputs, "o": tmp_path}
+    reads = [Path(r.format(**dirs)) for r in reads]
+    before = {str(p): _sha256(p) for p in reads}
+    assert main(argv.format(**dirs).split()) == 0
+    manifest_path = Path(where.format(**dirs))
+    manifest = json.loads(manifest_path.read_text())
+    assert set(manifest) >= {"argv", "config", "inputs", "outputs", "versions", "elapsed_s"}
+    assert manifest["inputs"] == before
+    written = {str(p) for p in tmp_path.rglob("*") if p.is_file() and p != manifest_path}
+    assert written and sorted(manifest["outputs"]) == sorted(written)
+
+
+def test_a_run_with_no_output_hashes_nothing(workspace, monkeypatch):
+    monkeypatch.setattr(posmap.cli, "_sha256", lambda path: pytest.fail(f"hashed {path}"))
+    sim = _sim(workspace)
+    assert main(["eval", *_SCENE.format(s=sim).split()]) == 0
+    assert main(["stats", "--annotations", str(sim / "gt.json")]) == 0
+
+
 # -- exit codes ---------------------------------------------------------------------
 
 
-def test_config_error_exits_2(workspace, capsys):
-    sim = _sim(workspace)
-    rc = main(
-        ["map", "--camera", str(sim / "camera.json"),
-         "--annotations", str(sim / "gt.json"), "--treatment", "bogus",
-         "--out", "/dev/null"]
-    )
-    assert rc == 2
-    assert "unknown treatment" in capsys.readouterr().err
+def _extent(ws, tmp, **fields) -> str:
+    """The scene's extent JSON with ``fields`` replaced, written under ``tmp``."""
+    doc = json.loads((_sim(ws) / "extent.json").read_text())
+    doc.update(fields)
+    (tmp / "extent.json").write_text(json.dumps(doc))
+    return str(tmp / "extent.json")
+
+
+def _map_argv(ws, *extra):
+    sim = _sim(ws)
+    return ["map", "--camera", str(sim / "camera.json"), "--annotations", str(sim / "gt.json"),
+            *extra]
+
+
+CONFIG_ERRORS = {
+    "unknown-treatment": (
+        lambda ws, tmp: _map_argv(ws, "--treatment", "bogus", "--out", "/dev/null"),
+        "unknown treatment"),
+    "density-negative-width": (
+        lambda ws, tmp: ["density", "--observations", str(tmp / "obs.csv"),
+                         "--extent", _extent(ws, tmp, width=-4.5), "--out", str(tmp / "d")],
+        "finite and positive"),
+    "density-nan-width": (
+        lambda ws, tmp: ["density", "--observations", str(tmp / "obs.csv"),
+                         "--extent", _extent(ws, tmp, width=float("nan")),
+                         "--out", str(tmp / "d")],
+        "finite and positive"),
+    "map-negative-width": (
+        lambda ws, tmp: _map_argv(ws, "--extent", _extent(ws, tmp, width=-4.5),
+                                  "--out", str(tmp / "obs.csv")),
+        "finite and positive"),
+    "map-infinite-rotation": (
+        lambda ws, tmp: _map_argv(ws, "--extent", _extent(ws, tmp, rotation=float("inf")),
+                                  "--out", str(tmp / "obs.csv")),
+        "must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_ERRORS))
+def test_config_error_exits_2(workspace, tmp_path, capsys, case):
+    assert main(_map_argv(workspace, "--out", str(tmp_path / "obs.csv"))) == 0
+    capsys.readouterr()
+    argv, message = CONFIG_ERRORS[case]
+    assert main(argv(workspace, tmp_path)) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bad_prior_exits_2(workspace):
@@ -391,10 +540,48 @@ def test_bad_fps_exits_2(workspace, tmp_path, capsys, fps):
     assert not out.exists()
 
 
-def test_data_error_exits_3(tmp_path, capsys):
-    rc = main(["stats", "--annotations", str(tmp_path / "missing.json")])
-    assert rc == 3
-    assert "error:" in capsys.readouterr().err
+def _merge_with_broken(tmp, kind: str, text: str | None):
+    """``density --merge a b`` where file ``kind`` of raster ``b`` holds ``text`` (None: gone)."""
+    for base in ("a", "b"):
+        save_density(tmp / base, zero_raster(MapExtent((0.0, 0.0), 0.0, 4.5, 32.0), 0.5))
+    broken = density_paths(tmp / "b")[kind]
+    if text is None:
+        broken.unlink()
+    elif kind == "csv":  # replace the first cell
+        broken.write_text(text + broken.read_text()[3:])
+    else:
+        broken.write_text(text)
+    return ["density", "--merge", str(tmp / "a"), str(tmp / "b"), "--out", str(tmp / "m")], broken
+
+
+def _stats_with_taxonomy(ws, tmp, doc):
+    (tmp / "tax.json").write_text(json.dumps(doc))
+    argv = ["stats", "--annotations", str(_sim(ws) / "gt.json"),
+            "--taxonomy", str(tmp / "tax.json")]
+    return argv, tmp / "tax.json"
+
+
+DATA_ERRORS = {
+    "missing-annotations": lambda ws, tmp: (
+        ["stats", "--annotations", str(tmp / "missing.json")], tmp / "missing.json"),
+    "merge-missing-csv": lambda ws, tmp: _merge_with_broken(tmp, "csv", None),
+    "merge-header-is-a-list": lambda ws, tmp: _merge_with_broken(tmp, "json", "[]"),
+    "merge-nan-cell": lambda ws, tmp: _merge_with_broken(tmp, "csv", "nan"),
+    "merge-negative-cell": lambda ws, tmp: _merge_with_broken(tmp, "csv", "-0.5"),
+    "merge-cell-off-the-quantum": lambda ws, tmp: _merge_with_broken(tmp, "csv", "0.1"),
+    "taxonomy-is-a-list": lambda ws, tmp: _stats_with_taxonomy(ws, tmp, []),
+    "taxonomy-id-not-a-number": lambda ws, tmp: _stats_with_taxonomy(ws, tmp, {
+        "version": 1, "classes": [{"id": "x", "name": "pedestrian", "supercategory": "people"}],
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(DATA_ERRORS))
+def test_data_error_exits_3(workspace, tmp_path, capsys, case):
+    argv, named = DATA_ERRORS[case](workspace, tmp_path)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(named) in err
 
 
 def test_bare_list_bbox_with_3_values_exits_3(workspace, tmp_path, capsys):
