@@ -15,7 +15,7 @@ from .calibrate import (
 )
 from .camera import CameraModel, Distortion, Intrinsics, Pose, load_camera, save_camera
 from .coco import Dataset, load_dataset, save_dataset
-from .density import accumulate, kde_raster, merge_rasters
+from .density import kde_raster, merge_rasters
 from .errors import (
     ConfigError,
     DataError,
@@ -62,7 +62,6 @@ __all__ = [
     "SolverError",
     "Taxonomy",
     "Treatment",
-    "accumulate",
     "calibrate_intrinsics_planar",
     "dataset_stats",
     "default_camera",

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -56,6 +57,7 @@ from .mapping import (
     load_extent,
     load_observations,
     map_frame,
+    sample_frames,
     save_extent,
     save_observations,
 )
@@ -123,6 +125,7 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(
     path: Path,
+    argv: list[str],
     args: argparse.Namespace,
     inputs: dict[str, str],
     outputs: list[Path],
@@ -130,7 +133,7 @@ def _write_manifest(
 ) -> None:
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
-        "argv": sys.argv,
+        "argv": argv,
         "config": resolved,
         "inputs": inputs,
         "outputs": [str(p) for p in outputs],
@@ -243,8 +246,8 @@ def _parse_priors(specs: list[str] | None) -> SizePriors:
 
 
 def cmd_map(args: argparse.Namespace) -> list[Path]:
-    if args.fps <= 0:
-        raise ConfigError(f"fps must be positive, got {args.fps}")
+    if not 0.0 < args.fps < math.inf:
+        raise ConfigError(f"fps must be positive and finite, got {args.fps}")
     camera = load_camera(args.camera)
     ds = load_dataset(args.annotations)
     treatment = _resolve_treatment(args.treatment, args.taxonomy)
@@ -253,48 +256,43 @@ def cmd_map(args: argparse.Namespace) -> list[Path]:
     class_names = {c.id: c.name for c in ds.categories}
     by_image = ds.anns_by_image()
     images = sorted(ds.images, key=lambda im: im.id)
-
-    # one map_frame call per image through this module's global, so a
-    # wrapper installed on posmap.cli.map_frame times every frame
-    frames = []
+    timestamps = []
     for index, image in enumerate(images):
         raw_ts = image.extra.get("timestamp")
-        frames.append(
-            map_frame(
-                camera,
-                by_image.get(image.id, []),
-                class_names,
-                treatment,
-                extent=extent,
-                priors=priors,
-                timestamp=float(raw_ts) if raw_ts is not None else index / args.fps,
-                image_id=image.id,
-                source=args.source,
-            )
+        timestamps.append(float(raw_ts) if raw_ts is not None else index / args.fps)
+    kept = (
+        range(len(images)) if args.sample_rate is None
+        else sample_frames(timestamps, args.sample_rate)
+    )
+
+    # one map_frame call per kept image through this module's global, so a
+    # wrapper installed on posmap.cli.map_frame times every mapped frame
+    observations = []
+    n_out = 0
+    failures = []
+    for index in kept:
+        frame = map_frame(
+            camera,
+            by_image.get(images[index].id, []),
+            class_names,
+            treatment,
+            extent=extent,
+            priors=priors,
+            timestamp=timestamps[index],
+            image_id=images[index].id,
+            source=args.source,
         )
-
-    if args.sample_rate is not None:
-        from .density import accumulate, collect
-
-        store: dict = {}
-        accumulate(store, frames, sample_rate_hz=args.sample_rate)
-        observations = collect(store)
-    else:
-        observations = [o for f in frames for o in f.observations]
+        observations += frame.observations
+        n_out += len(frame.out_of_extent)
+        failures += frame.failures
 
     save_observations(args.out, observations)
-
-    n_out = sum(len(f.out_of_extent) for f in frames)
-    n_fail = sum(len(f.failures) for f in frames)
-    total_runtime = sum(f.runtime_s for f in frames)
     print(
-        f"mapped {len(observations)} observations from {len(images)} images "
-        f"({n_out} outside extent, {n_fail} geometry failures, "
-        f"{total_runtime:.3f} s mapping time)"
+        f"mapped {len(observations)} observations from {len(kept)} of {len(images)} "
+        f"images ({n_out} outside extent, {len(failures)} geometry failures)"
     )
-    for frame in frames:
-        for ann_id, reason in frame.failures:
-            print(f"  annotation {ann_id}: {reason}", file=sys.stderr)
+    for ann_id, reason in failures:
+        print(f"  annotation {ann_id}: {reason}", file=sys.stderr)
     return [Path(args.out)]
 
 
@@ -620,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--prior", action="append", metavar="CLASS:W:L")
     p_map.add_argument("--fps", type=float, default=1.0)
     p_map.add_argument("--sample-rate", type=float, default=None,
-                       help="subsample to one frame per source per 1/RATE s")
+                       help="map only the first frame of each 1/RATE s window")
     p_map.add_argument("--source", default="")
     p_map.add_argument("--out", type=_Output, required=True)
     p_map.set_defaults(func=cmd_map)
@@ -712,6 +710,8 @@ def main(argv: list[str] | None = None) -> int:
     one (``density --merge A B --out A``). A declared input that does not
     exist is left to its loader, whose ``DataError`` names it.
     """
+    if argv is None:
+        argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
     outputs = _declared(args, _Output)
     try:
@@ -728,7 +728,7 @@ def main(argv: list[str] | None = None) -> int:
         for out in outputs:
             out.manifest().parent.mkdir(parents=True, exist_ok=True)
         written = args.func(args)
-        _write_manifest(outputs[0].manifest(), args, inputs, written, t0)
+        _write_manifest(outputs[0].manifest(), list(argv), args, inputs, written, t0)
         return 0
     except PosmapError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -101,9 +101,6 @@ class Dataset:
     def category_by_id(self) -> dict[int, Category]:
         return {c.id: c for c in self.categories}
 
-    def category_by_name(self) -> dict[str, Category]:
-        return {c.name: c for c in self.categories}
-
     def anns_by_image(self) -> dict[int, list[Annotation]]:
         out: dict[int, list[Annotation]] = {im.id: [] for im in self.images}
         for ann in self.annotations:
@@ -448,26 +445,10 @@ def filter_for_annotation(
 
 def remap_categories(ds: Dataset, treatment: Treatment) -> Dataset:
     """Apply a class treatment to a dataset, dropping absorbed categories."""
-    by_id = ds.category_by_id()
-    by_name = ds.category_by_name()
-    new_anns = []
-    for ann in ds.annotations:
-        cat = by_id.get(ann.category_id)
-        if cat is None:
-            raise DataError(
-                f"annotation {ann.id} references missing category {ann.category_id}"
-            )
-        target = treatment.apply(cat.name)
-        if target not in by_name:
-            raise DataError(
-                f"treatment {treatment.name!r} maps {cat.name!r} to {target!r}, "
-                "which is not a category of this dataset"
-            )
-        new_anns.append(replace(ann, category_id=by_name[target].id))
     survivors = set(treatment.effective_classes())
     return Dataset(
         images=list(ds.images),
-        annotations=new_anns,
+        annotations=remap_annotations(ds.annotations, ds.categories, treatment),
         categories=[c for c in ds.categories if c.name in survivors],
         info=dict(ds.info),
         licenses=list(ds.licenses),

@@ -24,18 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, read_json
-from .mapping import (
-    FrameMapResult,
-    GroundObservation,
-    MapExtent,
-    extent_from_dict,
-    extent_to_dict,
-)
+from .mapping import GroundObservation, MapExtent, extent_from_dict, extent_to_dict
 
 __all__ = [
     "DensityGrid",
-    "accumulate",
-    "collect",
     "silverman_bandwidth",
     "kde_raster",
     "zero_raster",
@@ -79,49 +71,12 @@ class DensityGrid:
 
 
 def grid_shape(extent: MapExtent, cell_size: float) -> tuple[int, int]:
-    if cell_size <= 0:
-        raise ConfigError(f"cell size must be positive, got {cell_size}")
+    if not 0.0 < cell_size < math.inf:
+        raise ConfigError(f"cell size must be finite and positive, got {cell_size}")
     return (
         int(math.ceil(extent.length / cell_size - 1e-12)),
         int(math.ceil(extent.width / cell_size - 1e-12)),
     )
-
-
-# ---------------------------------------------------------------------------
-# temporal accumulation
-# ---------------------------------------------------------------------------
-
-
-def accumulate(
-    store: dict[tuple[str, int], tuple[GroundObservation, ...]],
-    frames: list[FrameMapResult],
-    sample_rate_hz: float = 1.0,
-) -> dict[tuple[str, int], tuple[GroundObservation, ...]]:
-    """Fold mapped frames into a subsampled observation store.
-
-    Long recordings are subsampled to at most one frame per source per
-    1/rate-second window; the first frame seen in a window claims it (even
-    when it holds no people, so a later frame cannot sneak into the same
-    window). The store is mutated in place and returned to allow chaining.
-    """
-    if sample_rate_hz <= 0:
-        raise ConfigError(f"sample rate must be positive, got {sample_rate_hz}")
-    for frame in frames:
-        if frame.timestamp is None:
-            raise DataError("cannot accumulate a frame without a timestamp")
-        window = int(math.floor(frame.timestamp * sample_rate_hz + 1e-9))
-        key = (frame.source, window)
-        if key not in store:
-            store[key] = frame.observations
-    return store
-
-
-def collect(store: dict[tuple[str, int], tuple[GroundObservation, ...]]) -> list[GroundObservation]:
-    """Flatten a store into one observation list, in (source, window) order."""
-    out: list[GroundObservation] = []
-    for key in sorted(store):
-        out.extend(store[key])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +342,8 @@ def load_density(base: str | Path) -> DensityGrid:
         raise DataError(f"density values file {csv_path} not found") from None
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise DataError(f"density raster {base} is malformed: {e}") from e
+    except ConfigError as e:
+        raise ConfigError(f"density header {json_path}: {e}") from e
     if list(values.shape) != list(header.get("shape", values.shape)):
         raise DataError(
             f"density raster {base}: CSV shape {values.shape} does not match "

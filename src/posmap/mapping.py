@@ -4,7 +4,8 @@ Turns per-image polygon detections into world-frame observations: the foot
 contact point of each person is back-projected onto the ground plane, and a
 class-conditional size prior plus the head pixel give a full oriented 3D
 box. Results can be restricted to a surveyed map extent (a rotated
-rectangle on the ground).
+rectangle on the ground). A long recording is thinned to one frame per
+sampling window before any frame is mapped (:func:`sample_frames`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,7 @@ __all__ = [
     "locate",
     "FrameMapResult",
     "map_frame",
+    "sample_frames",
     "save_observations",
     "load_observations",
 ]
@@ -253,6 +255,8 @@ def load_extent(path: str | Path) -> MapExtent:
         return extent_from_dict(doc)
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise DataError(f"extent file {path} is malformed: {e}") from e
+    except ConfigError as e:
+        raise ConfigError(f"extent file {path}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -274,7 +278,6 @@ def locate(
     camera: CameraModel,
     ann: Annotation,
     class_name: str,
-    treatment: Treatment | None = None,
     *,
     priors: SizePriors | None = None,
     timestamp: float | None = None,
@@ -284,19 +287,17 @@ def locate(
     """Locate a single detection on the ground plane.
 
     The footpoint pixel is back-projected onto Z=0 and a prior-sized 3D box
-    is fitted. ``class_name`` is the detection's class before treatment;
-    the returned observation carries the post-treatment name. Geometry
-    errors (horizon footpoint, vertical head ray, a pixel the lens cannot
-    undistort) propagate to the caller.
+    is fitted; the observation carries ``class_name``, which also selects
+    the size prior. Geometry errors (horizon footpoint, vertical head ray,
+    a pixel the lens cannot undistort) propagate to the caller.
     """
-    mapped = treatment.apply(class_name) if treatment is not None else class_name
     fu, fv = footpoint(ann)
     gx, gy = camera.back_project_ground(fu, fv)
     box = estimate_box3d(
-        camera, (gx, gy), top_point(ann), (priors or SizePriors()).lookup(mapped)
+        camera, (gx, gy), top_point(ann), (priors or SizePriors()).lookup(class_name)
     )
     return GroundObservation(
-        class_name=mapped,
+        class_name=class_name,
         x=gx,
         y=gy,
         box=box,
@@ -313,9 +314,6 @@ class FrameMapResult:
     observations: tuple[GroundObservation, ...]
     out_of_extent: tuple[GroundObservation, ...]
     failures: tuple[tuple[int, str], ...]
-    runtime_s: float
-    timestamp: float | None = None
-    source: str = ""
 
 
 def map_frame(
@@ -333,12 +331,11 @@ def map_frame(
     """Map one frame's detections onto the ground plane.
 
     Only annotations whose post-treatment class belongs to the ``people``
-    super-category are mapped; geometry failures (horizon pixels, vertical
-    rays, pixels the lens cannot undistort) are recorded per annotation
-    rather than aborting the frame.
+    super-category are mapped, under that name; geometry failures (horizon
+    pixels, vertical rays, pixels the lens cannot undistort) are recorded
+    per annotation rather than aborting the frame.
     """
     priors = priors or SizePriors()
-    t0 = time.perf_counter()
     kept: list[GroundObservation] = []
     outside: list[GroundObservation] = []
     failures: list[tuple[int, str]] = []
@@ -372,10 +369,23 @@ def map_frame(
         observations=tuple(kept),
         out_of_extent=tuple(outside),
         failures=tuple(failures),
-        runtime_s=time.perf_counter() - t0,
-        timestamp=timestamp,
-        source=source,
     )
+
+
+def sample_frames(timestamps: Sequence[float], rate_hz: float) -> list[int]:
+    """Indices of the frames kept when a recording is thinned to ``rate_hz``.
+
+    Frame ``i`` falls in window ``floor(timestamps[i] * rate_hz + 1e-9)``;
+    the first frame of each window claims it, even when it holds no people,
+    so a later frame cannot take its place. Indices come out in window
+    order. A rate that is not finite and positive is a :class:`ConfigError`.
+    """
+    if not 0.0 < rate_hz < math.inf:
+        raise ConfigError(f"sample rate must be finite and positive, got {rate_hz}")
+    first: dict[int, int] = {}
+    for index, ts in enumerate(timestamps):
+        first.setdefault(math.floor(ts * rate_hz + 1e-9), index)
+    return [first[window] for window in sorted(first)]
 
 
 # ---------------------------------------------------------------------------

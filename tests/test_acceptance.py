@@ -35,20 +35,15 @@ from posmap.coco import (
     save_dataset,
     split_dataset,
 )
-from posmap.density import (
-    accumulate,
-    kde_raster,
-    merge_rasters,
-    zero_raster,
-)
+from posmap.density import kde_raster, merge_rasters, zero_raster
 from posmap.errors import PosmapError
 from posmap.evaluation import EvalParams, diagnose_errors, evaluate_detections
 from posmap.mapping import (
     Box3D,
-    FrameMapResult,
     GroundObservation,
     MapExtent,
     locate,
+    sample_frames,
 )
 from posmap.simulate import (
     SimConfig,
@@ -517,12 +512,11 @@ def test_c6_taxonomy_treatments(capsys):
 # ---------------------------------------------------------------------------
 
 
-def _obs_at(i: int, x: float, y: float, ts: float | None = None,
-            cls: str = "pedestrian") -> GroundObservation:
+def _obs_at(i: int, x: float, y: float) -> GroundObservation:
     return GroundObservation(
-        class_name=cls, x=x, y=y,
+        class_name="pedestrian", x=x, y=y,
         box=Box3D(x, y, 0.0, 0.5, 0.5, 1.7),
-        annotation_id=i, image_id=1, timestamp=ts,
+        annotation_id=i, image_id=1,
     )
 
 
@@ -573,18 +567,8 @@ def test_c7_density_maps(capsys):
             hits += 1
     peak_ok = hits >= 95
 
-    # 1 fps decimation: at most ceil(duration) frames survive per source
-    frames = [
-        FrameMapResult(
-            observations=(_obs_at(k, 2.0, 4.0, ts=k / 4.0),),
-            out_of_extent=(), failures=(), runtime_s=0.0,
-            timestamp=k / 4.0, source="camA",
-        )
-        for k in range(400)  # 100 seconds at 4 fps
-    ]
-    store: dict = {}
-    accumulate(store, frames, sample_rate_hz=1.0)
-    kept = sum(1 for (source, _w) in store if source == "camA")
+    # 1 fps decimation: at most ceil(duration) frames of one camera survive
+    kept = len(sample_frames([k / 4.0 for k in range(400)], 1.0))  # 100 s at 4 fps
     decimation_ok = kept <= math.ceil(399 / 4.0)
 
     ok = mass_ok and monoid_ok and peak_ok and decimation_ok

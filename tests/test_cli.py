@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 from pathlib import Path
 
@@ -17,7 +18,13 @@ from posmap.cli import main
 from posmap.coco import load_dataset, load_detections, save_dataset
 from posmap.density import density_paths, load_density, save_density, zero_raster
 from posmap.evaluation import EvalParams, pr_curve
-from posmap.mapping import MapExtent, load_observations
+from posmap.mapping import (
+    MapExtent,
+    load_extent,
+    load_observations,
+    map_frame,
+    save_observations,
+)
 from posmap.taxonomy import default_taxonomy, default_treatments, save_taxonomy
 
 LADDER = ("c75", "c50", "loc", "sim", "oth", "bg", "fn")
@@ -167,6 +174,42 @@ def test_map_timestamps_from_image_or_fps(workspace, tmp_path):
     for o in load_observations(obs):
         stamps.setdefault(o.image_id, set()).add(o.timestamp)
     assert stamps == {kept[0]: {0.0}, kept[1]: {0.5}, kept[2]: {99.5}}
+
+
+def test_map_sample_rate_maps_only_the_first_frame_of_each_window(tmp_path, monkeypatch):
+    """``--sample-rate 1`` on a 5 fps scene writes what mapping every frame and
+    then keeping each window's first frame writes, mapping one frame per window."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--out-dir", str(sim), "--frames", "12", "--agents", "4",
+                 "--fps", "5", "--seed", "3"]) == 0
+    mapped = []
+
+    def counting_map_frame(*args, **kwargs):
+        mapped.append(kwargs["image_id"])
+        return map_frame(*args, **kwargs)
+
+    monkeypatch.setattr(posmap.cli, "map_frame", counting_map_frame)
+    obs = tmp_path / "obs.csv"
+    assert main(["map", "--camera", str(sim / "camera.json"),
+                 "--annotations", str(sim / "gt.json"), "--extent", str(sim / "extent.json"),
+                 "--sample-rate", "1", "--out", str(obs)]) == 0
+
+    camera, extent = load_camera(sim / "camera.json"), load_extent(sim / "extent.json")
+    ds = load_dataset(sim / "gt.json")
+    names = {c.id: c.name for c in ds.categories}
+    merging = default_treatments(default_taxonomy())["merging"]
+    by_image = ds.anns_by_image()
+    first = {}  # window -> (image id, observations) of its first frame
+    for image in sorted(ds.images, key=lambda im: im.id):
+        ts = image.extra["timestamp"]
+        frame = map_frame(camera, by_image[image.id], names, merging, extent=extent,
+                          timestamp=ts, image_id=image.id)
+        first.setdefault(math.floor(ts * 1.0 + 1e-9), (image.id, frame.observations))
+    expected = [o for w in sorted(first) for o in first[w][1]]
+    assert len(first) == 3 and expected
+    save_observations(tmp_path / "expected.csv", expected)
+    assert obs.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert mapped == [first[w][0] for w in sorted(first)]
 
 
 def test_density_merge(workspace, tmp_path, capsys):
@@ -460,6 +503,16 @@ def test_every_file_writing_command_writes_a_full_manifest(workspace, inputs, tm
     assert written and sorted(manifest["outputs"]) == sorted(written)
 
 
+def test_manifest_records_the_argv_main_parsed(workspace, tmp_path, monkeypatch):
+    argv = _map_argv(workspace, "--out", str(tmp_path / "a.csv"))
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "a.manifest.json").read_text())["argv"] == argv
+    argv = _map_argv(workspace, "--out", str(tmp_path / "b.csv"))
+    monkeypatch.setattr("sys.argv", ["posmap", *argv])
+    assert main() == 0
+    assert json.loads((tmp_path / "b.manifest.json").read_text())["argv"] == argv
+
+
 def test_a_run_with_no_output_hashes_nothing(workspace, monkeypatch):
     monkeypatch.setattr(posmap.cli, "_sha256", lambda path: pytest.fail(f"hashed {path}"))
     sim = _sim(workspace)
@@ -484,27 +537,62 @@ def _map_argv(ws, *extra):
             *extra]
 
 
+def _density_argv(tmp, *extra):
+    return ["density", "--observations", str(tmp / "obs.csv"), *extra, "--out", str(tmp / "d")]
+
+
+def _merge_with_header_extent(tmp, **fields):
+    """``density --merge a b`` where raster ``b``'s header extent has ``fields`` replaced."""
+    for base in ("a", "b"):
+        save_density(tmp / base, zero_raster(MapExtent((0.0, 0.0), 0.0, 4.5, 32.0), 0.5))
+    header = density_paths(tmp / "b")["json"]
+    doc = json.loads(header.read_text())
+    doc["extent"].update(fields)
+    header.write_text(json.dumps(doc))
+    return ["density", "--merge", str(tmp / "a"), str(tmp / "b"), "--out", str(tmp / "m")]
+
+
+_BAD_SIZE = "extent width and length must be finite and positive"
+
+# argv, and the message expected on stderr: {tmp} is the test's directory
 CONFIG_ERRORS = {
     "unknown-treatment": (
         lambda ws, tmp: _map_argv(ws, "--treatment", "bogus", "--out", "/dev/null"),
         "unknown treatment"),
     "density-negative-width": (
-        lambda ws, tmp: ["density", "--observations", str(tmp / "obs.csv"),
-                         "--extent", _extent(ws, tmp, width=-4.5), "--out", str(tmp / "d")],
-        "finite and positive"),
+        lambda ws, tmp: _density_argv(tmp, "--extent", _extent(ws, tmp, width=-4.5)),
+        "extent file {tmp}/extent.json: " + _BAD_SIZE),
     "density-nan-width": (
-        lambda ws, tmp: ["density", "--observations", str(tmp / "obs.csv"),
-                         "--extent", _extent(ws, tmp, width=float("nan")),
-                         "--out", str(tmp / "d")],
-        "finite and positive"),
+        lambda ws, tmp: _density_argv(tmp, "--extent", _extent(ws, tmp, width=math.nan)),
+        "extent file {tmp}/extent.json: " + _BAD_SIZE),
     "map-negative-width": (
         lambda ws, tmp: _map_argv(ws, "--extent", _extent(ws, tmp, width=-4.5),
                                   "--out", str(tmp / "obs.csv")),
-        "finite and positive"),
+        "extent file {tmp}/extent.json: " + _BAD_SIZE),
     "map-infinite-rotation": (
-        lambda ws, tmp: _map_argv(ws, "--extent", _extent(ws, tmp, rotation=float("inf")),
+        lambda ws, tmp: _map_argv(ws, "--extent", _extent(ws, tmp, rotation=math.inf),
                                   "--out", str(tmp / "obs.csv")),
-        "must be finite"),
+        "extent file {tmp}/extent.json: extent origin and rotation must be finite"),
+    "merge-header-negative-width": (
+        lambda ws, tmp: _merge_with_header_extent(tmp, width=-4.5),
+        "density header {tmp}/b.json: " + _BAD_SIZE),
+    "map-nan-sample-rate": (
+        lambda ws, tmp: _map_argv(ws, "--sample-rate", "nan", "--out", str(tmp / "obs.csv")),
+        "sample rate must be finite and positive, got nan"),
+    "map-infinite-sample-rate": (
+        lambda ws, tmp: _map_argv(ws, "--sample-rate", "inf", "--out", str(tmp / "obs.csv")),
+        "sample rate must be finite and positive, got inf"),
+    "map-nan-fps": (
+        lambda ws, tmp: _map_argv(ws, "--fps", "nan", "--out", str(tmp / "obs.csv")),
+        "fps must be positive and finite, got nan"),
+    "density-nan-cell": (
+        lambda ws, tmp: _density_argv(tmp, "--extent", str(_sim(ws) / "extent.json"),
+                                      "--cell", "nan"),
+        "cell size must be finite and positive, got nan"),
+    "density-infinite-cell": (
+        lambda ws, tmp: _density_argv(tmp, "--extent", str(_sim(ws) / "extent.json"),
+                                      "--cell", "inf"),
+        "cell size must be finite and positive, got inf"),
 }
 
 
@@ -514,7 +602,7 @@ def test_config_error_exits_2(workspace, tmp_path, capsys, case):
     capsys.readouterr()
     argv, message = CONFIG_ERRORS[case]
     assert main(argv(workspace, tmp_path)) == 2
-    assert message in capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
 
 
 def test_bad_prior_exits_2(workspace):

@@ -1,4 +1,4 @@
-"""Density rasters: exact mass, bitwise-mergeable grids, temporal decimation."""
+"""Density rasters: exact mass, bitwise-mergeable grids, persistence."""
 
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ from posmap import density
 from posmap.density import (
     QUANTUM,
     DensityGrid,
-    accumulate,
-    collect,
     grid_shape,
     kde_raster,
     load_density,
@@ -25,18 +23,13 @@ from posmap.density import (
     zero_raster,
 )
 from posmap.errors import ConfigError, DataError
-from posmap.mapping import Box3D, FrameMapResult, GroundObservation, MapExtent
+from posmap.mapping import Box3D, GroundObservation, MapExtent
 
 
 def _obs(x, y, cls="pedestrian", ts=None, src="", oid=1):
     box = Box3D(center_x=x, center_y=y, yaw=0.0, width=0.5, length=0.6, height=1.75)
     return GroundObservation(class_name=cls, x=x, y=y, box=box,
                              annotation_id=oid, image_id=0, timestamp=ts, source=src)
-
-
-def _frame(ts, src, obs=()):
-    return FrameMapResult(observations=tuple(obs), out_of_extent=(), failures=(),
-                          runtime_s=0.0, timestamp=ts, source=src)
 
 
 def _scatter(extent, n, seed=0):
@@ -314,59 +307,9 @@ def test_bandwidth_floor_is_half_a_cell(extent):
 def test_grid_shape(extent):
     assert grid_shape(extent, 0.5) == (64, 9)
     assert grid_shape(extent, 1.0) == (32, 5)  # width 4.5 rounds up
-    with pytest.raises(ConfigError):
-        grid_shape(extent, 0.0)
-
-
-# -- temporal accumulation -----------------------------------------------------
-
-
-def test_accumulate_first_frame_wins_per_window():
-    early = _frame(3.1, "cam0", [_obs(1.0, 1.0, ts=3.1)])
-    late = _frame(3.9, "cam0", [_obs(2.0, 2.0, ts=3.9)])
-    store: dict = {}
-    accumulate(store, [early, late], sample_rate_hz=1.0)
-    assert list(store) == [("cam0", 3)]
-    assert store[("cam0", 3)] == early.observations
-
-
-def test_accumulate_empty_frame_claims_window():
-    store: dict = {}
-    accumulate(store, [_frame(5.0, "cam0"), _frame(5.5, "cam0", [_obs(1.0, 1.0)])],
-               sample_rate_hz=1.0)
-    assert store[("cam0", 5)] == ()
-
-
-def test_accumulate_sources_are_independent():
-    store: dict = {}
-    accumulate(store, [_frame(0.2, "a", [_obs(1.0, 1.0)]),
-                       _frame(0.7, "b", [_obs(2.0, 2.0)])])
-    assert set(store) == {("a", 0), ("b", 0)}
-
-
-def test_accumulate_decimates_to_sample_rate():
-    # 97.3 seconds of 10 fps video decimated at 1 Hz
-    duration = 97.3
-    frames = [_frame(i / 10.0, "cam0") for i in range(int(duration * 10))]
-    store: dict = {}
-    accumulate(store, frames, sample_rate_hz=1.0)
-    assert len(store) <= math.ceil(duration)
-
-
-def test_accumulate_errors():
-    with pytest.raises(ConfigError, match="sample rate"):
-        accumulate({}, [], sample_rate_hz=0.0)
-    with pytest.raises(DataError, match="timestamp"):
-        accumulate({}, [_frame(None, "cam0")])
-
-
-def test_collect_orders_by_source_then_window():
-    store = {
-        ("b", 0): (_obs(1.0, 1.0, oid=3),),
-        ("a", 1): (_obs(1.0, 1.0, oid=2),),
-        ("a", 0): (_obs(1.0, 1.0, oid=1),),
-    }
-    assert [o.annotation_id for o in collect(store)] == [1, 2, 3]
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            grid_shape(extent, bad)
 
 
 # -- persistence -----------------------------------------------------------------

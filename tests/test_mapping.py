@@ -1,15 +1,16 @@
-"""Ground-plane mapping: footpoints, 3D boxes, extents, persistence."""
+"""Ground-plane mapping: footpoints, 3D boxes, frame sampling, persistence."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from posmap.camera import CameraModel, Distortion, Intrinsics, Pose
 from posmap.coco import Annotation
-from posmap.errors import DataError, DegenerateGeometryError
+from posmap.errors import ConfigError, DataError, DegenerateGeometryError
 from posmap.mapping import (
     Box3D,
     GroundObservation,
@@ -20,6 +21,7 @@ from posmap.mapping import (
     load_observations,
     locate,
     map_frame,
+    sample_frames,
     save_observations,
     top_point,
 )
@@ -95,9 +97,10 @@ def test_locate_height_stays_plausible_under_pixel_noise(camera, rng):
     assert max(heights) < 1.80
 
 
-def test_locate_applies_treatment(camera):
-    ann = _person_ann(camera, 2.25, 12.0)
-    obs = locate(camera, ann, "roller", MERGING)
+def test_map_frame_applies_treatment(camera):
+    roller = TAX.by_name("roller").class_id
+    ann = replace(_person_ann(camera, 2.25, 12.0), category_id=roller)
+    (obs,) = map_frame(camera, [ann], CLASS_NAMES, MERGING).observations
     assert obs.class_name == "pedestrian"
 
 
@@ -230,6 +233,41 @@ def test_map_frame_unknown_category(camera):
     bad = _bbox_ann(100.0, 100.0, 10.0, 20.0, cat=999)
     with pytest.raises(DataError, match="unknown category"):
         map_frame(camera, [bad], CLASS_NAMES, MERGING)
+
+
+# -- frame sampling -------------------------------------------------------------
+
+
+def test_sample_frames_first_frame_wins_per_window():
+    assert sample_frames([3.1, 3.9], 1.0) == [0]
+    assert sample_frames([0.0, 0.4, 0.5, 0.99, 1.0], 2.0) == [0, 2, 4]
+
+
+def test_sample_frames_empty_frame_claims_window(camera):
+    frames = [[], [_person_ann(camera, 2.25, 12.0)]]  # at 5.0 s and 5.5 s
+    kept = sample_frames([5.0, 5.5], 1.0)
+    assert kept == [0]
+    assert [map_frame(camera, frames[i], CLASS_NAMES, MERGING).observations
+            for i in kept] == [()]
+
+
+def test_sample_frames_decimates_to_sample_rate():
+    # 97.3 seconds of 10 fps video decimated at 1 Hz
+    duration = 97.3
+    kept = sample_frames([i / 10.0 for i in range(int(duration * 10))], 1.0)
+    assert len(kept) == math.ceil(duration)
+    assert kept == list(range(0, int(duration * 10), 10))
+
+
+def test_sample_frames_returns_window_order():
+    # image-id order need not be time order: windows 2, 0, 1, 0
+    assert sample_frames([2.5, 0.2, 1.7, 0.9], 1.0) == [1, 2, 0]
+
+
+def test_sample_frames_refuses_bad_rates():
+    for rate in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="sample rate must be finite and positive"):
+            sample_frames([0.0, 1.0], rate)
 
 
 # -- persistence ----------------------------------------------------------------
