@@ -7,8 +7,9 @@ directories, and after the command returns writes one manifest recording
 the exact argument vector, resolved options, SHA-256 of each input, the
 paths written, library versions, and wall time — enough to reproduce or
 audit a run. Each ``cmd_*`` only reads, computes, writes and returns the
-paths it wrote. Exit codes: 2 for configuration problems, 3 for bad data,
-4 for numeric/geometry failures.
+paths it wrote. ``main`` refuses an output that would overwrite a declared
+input, and every float flag must be finite. Exit codes: 2 for configuration
+problems, 3 for bad data, 4 for numeric/geometry failures.
 """
 
 from __future__ import annotations
@@ -92,12 +93,19 @@ class _Output(str):
     def manifest(self) -> Path:
         return Path(self).with_name(Path(self).stem + ".manifest.json")
 
+    def files(self) -> list[Path]:
+        """What the command writes: files, or a directory and every file under it."""
+        return [Path(self)]
+
 
 class _RasterOutput(_Output):
     """A raster base the command writes; its manifest is ``<base>.manifest.json``."""
 
     def manifest(self) -> Path:
         return Path(self).with_name(Path(self).name + ".manifest.json")
+
+    def files(self) -> list[Path]:
+        return list(density_paths(self).values())
 
 
 class _DirOutput(_Output):
@@ -113,6 +121,27 @@ def _declared(args: argparse.Namespace, kind: type) -> list:
     for value in vars(args).values():
         found += [v for v in (value if isinstance(value, list) else [value]) if isinstance(v, kind)]
     return found
+
+
+def _refuse_overwrites(inputs: list[_Input], outputs: list[_Output]) -> None:
+    """Raise ``ConfigError`` if an output would overwrite a declared input.
+
+    An input collides with an output file, and with any file under an output
+    directory, since the command names the files it writes there. A raster
+    output may replace a raster input of the same base, as in ``density
+    --merge A B --out A``: every raster is read before any is written.
+    """
+    for out in outputs:
+        written = [p.resolve() for p in out.files()]
+        for source in inputs:
+            if isinstance(source, _RasterInput) and isinstance(out, _RasterOutput) and (
+                Path(source).resolve() == Path(out).resolve()
+            ):
+                continue
+            for path in source.files():
+                resolved = path.resolve()
+                if any(resolved.is_relative_to(w) for w in written):
+                    raise ConfigError(f"output {out} would overwrite input {path}")
 
 
 def _sha256(path: Path) -> str:
@@ -147,6 +176,46 @@ def _write_manifest(
     if "seed" in resolved:
         manifest["seed"] = resolved["seed"]
     path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+# what a float flag must be: its description and its test
+_FINITE = ("finite", math.isfinite)
+_POSITIVE = ("finite and positive", lambda v: 0.0 < v < math.inf)
+_NON_NEGATIVE = ("finite and non-negative", lambda v: 0.0 <= v < math.inf)
+_UNIT = ("within [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_OPEN_UNIT = ("within (0, 1)", lambda v: 0.0 < v < 1.0)
+
+
+def _number(name: str, rule: tuple = _FINITE):
+    """The argparse type of a float flag: a number that passes ``rule``.
+
+    A refusal is a ``ConfigError`` (exit 2), which argparse lets through.
+    """
+    what, ok = rule
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise ConfigError(f"{name} must be {what}, got {text}")
+        return value
+
+    return parse
+
+
+def _bandwidth(text: str) -> float | str:
+    return text if text == "auto" else _number("bandwidth", _NON_NEGATIVE)(text)
+
+
+def _prior(spec: str) -> tuple[str, tuple[float, float]]:
+    """``CLASS:W:L``: a class and its footprint width and length in metres."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"prior {spec!r} must look like class:width:length")
+    size = _number(f"prior {spec!r} size", _POSITIVE)
+    return parts[0], (size(parts[1]), size(parts[2]))
 
 
 def _resolve_treatment(name: str, taxonomy_path: str | None):
@@ -230,29 +299,12 @@ def cmd_project(args: argparse.Namespace) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_priors(specs: list[str] | None) -> SizePriors:
-    if not specs:
-        return SizePriors()
-    table = dict(SizePriors().by_class)
-    for spec in specs:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"prior {spec!r} must look like class:width:length")
-        try:
-            table[parts[0]] = (float(parts[1]), float(parts[2]))
-        except ValueError as e:
-            raise ConfigError(f"prior {spec!r} has non-numeric size: {e}") from e
-    return SizePriors(by_class=table)
-
-
 def cmd_map(args: argparse.Namespace) -> list[Path]:
-    if not 0.0 < args.fps < math.inf:
-        raise ConfigError(f"fps must be positive and finite, got {args.fps}")
     camera = load_camera(args.camera)
     ds = load_dataset(args.annotations)
     treatment = _resolve_treatment(args.treatment, args.taxonomy)
     extent = load_extent(args.extent) if args.extent else None
-    priors = _parse_priors(args.prior)
+    priors = SizePriors(by_class={**SizePriors().by_class, **dict(args.prior or [])})
     class_names = {c.id: c.name for c in ds.categories}
     by_image = ds.anns_by_image()
     images = sorted(ds.images, key=lambda im: im.id)
@@ -318,7 +370,7 @@ def cmd_density(args: argparse.Namespace) -> list[Path]:
         raise ConfigError("density needs --observations and --extent (or --merge)")
     observations = load_observations(args.observations)
     extent = load_extent(args.extent)
-    bandwidth = None if args.bandwidth in (None, "auto") else float(args.bandwidth)
+    bandwidth = None if args.bandwidth == "auto" else args.bandwidth
     classes = tuple(args.classes.split(",")) if args.classes else None
     grid = kde_raster(
         observations, extent, args.cell, bandwidth=bandwidth, classes=classes
@@ -605,8 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_proj = sub.add_parser("project", help="project between pixels and the ground plane")
     p_proj.add_argument("--camera", type=_Input, required=True)
     g = p_proj.add_mutually_exclusive_group(required=True)
-    g.add_argument("--pixel", nargs=2, type=float, metavar=("U", "V"))
-    g.add_argument("--world", nargs=3, type=float, metavar=("X", "Y", "Z"))
+    g.add_argument("--pixel", nargs=2, type=_number("pixel coordinate"), metavar=("U", "V"))
+    g.add_argument("--world", nargs=3, type=_number("world coordinate"),
+                   metavar=("X", "Y", "Z"))
     p_proj.set_defaults(func=cmd_project)
 
     p_map = sub.add_parser("map", help="map detections onto the ground plane")
@@ -615,9 +668,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--treatment", default="merging")
     p_map.add_argument("--taxonomy", type=_Input, default=None)
     p_map.add_argument("--extent", type=_Input, default=None)
-    p_map.add_argument("--prior", action="append", metavar="CLASS:W:L")
-    p_map.add_argument("--fps", type=float, default=1.0)
-    p_map.add_argument("--sample-rate", type=float, default=None,
+    p_map.add_argument("--prior", type=_prior, action="append", metavar="CLASS:W:L")
+    p_map.add_argument("--fps", type=_number("fps", _POSITIVE), default=1.0)
+    p_map.add_argument("--sample-rate", type=_number("sample rate", _POSITIVE), default=None,
                        help="map only the first frame of each 1/RATE s window")
     p_map.add_argument("--source", default="")
     p_map.add_argument("--out", type=_Output, required=True)
@@ -626,8 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_den = sub.add_parser("density", help="rasterize observations to a density grid")
     p_den.add_argument("--observations", type=_Input)
     p_den.add_argument("--extent", type=_Input)
-    p_den.add_argument("--cell", type=float, default=0.25)
-    p_den.add_argument("--bandwidth", default="auto")
+    p_den.add_argument("--cell", type=_number("cell size", _POSITIVE), default=0.25)
+    p_den.add_argument("--bandwidth", type=_bandwidth, default="auto")
     p_den.add_argument("--classes", default=None, help="comma-separated filter")
     p_den.add_argument("--merge", type=_RasterInput, nargs="+", default=None, metavar="BASE")
     p_den.add_argument("--out", type=_RasterOutput, required=True)
@@ -665,8 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
         "filter-annotations", help="keep detections worth human annotation"
     )
     p_filt.add_argument("--detections", type=_Input, required=True)
-    p_filt.add_argument("--score", type=float, default=0.75)
-    p_filt.add_argument("--min-area", type=float, default=600.0)
+    p_filt.add_argument("--score", type=_number("score threshold"), default=0.75)
+    p_filt.add_argument("--min-area", type=_number("minimum area"), default=600.0)
     p_filt.add_argument("--out", type=_Output, required=True)
     p_filt.set_defaults(func=cmd_filter)
 
@@ -679,21 +732,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-dir", type=_DirOutput, required=True)
     p_sim.add_argument("--frames", type=int, default=60)
     p_sim.add_argument("--agents", type=int, default=12)
-    p_sim.add_argument("--cyclists", type=float, default=0.0)
-    p_sim.add_argument("--fps", type=float, default=1.0)
+    p_sim.add_argument("--cyclists", type=_number("cyclist fraction", _UNIT), default=0.0)
+    p_sim.add_argument("--fps", type=_number("fps", _POSITIVE), default=1.0)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--noise", type=float, default=0.0, help="vertex noise in px")
-    p_sim.add_argument("--miss", type=float, default=0.0, help="miss rate in [0,1]")
-    p_sim.add_argument("--confusion", type=float, default=0.0,
+    p_sim.add_argument("--noise", type=_number("noise", _NON_NEGATIVE), default=0.0,
+                       help="vertex noise in px")
+    p_sim.add_argument("--miss", type=_number("miss rate", _UNIT), default=0.0,
+                       help="miss rate in [0,1]")
+    p_sim.add_argument("--confusion", type=_number("confusion rate", _UNIT), default=0.0,
                        help="class confusion rate in [0,1]")
     p_sim.add_argument("--extent", type=_Input, default=None,
                        help="extent JSON (default 4.5x32 m)")
-    p_sim.add_argument("--attractor", nargs=2, type=float, default=None, metavar=("X", "Y"))
+    p_sim.add_argument("--attractor", nargs=2, type=_number("attractor coordinate"),
+                       default=None, metavar=("X", "Y"))
     p_sim.set_defaults(func=cmd_simulate)
 
     p_split = sub.add_parser("split", help="train/test split by image")
     p_split.add_argument("--annotations", type=_Input, required=True)
-    p_split.add_argument("--fraction", type=float, default=0.9)
+    p_split.add_argument("--fraction", type=_number("train fraction", _OPEN_UNIT), default=0.9)
     p_split.add_argument("--seed", type=int, default=0)
     p_split.add_argument("--stratify", default=None)
     p_split.add_argument("--out-train", type=_Output, required=True)
@@ -706,18 +762,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; with an output set, hash its inputs and write its manifest.
 
-    Inputs are hashed before the command runs, since an output may overwrite
-    one (``density --merge A B --out A``). A declared input that does not
-    exist is left to its loader, whose ``DataError`` names it.
+    Inputs are hashed before the command runs, since an output may replace
+    one (``density --merge A B --out A``); any other output that would
+    overwrite an input is refused. A declared input that does not exist is
+    left to its loader, whose ``DataError`` names it.
     """
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(argv)
-    outputs = _declared(args, _Output)
     try:
+        args = build_parser().parse_args(argv)
+        outputs = _declared(args, _Output)
         if not outputs:
             args.func(args)
             return 0
+        _refuse_overwrites(_declared(args, _Input), outputs)
         t0 = time.perf_counter()
         inputs = {
             str(p): _sha256(p)

@@ -226,6 +226,13 @@ def _dataset_from_doc(doc: dict, path: str | Path) -> Dataset:
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"annotation file {path} is malformed: {e}") from e
 
+    for im in images:
+        ts = im.extra.get("timestamp")
+        if ts is not None and not (type(ts) is int or (type(ts) is float and math.isfinite(ts))):
+            raise DataError(
+                f"annotation file {path}: image {im.id} has timestamp {ts!r}, "
+                "not a finite number"
+            )
     image_ids = {im.id for im in images}
     category_ids = {c.id for c in categories}
     if len(image_ids) != len(images):

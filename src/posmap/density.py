@@ -7,11 +7,12 @@ grid of ground cells. Two properties are load-bearing for downstream use:
   covers, so clipping at the extent boundary loses no mass: the raster
   integrates to the observation count to within quantization error.
 - **Mergeable rasters.** Every kernel's contribution is quantized to an
-  integer multiple of 2**-40 persons/m^2 before accumulation. Sums of such
-  multiples are exact in double precision (up to ~8000 persons/m^2), which
-  makes raster merging bitwise associative and commutative: per-day or
-  per-camera rasters can be combined in any order and match a single-pass
-  computation bit for bit.
+  integer multiple of 2**-40 persons/m^2, and cells hold int64 counts of
+  that quantum. Sums are integer additions, exact up to 2**63 - 1 quanta
+  (about 8.4 million persons/m^2 per cell); a merge that would pass that
+  raises instead of wrapping. So raster merging is bitwise associative and
+  commutative: per-day or per-camera rasters can be combined in any order
+  and match a single-pass computation bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_json
+from .errors import ConfigError, DataError, NumericError, read_json
 from .mapping import GroundObservation, MapExtent, extent_from_dict, extent_to_dict
 
 __all__ = [
@@ -38,6 +39,12 @@ __all__ = [
 ]
 
 QUANTUM = 2.0**-40
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# float cells of the format without a "quantum" header field: below this
+# value, a multiple of QUANTUM scales to an int64 count exactly
+_FLOAT_CELL_LIMIT = 2.0**23
+# the PGM's gray levels as text, looked up rather than formatted per cell
+_GRAY_LEVELS = [str(level) for level in range(256)]
 _TRUNCATE_SIGMAS = 5.0
 # window cells computed at once: each kernel temporary stays at 256 KB
 _CHUNK_CELLS = 1 << 15
@@ -47,27 +54,39 @@ _CHUNK_CELLS = 1 << 15
 class DensityGrid:
     """A gridded density field over a map extent.
 
-    ``values[row, col]`` is persons/m^2 at the cell whose local-frame center
-    is ``((col + 0.5) * cell_size, (row + 0.5) * cell_size)``; row 0 is the
-    extent's local y = 0 edge. The grid is ceil-sized, so it may overhang
-    the extent by a partial cell on the far edges.
+    ``quanta[row, col]`` (int64) counts :data:`QUANTUM` persons/m^2 at the
+    cell whose local-frame center is ``((col + 0.5) * cell_size, (row + 0.5)
+    * cell_size)``; row 0 is the extent's local y = 0 edge. The grid is
+    ceil-sized, so it may overhang the extent by a partial cell on the far
+    edges.
     """
 
     extent: MapExtent
     cell_size: float
-    values: np.ndarray
+    quanta: np.ndarray
     bandwidth: float | None
     total_count: int
     time_window: tuple[float, float] | None
     classes: tuple[str, ...]
 
     @property
+    def values(self) -> np.ndarray:
+        """Persons/m^2 per cell, as float64."""
+        return self.quanta * QUANTUM
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return self.values.shape  # type: ignore[return-value]
+        return self.quanta.shape  # type: ignore[return-value]
 
     def mass(self) -> float:
-        """Integral of the raster, in persons."""
-        return float(self.values.sum()) * self.cell_size**2
+        """Integral of the raster, in persons.
+
+        The cells are summed exactly as 32-bit halves, which cannot overflow
+        int64 below 2**31 cells, then scaled once.
+        """
+        high = int((self.quanta >> 32).sum())
+        low = int((self.quanta & 0xFFFFFFFF).sum())
+        return ((high << 32) + low) * QUANTUM * self.cell_size**2
 
 
 def grid_shape(extent: MapExtent, cell_size: float) -> tuple[int, int]:
@@ -152,7 +171,7 @@ def kde_raster(
             f"kernel for point ({lx[i]:.3f}, {ly[i]:.3f}) covers no grid cell"
         )
 
-    values = np.zeros((ny, nx))
+    quanta = np.zeros((ny, nx), dtype=np.int64)
     # points whose clipped windows have one shape are computed together
     shape_key = (r1 - r0 + 1) * (nx + 1) + (c1 - c0 + 1)
     for key in sorted(set(shape_key.tolist())):
@@ -161,14 +180,14 @@ def kde_raster(
         chunk = max(1, _CHUNK_CELLS // (window[0] * window[1]))
         for begin in range(0, len(members), chunk):
             idx = members[begin : begin + chunk]
-            _add_kernels(values, lx[idx], ly[idx], r0[idx], c0[idx], window, h, cell_size)
+            _add_kernels(quanta, lx[idx], ly[idx], r0[idx], c0[idx], window, h, cell_size)
 
     times = [o.timestamp for o in kept if o.timestamp is not None]
     names = tuple(sorted({o.class_name for o in kept}))
     return DensityGrid(
         extent=extent,
         cell_size=cell_size,
-        values=values,
+        quanta=quanta,
         bandwidth=h,
         total_count=len(kept),
         time_window=(min(times), max(times)) if times else None,
@@ -177,7 +196,7 @@ def kde_raster(
 
 
 def _add_kernels(
-    values: np.ndarray,
+    quanta: np.ndarray,
     lx: np.ndarray,
     ly: np.ndarray,
     r0: np.ndarray,
@@ -190,7 +209,10 @@ def _add_kernels(
 
     Each kernel takes the steps of a kernel computed alone: Gaussians in x
     and in y on the window's cell centers, their outer product, divided by
-    its integral over the window, rounded to a multiple of QUANTUM.
+    its integral over the window, rounded to a multiple of QUANTUM and
+    added to ``quanta`` as that multiple. A kernel that could carry a cell
+    of its window past 2**63 - 1 quanta raises :class:`NumericError`
+    instead: the check is conservative by at most one kernel's peak.
     """
     gy, gx = window
     cols = c0[:, None] + np.arange(gx)
@@ -201,10 +223,16 @@ def _add_kernels(
     mass = kernel.reshape(len(lx), -1).sum(axis=1) * (cell_size * cell_size)
     kernel /= mass[:, None, None]
     kernel *= 1.0 / QUANTUM  # a power of two: the same bits as / QUANTUM
-    np.round(kernel, out=kernel)
-    kernel *= QUANTUM
-    for r, c, contrib in zip(r0.tolist(), c0.tolist(), kernel):
-        values[r : r + gy, c : c + gx] += contrib
+    counts = np.round(kernel, out=kernel).astype(np.int64)
+    peaks = counts.max(axis=(1, 2)).tolist()
+    # windows are checked one by one only if every peak landing on the
+    # fullest cell could pass the limit
+    near_limit = int(quanta.max()) > _INT64_MAX - sum(peaks)
+    for r, c, contrib, peak in zip(r0.tolist(), c0.tolist(), counts, peaks):
+        cells = quanta[r : r + gy, c : c + gx]
+        if near_limit and int(cells.max()) > _INT64_MAX - peak:
+            raise NumericError("a raster cell would pass 2**63 - 1 quanta")
+        cells += contrib
 
 
 def zero_raster(extent: MapExtent, cell_size: float) -> DensityGrid:
@@ -213,7 +241,7 @@ def zero_raster(extent: MapExtent, cell_size: float) -> DensityGrid:
     return DensityGrid(
         extent=extent,
         cell_size=cell_size,
-        values=np.zeros((ny, nx)),
+        quanta=np.zeros((ny, nx), dtype=np.int64),
         bandwidth=None,
         total_count=0,
         time_window=None,
@@ -224,14 +252,23 @@ def zero_raster(extent: MapExtent, cell_size: float) -> DensityGrid:
 def merge_rasters(a: DensityGrid, b: DensityGrid) -> DensityGrid:
     """Combine two rasters on the same grid by summing densities.
 
-    Because all values are quantized, ``merge(merge(a, b), c)`` equals
-    ``merge(a, merge(b, c))`` bit for bit.
+    The cells are added as integers, so ``merge(merge(a, b), c)`` equals
+    ``merge(a, merge(b, c))`` bit for bit. A cell whose sum would pass
+    2**63 - 1 quanta raises :class:`NumericError`; it never wraps.
     """
     if a.extent != b.extent or a.cell_size != b.cell_size:
         raise ConfigError("cannot merge rasters on different grids")
-    if a.values.shape != b.values.shape:
+    if a.quanta.shape != b.quanta.shape:
         raise ConfigError(
-            f"raster shapes differ: {a.values.shape} vs {b.values.shape}"
+            f"raster shapes differ: {a.quanta.shape} vs {b.quanta.shape}"
+        )
+    # cells are non-negative, so the headroom never underflows
+    over = a.quanta > _INT64_MAX - b.quanta
+    if over.any():
+        row, col = np.argwhere(over)[0]
+        raise NumericError(
+            f"merged raster cell ({row}, {col}) would pass 2**63 - 1 quanta: "
+            f"{int(a.quanta[row, col])} + {int(b.quanta[row, col])}"
         )
 
     def combine(x, y):
@@ -252,7 +289,7 @@ def merge_rasters(a: DensityGrid, b: DensityGrid) -> DensityGrid:
     return DensityGrid(
         extent=a.extent,
         cell_size=a.cell_size,
-        values=a.values + b.values,
+        quanta=a.quanta + b.quanta,
         bandwidth=combine(a.bandwidth, b.bandwidth),
         total_count=a.total_count + b.total_count,
         time_window=tw,
@@ -275,19 +312,18 @@ def density_paths(base: str | Path) -> dict[str, Path]:
 
 
 def save_density(base: str | Path, grid: DensityGrid) -> dict[str, Path]:
-    """Write ``<base>.csv`` (values), ``<base>.json`` (header), ``<base>.pgm``.
+    """Write ``<base>.csv`` (cells), ``<base>.json`` (header), ``<base>.pgm``.
 
-    CSV cells use shortest round-trip float formatting, so save/load is
-    lossless and reruns are byte-identical. The PGM is a quick-look image
-    scaled to the raster maximum.
+    CSV cells are the integer quanta, and the header's ``"quantum"`` field
+    records their unit (2**-40 persons/m^2), so save/load is lossless and
+    reruns are byte-identical. The PGM is a quick-look image scaled to the
+    raster maximum.
     """
     paths = density_paths(base)
     csv_path, json_path, pgm_path = paths["csv"], paths["json"], paths["pgm"]
     csv_path.parent.mkdir(parents=True, exist_ok=True)
 
-    lines = [
-        ",".join(repr(float(v)) for v in row) for row in grid.values
-    ]
+    lines = [",".join(map(str, row)) for row in grid.quanta.tolist()]
     csv_path.write_text("\n".join(lines) + "\n")
 
     header = {
@@ -297,18 +333,20 @@ def save_density(base: str | Path, grid: DensityGrid) -> dict[str, Path]:
         "total_count": grid.total_count,
         "time_window": list(grid.time_window) if grid.time_window else None,
         "classes": list(grid.classes),
-        "shape": list(grid.values.shape),
+        "shape": list(grid.shape),
+        "quantum": QUANTUM,
     }
     json_path.write_text(json.dumps(header, indent=2) + "\n")
 
-    vmax = float(grid.values.max()) if grid.values.size else 0.0
+    values = grid.values
+    vmax = float(values.max()) if values.size else 0.0
     if vmax > 0:
-        img = np.clip(np.round(grid.values / vmax * 255.0), 0, 255).astype(int)
+        img = np.clip(np.round(values / vmax * 255.0), 0, 255).astype(int)
     else:
-        img = np.zeros(grid.values.shape, dtype=int)
-    ny, nx = grid.values.shape
+        img = np.zeros(values.shape, dtype=int)
+    ny, nx = values.shape
     pgm_lines = ["P2", f"{nx} {ny}", "255"]
-    pgm_lines += [" ".join(str(v) for v in row) for row in img]
+    pgm_lines += [" ".join([_GRAY_LEVELS[v] for v in row]) for row in img.tolist()]
     pgm_path.write_text("\n".join(pgm_lines) + "\n")
     return paths
 
@@ -316,23 +354,27 @@ def save_density(base: str | Path, grid: DensityGrid) -> dict[str, Path]:
 def load_density(base: str | Path) -> DensityGrid:
     """Read a raster written by :func:`save_density` (CSV + JSON header).
 
-    A cell that is not a finite, non-negative multiple of :data:`QUANTUM`
-    is refused: the exact merge law holds only for such cells.
+    A header with ``"quantum"`` (which must be 2**-40) has integer cells,
+    each a non-negative count of :data:`QUANTUM` that fits int64. A header
+    without it has the earlier float cells, each a finite, non-negative
+    multiple of :data:`QUANTUM` below 2**23, converted to quanta exactly.
+    Any other cell is refused: the exact merge law holds only for these.
     """
     paths = density_paths(base)
     json_path, csv_path = paths["json"], paths["csv"]
     header = read_json(json_path, "density header")
+    integer_cells = "quantum" in header
+    if integer_cells and header["quantum"] != QUANTUM:
+        raise DataError(
+            f"density header {json_path}: quantum {header['quantum']!r} is not 2**-40"
+        )
     try:
-        rows = [
-            [float(v) for v in line.split(",")]
-            for line in csv_path.read_text().strip().splitlines()
-        ]
-        values = np.asarray(rows, dtype=float)
+        quanta = _read_quanta(csv_path) if integer_cells else _read_float_cells(csv_path)
         tw = header.get("time_window")
         grid = DensityGrid(
             extent=extent_from_dict(header["extent"]),
             cell_size=float(header["cell_size"]),
-            values=values,
+            quanta=quanta,
             bandwidth=header.get("bandwidth"),
             total_count=int(header["total_count"]),
             time_window=(float(tw[0]), float(tw[1])) if tw else None,
@@ -344,18 +386,45 @@ def load_density(base: str | Path) -> DensityGrid:
         raise DataError(f"density raster {base} is malformed: {e}") from e
     except ConfigError as e:
         raise ConfigError(f"density header {json_path}: {e}") from e
-    if list(values.shape) != list(header.get("shape", values.shape)):
+    if list(quanta.shape) != list(header.get("shape", quanta.shape)):
         raise DataError(
-            f"density raster {base}: CSV shape {values.shape} does not match "
+            f"density raster {base}: CSV shape {quanta.shape} does not match "
             f"header {header.get('shape')}"
         )
+    return grid
+
+
+def _read_quanta(csv_path: Path) -> np.ndarray:
+    """Integer cells, refused unless each is a non-negative int64."""
+    try:
+        quanta = np.loadtxt(csv_path, delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError as e:
+        raise DataError(f"density values file {csv_path}: {e}") from None
+    negative = quanta < 0
+    if negative.any():
+        row, col = np.argwhere(negative)[0]
+        raise DataError(
+            f"density values file {csv_path}: cell ({row}, {col}) = "
+            f"{int(quanta[row, col])} is not a non-negative integer"
+        )
+    return quanta
+
+
+def _read_float_cells(csv_path: Path) -> np.ndarray:
+    """Float cells as quanta, refused unless each is a multiple of QUANTUM in [0, 2**23)."""
+    rows = [
+        [float(v) for v in line.split(",")]
+        for line in csv_path.read_text().strip().splitlines()
+    ]
+    values = np.asarray(rows, dtype=float)
     # a multiple of QUANTUM scales exactly to a whole number; every float >= 2**12 is one
     scaled = np.minimum(values, 2.0**12) * (1.0 / QUANTUM)
-    bad = ~((values >= 0.0) & (values < math.inf)) | (np.floor(scaled) != scaled)
+    bad = ~((values >= 0.0) & (values < _FLOAT_CELL_LIMIT)) | (np.floor(scaled) != scaled)
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise DataError(
             f"density values file {csv_path}: cell ({row}, {col}) = "
-            f"{float(values[row, col])!r} is not a non-negative multiple of 2**-40"
+            f"{float(values[row, col])!r} is not a non-negative multiple of 2**-40 "
+            "below 2**23"
         )
-    return grid
+    return (values * (1.0 / QUANTUM)).astype(np.int64)

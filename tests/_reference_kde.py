@@ -84,7 +84,7 @@ def kde_raster(
     return DensityGrid(
         extent=extent,
         cell_size=cell_size,
-        values=values,
+        quanta=np.round(values / QUANTUM).astype(np.int64),
         bandwidth=h,
         total_count=len(local),
         time_window=(min(times), max(times)) if times else None,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +16,7 @@ import pytest
 import posmap.cli
 from posmap import __version__
 from posmap.camera import Distortion, Intrinsics, load_camera, project_points
-from posmap.cli import main
+from posmap.cli import build_parser, main
 from posmap.coco import load_dataset, load_detections, save_dataset
 from posmap.density import density_paths, load_density, save_density, zero_raster
 from posmap.evaluation import EvalParams, pr_curve
@@ -25,6 +27,7 @@ from posmap.mapping import (
     map_frame,
     save_observations,
 )
+from posmap.errors import ConfigError
 from posmap.taxonomy import default_taxonomy, default_treatments, save_taxonomy
 
 LADDER = ("c75", "c50", "loc", "sim", "oth", "bg", "fn")
@@ -584,7 +587,7 @@ CONFIG_ERRORS = {
         "sample rate must be finite and positive, got inf"),
     "map-nan-fps": (
         lambda ws, tmp: _map_argv(ws, "--fps", "nan", "--out", str(tmp / "obs.csv")),
-        "fps must be positive and finite, got nan"),
+        "fps must be finite and positive, got nan"),
     "density-nan-cell": (
         lambda ws, tmp: _density_argv(tmp, "--extent", str(_sim(ws) / "extent.json"),
                                       "--cell", "nan"),
@@ -593,6 +596,10 @@ CONFIG_ERRORS = {
         lambda ws, tmp: _density_argv(tmp, "--extent", str(_sim(ws) / "extent.json"),
                                       "--cell", "inf"),
         "cell size must be finite and positive, got inf"),
+    "map-nan-prior": (
+        lambda ws, tmp: _map_argv(ws, "--prior", "pedestrian:nan:0.6",
+                                  "--out", str(tmp / "obs.csv")),
+        "prior 'pedestrian:nan:0.6' size must be finite and positive, got nan"),
 }
 
 
@@ -624,8 +631,65 @@ def test_bad_fps_exits_2(workspace, tmp_path, capsys, fps):
          "--annotations", str(sim / "gt.json"), f"--fps={fps}", "--out", str(out)]
     )
     assert rc == 2
-    assert "fps must be positive" in capsys.readouterr().err
+    assert "fps must be finite and positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _float_flags():
+    """(subcommand, action) of every flag whose parser type reads "0.5" as a float."""
+    found = []
+
+    def walk(parser, command):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, [*command, name])
+            elif action.option_strings and callable(action.type):
+                try:
+                    parsed = action.type("0.5")
+                except (ValueError, ConfigError):
+                    continue
+                if isinstance(parsed, float):
+                    found.append((command, action))
+
+    walk(build_parser(), [])
+    return found
+
+
+FLOAT_FLAGS = _float_flags()
+
+
+def test_float_flags_are_found():
+    names = {f"{' '.join(c)} {a.option_strings[0]}" for c, a in FLOAT_FLAGS}
+    assert {"map --fps", "map --sample-rate", "density --cell", "density --bandwidth",
+            "simulate --fps", "project --pixel"} <= names
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, action", FLOAT_FLAGS,
+    ids=[f"{'-'.join(c)}{a.option_strings[0]}" for c, a in FLOAT_FLAGS],
+)
+def test_non_finite_float_flag_exits_2(tmp_path, capsys, command, action, value):
+    with pytest.raises(ConfigError, match="must be"):
+        action.type(value)
+    sub = build_parser()
+    for name in command:
+        sub = next(a for a in sub._actions if isinstance(a, argparse._SubParsersAction))
+        sub = sub.choices[name]
+    argv = list(command)
+    for other in sub._actions:
+        if other.required and other.option_strings and other.dest != action.dest:
+            argv += [other.option_strings[0], *[str(tmp_path / "x")] * (other.nargs or 1)]
+    flag = action.option_strings[0]
+    # "--flag=-inf", since argparse reads a lone "-inf" as an option
+    argv += [f"{flag}={value}"] if action.nargs is None else [flag, value, *["0"] * (action.nargs - 1)]
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse's own refusal of "-inf" among several values
+        code = e.code
+    assert code == 2
+    assert not list(tmp_path.iterdir())
 
 
 def _merge_with_broken(tmp, kind: str, text: str | None):
@@ -636,7 +700,8 @@ def _merge_with_broken(tmp, kind: str, text: str | None):
     if text is None:
         broken.unlink()
     elif kind == "csv":  # replace the first cell
-        broken.write_text(text + broken.read_text()[3:])
+        cells = broken.read_text()
+        broken.write_text(text + cells[cells.index(","):])
     else:
         broken.write_text(text)
     return ["density", "--merge", str(tmp / "a"), str(tmp / "b"), "--out", str(tmp / "m")], broken
@@ -649,9 +714,21 @@ def _stats_with_taxonomy(ws, tmp, doc):
     return argv, tmp / "tax.json"
 
 
+def _map_with_timestamp(ws, tmp, timestamp):
+    """``map`` on the scene's annotations with the first image's timestamp replaced."""
+    doc = json.loads((_sim(ws) / "gt.json").read_text())
+    doc["images"][0]["timestamp"] = timestamp
+    (tmp / "gt.json").write_text(json.dumps(doc))
+    argv = ["map", "--camera", str(_sim(ws) / "camera.json"),
+            "--annotations", str(tmp / "gt.json"), "--out", str(tmp / "obs.csv")]
+    return argv, tmp / "gt.json"
+
+
 DATA_ERRORS = {
     "missing-annotations": lambda ws, tmp: (
         ["stats", "--annotations", str(tmp / "missing.json")], tmp / "missing.json"),
+    "map-nan-timestamp": lambda ws, tmp: _map_with_timestamp(ws, tmp, math.nan),
+    "map-string-timestamp": lambda ws, tmp: _map_with_timestamp(ws, tmp, "x"),
     "merge-missing-csv": lambda ws, tmp: _merge_with_broken(tmp, "csv", None),
     "merge-header-is-a-list": lambda ws, tmp: _merge_with_broken(tmp, "json", "[]"),
     "merge-nan-cell": lambda ws, tmp: _merge_with_broken(tmp, "csv", "nan"),
@@ -756,3 +833,61 @@ def test_numeric_error_exits_4(workspace, tmp_path, capsys):
                "--points", str(points), "--out", str(tmp_path / "cam.json")])
     assert rc == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_merge_past_int64_exits_4(tmp_path, capsys):
+    zero = zero_raster(MapExtent((0.0, 0.0), 0.0, 4.5, 32.0), 0.5)
+    full = dataclasses.replace(zero, quanta=np.full(zero.shape, 2**62, dtype=np.int64))
+    for base in ("a", "b"):
+        save_density(tmp_path / base, full)
+    argv = ["density", "--merge", str(tmp_path / "a"), str(tmp_path / "b"),
+            "--out", str(tmp_path / "m")]
+    assert main(argv) == 4
+    assert "would pass 2**63 - 1 quanta" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+# -- outputs never overwrite inputs ---------------------------------------------------
+
+
+def _copy_scene_file(ws, tmp, name):
+    (tmp / name).write_bytes((_sim(ws) / name).read_bytes())
+    return tmp / name
+
+
+def _observations(ws, tmp):
+    assert main(_map_argv(ws, "--out", str(tmp / "obs.csv"))) == 0
+    (tmp / "obs.manifest.json").unlink()
+    return tmp / "obs.csv"
+
+
+# argv, and the input it would overwrite: {tmp} is the test's directory
+OVERWRITES = {
+    "output-is-the-input": lambda ws, tmp: (
+        _map_argv(ws, "--extent", str(_copy_scene_file(ws, tmp, "extent.json")),
+                  "--out", str(tmp / "extent.json")),
+        tmp / "extent.json"),
+    "second-output-is-an-input": lambda ws, tmp: (
+        ["eval", "--gt", str(_copy_scene_file(ws, tmp, "gt.json")),
+         "--detections", str(_sim(ws) / "detections.json"), "--iou-mode", "bbox",
+         "--out", str(tmp / "eval.json"), "--pr-curves", str(tmp / "gt.json")],
+        tmp / "gt.json"),
+    "raster-csv-is-an-input": lambda ws, tmp: (
+        ["density", "--observations", str(_observations(ws, tmp)),
+         "--extent", str(_sim(ws) / "extent.json"), "--out", str(tmp / "obs")],
+        tmp / "obs.csv"),
+    "directory-holds-an-input": lambda ws, tmp: (
+        ["simulate", "--frames", "1", "--agents", "1",
+         "--extent", str(_copy_scene_file(ws, tmp, "extent.json")), "--out-dir", str(tmp)],
+        tmp / "extent.json"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERWRITES))
+def test_output_over_an_input_exits_2(workspace, tmp_path, capsys, case):
+    argv, victim = OVERWRITES[case](workspace, tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"would overwrite input {victim}" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before

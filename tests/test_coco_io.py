@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -157,6 +158,19 @@ def test_load_rejects_non_finite_or_negative_area(tmp_path, area):
     bare.write_text(json.dumps([{**record, "score": 0.5}]))
     with pytest.raises(DataError, match=f"area {area}"):
         load_detections(bare)
+
+
+@pytest.mark.parametrize("timestamp", [float("nan"), float("inf"), "12.5", True, [1.0]])
+def test_load_rejects_a_timestamp_that_is_not_a_finite_number(tmp_path, timestamp):
+    image = {"id": 3, "file_name": "a.jpg", "width": 64, "height": 48}
+    doc = {"images": [{**image, "timestamp": timestamp}], "categories": [], "annotations": []}
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape(f"image 3 has timestamp {timestamp!r}")):
+        load_dataset(path)
+    for fine in (None, 7, 2.5):
+        path.write_text(json.dumps({**doc, "images": [{**image, "timestamp": fine}]}))
+        assert load_dataset(path).images[0].extra["timestamp"] == fine
 
 
 def test_load_warns_on_bbox_hull_mismatch(tmp_path):

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,7 @@ from posmap.density import (
     silverman_bandwidth,
     zero_raster,
 )
-from posmap.errors import ConfigError, DataError
+from posmap.errors import ConfigError, DataError, NumericError
 from posmap.mapping import Box3D, GroundObservation, MapExtent
 
 
@@ -30,6 +35,11 @@ def _obs(x, y, cls="pedestrian", ts=None, src="", oid=1):
     box = Box3D(center_x=x, center_y=y, yaw=0.0, width=0.5, length=0.6, height=1.75)
     return GroundObservation(class_name=cls, x=x, y=y, box=box,
                              annotation_id=oid, image_id=0, timestamp=ts, source=src)
+
+
+def _pile(x, y, n):
+    """``n`` observations within a few millimetres of (x, y)."""
+    return [_obs(x + 0.0003 * (i % 7), y + 0.0002 * (i % 11), oid=i) for i in range(n)]
 
 
 def _scatter(extent, n, seed=0):
@@ -278,6 +288,46 @@ def test_merge_matches_single_pass(n, seed):
     assert np.array_equal(merged.values, single.values)
 
 
+def test_merge_is_exact_above_8192_in_every_order(extent):
+    # past 8192 persons/m^2 (2**53 quanta) a float64 sum of cells rounds
+    parts = [
+        kde_raster(_pile(2.05 + 0.01 * k, 10.05, 400 + k), extent, 0.1, bandwidth=0.05)
+        for k in range(3)
+    ]
+    assert all(p.values.max() > 8192 for p in parts)
+    merged = []
+    for a, b, c in itertools.permutations(parts):
+        merged.append(merge_rasters(merge_rasters(a, b), c))
+        merged.append(merge_rasters(a, merge_rasters(b, c)))
+    exact = sum(p.quanta.astype(object) for p in parts)  # Python integers
+    for m in merged:
+        assert m.values.tobytes() == merged[0].values.tobytes()
+        assert (m.quanta.astype(object) == exact).all()
+
+
+def test_merge_that_would_pass_int64_raises(extent):
+    zero = zero_raster(extent, 0.5)
+    half = dataclasses.replace(zero, quanta=np.full(zero.shape, 2**62, dtype=np.int64))
+    rest = dataclasses.replace(zero, quanta=half.quanta - 1)
+    assert merge_rasters(half, rest).quanta.max() == 2**63 - 1
+    with pytest.raises(NumericError, match=re.escape("would pass 2**63 - 1 quanta")):
+        merge_rasters(half, half)
+
+
+def test_kde_that_would_pass_int64_raises():
+    # on 1 mm cells one point peaks at 6.2e5 persons/m^2; 2**63 quanta is 8.4e6
+    extent = MapExtent(origin=(0.0, 0.0), rotation=0.0, width=0.05, length=0.05)
+    spot = [_obs(0.0255, 0.0255, oid=i) for i in range(14)]
+    top = kde_raster(spot[:13], extent, 0.001, bandwidth=0.0)
+    assert top.quanta.max() == 13 * kde_raster(spot[:1], extent, 0.001).quanta.max()
+    assert top.values.max() > 8e6
+    with pytest.raises(NumericError, match=re.escape("would pass 2**63 - 1 quanta")):
+        kde_raster(spot, extent, 0.001, bandwidth=0.0)
+    # kernels whose windows do not overlap never come near the limit
+    apart = [_obs(0.0025 + 0.005 * (i % 10), 0.0025 + 0.005 * (i // 10), oid=i) for i in range(20)]
+    assert kde_raster(apart, extent, 0.001, bandwidth=0.0).quanta.max() < top.quanta.max() // 12
+
+
 # -- bandwidth ---------------------------------------------------------------
 
 
@@ -364,3 +414,60 @@ def test_density_load_errors(extent, tmp_path):
     csv_path.write_text("\n".join(lines[:-1]) + "\n")  # drop a row
     with pytest.raises(DataError, match="shape"):
         load_density(tmp_path / "bad")
+
+
+# -- on-disk cells ------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_saved_cells_are_integer_quanta(extent, tmp_path):
+    grid = kde_raster(_scatter(extent, 7, seed=8), extent, 0.5)
+    paths = save_density(tmp_path / "r", grid)
+    assert json.loads(paths["json"].read_text())["quantum"] == QUANTUM
+    cells = np.loadtxt(paths["csv"], delimiter=",", dtype=np.int64)
+    assert np.array_equal(cells, grid.quanta)
+
+
+def test_float_format_raster_loads_to_the_same_quanta():
+    # written by the float-cell writer, whose header has no "quantum" field;
+    # it holds cells above 2**12, where every float is a multiple of 2**-40
+    legacy = load_density(DATA / "float_raster")
+    floats = np.loadtxt(DATA / "float_raster.csv", delimiter=",")
+    assert legacy.values.tobytes() == floats.tobytes()
+    assert floats.max() > 2**12
+    extent = MapExtent(origin=(0.0, 0.0), rotation=0.0, width=2.0, length=3.0)
+    points = _pile(1.05, 1.55, 100) + [_obs(0.4, 2.6), _obs(1.7, 0.3)]
+    assert np.array_equal(legacy.quanta, kde_raster(points, extent, 0.1, bandwidth=0.05).quanta)
+    assert legacy.total_count == 102
+
+
+@pytest.mark.parametrize("cell, loads", [("8388607.5", True), ("8388608.0", False)])
+def test_float_format_cells_must_fit_int64_quanta(tmp_path, cell, loads):
+    for suffix in (".csv", ".json"):
+        (tmp_path / f"r{suffix}").write_text((DATA / f"float_raster{suffix}").read_text())
+    text = (tmp_path / "r.csv").read_text()
+    (tmp_path / "r.csv").write_text(cell + text[text.index(","):])
+    if loads:
+        assert load_density(tmp_path / "r").quanta[0, 0] == int(float(cell) * 2**40)
+    else:
+        with pytest.raises(DataError, match=re.escape(str(tmp_path / "r.csv"))):
+            load_density(tmp_path / "r")
+
+
+@pytest.mark.parametrize("cell", ["nan", "-1", "0.5", str(2**63)])
+def test_integer_cells_must_be_non_negative_int64(extent, tmp_path, cell):
+    paths = save_density(tmp_path / "r", zero_raster(extent, 0.5))
+    text = paths["csv"].read_text()
+    paths["csv"].write_text(cell + text[text.index(","):])
+    with pytest.raises(DataError, match=re.escape(str(paths["csv"]))):
+        load_density(tmp_path / "r")
+
+
+def test_quantum_other_than_2_to_the_minus_40_is_refused(extent, tmp_path):
+    paths = save_density(tmp_path / "r", zero_raster(extent, 0.5))
+    header = json.loads(paths["json"].read_text())
+    header["quantum"] = 2.0**-30
+    paths["json"].write_text(json.dumps(header))
+    with pytest.raises(DataError, match=re.escape(str(paths["json"]))):
+        load_density(tmp_path / "r")
