@@ -8,8 +8,9 @@ the exact argument vector, resolved options, SHA-256 of each input, the
 paths written, library versions, and wall time — enough to reproduce or
 audit a run. Each ``cmd_*`` only reads, computes, writes and returns the
 paths it wrote. ``main`` refuses an output that would overwrite a declared
-input, and every float flag must be finite. Exit codes: 2 for configuration
-problems, 3 for bad data, 4 for numeric/geometry failures.
+input, another output or the manifest; every float flag must be finite.
+Exit codes: 2 for configuration problems, 3 for bad data, 4 for
+numeric/geometry failures.
 """
 
 from __future__ import annotations
@@ -124,15 +125,17 @@ def _declared(args: argparse.Namespace, kind: type) -> list:
 
 
 def _refuse_overwrites(inputs: list[_Input], outputs: list[_Output]) -> None:
-    """Raise ``ConfigError`` if an output would overwrite a declared input.
+    """Raise ``ConfigError`` if an output would overwrite an input or another write.
 
     An input collides with an output file, and with any file under an output
     directory, since the command names the files it writes there. A raster
     output may replace a raster input of the same base, as in ``density
-    --merge A B --out A``: every raster is read before any is written.
+    --merge A B --out A``: every raster is read before any is written. Two
+    outputs may not name the same file, nor one a file under the other's
+    directory, and no output may be the manifest ``main`` writes last.
     """
-    for out in outputs:
-        written = [p.resolve() for p in out.files()]
+    written = [(out, [p.resolve() for p in out.files()]) for out in outputs]
+    for out, files in written:
         for source in inputs:
             if isinstance(source, _RasterInput) and isinstance(out, _RasterOutput) and (
                 Path(source).resolve() == Path(out).resolve()
@@ -140,8 +143,16 @@ def _refuse_overwrites(inputs: list[_Input], outputs: list[_Output]) -> None:
                 continue
             for path in source.files():
                 resolved = path.resolve()
-                if any(resolved.is_relative_to(w) for w in written):
+                if any(resolved.is_relative_to(w) for w in files):
                     raise ConfigError(f"output {out} would overwrite input {path}")
+    for i, (out, files) in enumerate(written):
+        for other, other_files in written[:i]:
+            if any(a.is_relative_to(b) or b.is_relative_to(a) for a in files for b in other_files):
+                raise ConfigError(f"outputs {other} and {out} name the same file")
+    manifest = outputs[0].manifest().resolve()
+    for out, files in written:
+        if manifest in files:
+            raise ConfigError(f"output {out} would be overwritten by the manifest {manifest}")
 
 
 def _sha256(path: Path) -> str:
@@ -200,6 +211,21 @@ def _number(name: str, rule: tuple = _FINITE):
             value = math.nan
         if not ok(value):
             raise ConfigError(f"{name} must be {what}, got {text}")
+        return value
+
+    return parse
+
+
+def _count(name: str):
+    """The argparse type of an integer flag that must be at least 1 (else exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {text}")
         return value
 
     return parse
@@ -690,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--gt", type=_Input, required=True)
     p_eval.add_argument("--detections", type=_Input, required=True)
     p_eval.add_argument("--iou-mode", choices=("segm", "bbox"), default="segm")
-    p_eval.add_argument("--max-dets", type=int, default=100)
+    p_eval.add_argument("--max-dets", type=_count("max dets"), default=100)
     p_eval.add_argument("--treatment", default=None)
     p_eval.add_argument("--taxonomy", type=_Input, default=None)
     # the first output set hosts the manifest: --out before --pr-curves
@@ -703,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--gt", type=_Input, required=True)
     p_diag.add_argument("--detections", type=_Input, required=True)
     p_diag.add_argument("--iou-mode", choices=("segm", "bbox"), default="segm")
-    p_diag.add_argument("--max-dets", type=int, default=100)
+    p_diag.add_argument("--max-dets", type=_count("max dets"), default=100)
     p_diag.add_argument("--out", type=_Output, default=None)
     p_diag.set_defaults(func=cmd_diagnose)
 

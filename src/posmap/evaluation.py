@@ -12,11 +12,18 @@ Every entry point runs on one matching pass per class (:func:`_match`).
 It builds each (image, class) IoU matrix once — a numpy broadcast over
 the box arrays, or one whole-image AND per mask pair — pads the class's
 images to (U, D, G) and sweeps detection rank once for all S strata and
-T thresholds together, keeping an (S, T, U, G) "taken" array. Strata differ only in which ground truths
-are ignored: crowd regions always, plus those outside the stratum's area
-range; unmatched detections outside the range are ignored too. Single-IoU
-entry points run the all-sizes stratum alone, which ignores crowd ground
-truth only.
+T thresholds together, keeping an (S, T, U, G) "taken" array. Strata
+differ only in which ground truths are ignored: crowd regions always, plus
+those outside the stratum's area range; unmatched detections outside the
+range are ignored too. Single-IoU entry points run the all-sizes stratum
+alone, which ignores crowd ground truth only.
+
+A mask lives only while the IoU matrix of its own (image, class) unit is
+built: segm mode rasterizes that unit's detections and ground truths,
+ANDs them and drops them. Memory is thus bounded by one unit's masks, not
+by the dataset. The Sim/Oth scan of :func:`diagnose_errors` rasterizes the
+unmatched detections of a unit again, next to the other classes' ground
+truth of that image.
 
 Tie-breaking is deterministic: detections are ranked by (-score, id). At
 each rank a detection takes the available non-ignored ground truth of
@@ -43,7 +50,7 @@ from typing import Iterable, Literal, NamedTuple
 import numpy as np
 
 from .coco import Annotation, Dataset
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .geometry2d import polygons_area, rasterize_polygons
 from .taxonomy import Taxonomy
 
@@ -88,6 +95,12 @@ class EvalParams:
 
     max_dets: int = 100
     iou_mode: Literal["segm", "bbox"] = "segm"
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.max_dets, int) and self.max_dets >= 1):
+            raise ConfigError(f"max_dets must be an integer >= 1, got {self.max_dets!r}")
+        if self.iou_mode not in ("segm", "bbox"):
+            raise ConfigError(f"iou_mode must be 'segm' or 'bbox', got {self.iou_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -208,38 +221,27 @@ def _mask_ious(dets: list[_Mask], gts: list[_Mask], gt_crowd: np.ndarray) -> np.
     return _ious_from_areas(inter, det_area, gt_area, gt_crowd[None, :])
 
 
-class _MaskCache:
-    """Lazily rasterized masks keyed by annotation identity; one per class."""
-
-    def __init__(self) -> None:
-        self._items: dict[int, _Mask] = {}
-
-    def get(self, ann: Annotation, width: int, height: int) -> _Mask:
-        key = id(ann)
-        if key not in self._items:
-            if not ann.segmentation:
-                raise DataError(f"annotation {ann.id} has no polygon; use bbox IoU mode")
-            self._items[key] = _mask_item(ann.segmentation, width, height)
-        return self._items[key]
-
-
 def _boxes(anns: list[Annotation]) -> np.ndarray:
     return np.array([a.bbox for a in anns], dtype=float).reshape(-1, 4)
 
 
 def _unit_ious(
-    dets: list[Annotation],
-    gts: list[Annotation],
-    mode: str,
-    size: tuple[int, int],
-    cache: _MaskCache,
+    dets: list[Annotation], gts: list[Annotation], mode: str, size: tuple[int, int]
 ) -> np.ndarray:
-    """(D, G) IoU matrix of one image's detections against ground truths."""
+    """(D, G) IoU matrix of one image's detections against ground truths.
+
+    In segm mode the masks are rasterized here and dropped on return.
+    """
     crowd = np.array([bool(g.iscrowd) for g in gts], dtype=bool)
     if mode == "bbox":
         return _box_ious(_boxes(dets), _boxes(gts), crowd)
+    for ann in (*dets, *gts):
+        if not ann.segmentation:
+            raise DataError(f"annotation {ann.id} has no polygon; use bbox IoU mode")
     return _mask_ious(
-        [cache.get(d, *size) for d in dets], [cache.get(g, *size) for g in gts], crowd
+        [_mask_item(d.segmentation, *size) for d in dets],
+        [_mask_item(g.segmentation, *size) for g in gts],
+        crowd,
     )
 
 
@@ -376,7 +378,6 @@ def _match(
     thresholds: tuple[float, ...],
     strata: tuple[tuple[float, float], ...],
     mode: str,
-    cache: _MaskCache,
 ) -> _Pass:
     """Run the matching pass at each (lowest area, area bound) stratum."""
     n_det = np.array([len(u.dets) for u in units], dtype=int)
@@ -411,9 +412,7 @@ def _match(
         ious = np.full((n_units, depth, n_cols), -np.inf)
         for i, u in enumerate(units):
             if u.dets and u.gts:
-                ious[i, : len(u.dets), : len(u.gts)] = _unit_ious(
-                    u.dets, u.gts, mode, u.size, cache
-                )
+                ious[i, : len(u.dets), : len(u.gts)] = _unit_ious(u.dets, u.gts, mode, u.size)
 
     match = _greedy_sweep(ious, n_det, gt_ignore, gt_crowd, thresholds)[:, :, du, dr]
     strata_ix = np.arange(len(gt_ignore))[:, None, None]
@@ -466,6 +465,7 @@ def match_detections(
     which become ignored rather than true positives. ``segm`` mode needs
     the positive ``image_size`` the masks are rasterized at.
     """
+    EvalParams(iou_mode=iou_mode)  # refuses a mode other than segm or bbox
     for det in dets:
         if det.score is None:
             raise DataError(f"detection {det.id} has no score")
@@ -473,7 +473,7 @@ def match_detections(
         raise DataError(f"segm matching needs a positive image_size, got {image_size}")
     dets = sorted(dets, key=lambda a: (-(a.score or 0.0), a.id))
     gts = sorted(gts, key=lambda a: a.id)
-    p = _match([_Unit(0, image_size, dets, gts)], (threshold,), _ALL_SIZES, iou_mode, _MaskCache())
+    p = _match([_Unit(0, image_size, dets, gts)], (threshold,), _ALL_SIZES, iou_mode)
     matched = tuple(None if m < 0 else gts[m].id for m in p.match[0, 0])
     taken = {g for g in matched if g is not None}
     return MatchResult(
@@ -535,7 +535,7 @@ def evaluate_detections(
     per_class: dict[int, ClassMetrics] = {}
     pr_curves: dict[int, PRCurve] = {}
     for cat in sorted(c.id for c in gt.categories):
-        p = _match(units[cat], _IOU_THRESHOLDS, _AREA_RANGES, params.iou_mode, _MaskCache())
+        p = _match(units[cat], _IOU_THRESHOLDS, _AREA_RANGES, params.iou_mode)
         tp, ignore = p.tp[..., p.rank], p.ignore[..., p.rank]
         # (precision on the grid, max recall) per stratum and threshold;
         # empty for a stratum without ground truth
@@ -595,7 +595,7 @@ def pr_curve(
     units = _units(gt, detections, params.max_dets)
     if class_id not in units:
         raise DataError(f"unknown category id {class_id}")
-    p = _match(units[class_id], (iou_threshold,), _ALL_SIZES, params.iou_mode, _MaskCache())
+    p = _match(units[class_id], (iou_threshold,), _ALL_SIZES, params.iou_mode)
     n_gt = int(p.n_gt[0])
     q, _ = _precision_on_grid(p.tp[0, 0, p.rank], p.ignore[0, 0, p.rank], n_gt)
     return _pr_curve(q, n_gt)
@@ -730,8 +730,7 @@ def diagnose_errors(
 
     per_class: dict[int, DiagnosisLadder] = {}
     for cat in sorted(c.id for c in gt.categories):
-        cache = _MaskCache()
-        p = _match(units[cat], (_LOC_IOU,), _ALL_SIZES, params.iou_mode, cache)
+        p = _match(units[cat], (_LOC_IOU,), _ALL_SIZES, params.iou_mode)
         n_gt = int(p.n_gt[0])
         if n_gt == 0:
             continue
@@ -748,9 +747,8 @@ def diagnose_errors(
             others = [g for g in gt_by_image.get(unit.image_id, []) if g.category_id != cat]
             if len(rows) == 0 or not others:
                 continue
-            hit = _unit_ious(
-                [p.dets[i] for i in rows], others, params.iou_mode, unit.size, cache
-            ) >= _LOC_IOU
+            unmatched = [p.dets[i] for i in rows]
+            hit = _unit_ious(unmatched, others, params.iou_mode, unit.size) >= _LOC_IOU
             same = np.array([supercat.get(g.category_id) == supercat.get(cat) for g in others])
             oth_extra[rows] = hit.any(axis=1)
             sim_extra[rows] = (hit & same).any(axis=1)

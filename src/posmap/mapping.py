@@ -435,10 +435,18 @@ def save_observations(path: str | Path, observations: list[GroundObservation]) -
     return len(observations)
 
 
+def _finite(text: str, column: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{column} is {text}, not a finite number")
+    return value
+
+
 def load_observations(path: str | Path) -> list[GroundObservation]:
     """Read observations written by :func:`save_observations`.
 
-    Columns may come in any order; every row must have all of them.
+    Columns may come in any order; every row must have all of them, and
+    every number must be finite.
     """
     path = Path(path)
     if not path.exists():
@@ -459,12 +467,12 @@ def load_observations(path: str | Path) -> list[GroundObservation]:
             if not row:
                 continue
             try:
-                x = float(row[i_x])
-                y = float(row[i_y])
-                yaw = float(row[i_yaw])
-                width = float(row[i_width])
-                length = float(row[i_length])
-                height = float(row[i_height])
+                x = _finite(row[i_x], "x")
+                y = _finite(row[i_y], "y")
+                yaw = _finite(row[i_yaw], "yaw")
+                width = _finite(row[i_width], "width")
+                length = _finite(row[i_length], "length")
+                height = _finite(row[i_height], "height")
                 box = Box3D(
                     center_x=x + (length / 2.0) * math.cos(yaw),
                     center_y=y + (length / 2.0) * math.sin(yaw),
@@ -481,9 +489,9 @@ def load_observations(path: str | Path) -> list[GroundObservation]:
                         box=box,
                         annotation_id=int(row[i_ann]),
                         image_id=int(row[i_image]),
-                        timestamp=float(row[i_ts]) if row[i_ts] else None,
+                        timestamp=_finite(row[i_ts], "timestamp") if row[i_ts] else None,
                         source=row[i_source],
-                        score=float(row[i_score]) if row[i_score] else None,
+                        score=_finite(row[i_score], "score") if row[i_score] else None,
                     )
                 )
             except (IndexError, ValueError) as e:

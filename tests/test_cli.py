@@ -612,6 +612,17 @@ def test_config_error_exits_2(workspace, tmp_path, capsys, case):
     assert message.format(tmp=tmp_path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "diagnose"])
+@pytest.mark.parametrize("max_dets", ["0", "-1"])
+def test_max_dets_below_one_exits_2(workspace, tmp_path, capsys, command, max_dets):
+    sim = _sim(workspace)
+    argv = [command, "--gt", str(sim / "gt.json"), "--detections", str(sim / "detections.json"),
+            "--iou-mode", "bbox", f"--max-dets={max_dets}", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert f"max dets must be an integer >= 1, got {max_dets}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bad_prior_exits_2(workspace):
     sim = _sim(workspace)
     rc = main(
@@ -724,6 +735,18 @@ def _map_with_timestamp(ws, tmp, timestamp):
     return argv, tmp / "gt.json"
 
 
+def _density_with_nan_timestamp(ws, tmp):
+    """``density`` on the scene's observations with the first row's timestamp NaN."""
+    obs = _observations(ws, tmp)
+    header, first, *rest = obs.read_text().splitlines()
+    cells = first.split(",")
+    cells[header.split(",").index("timestamp")] = "nan"
+    obs.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    argv = ["density", "--observations", str(obs), "--extent", str(_sim(ws) / "extent.json"),
+            "--out", str(tmp / "d")]
+    return argv, f"{obs}:2"
+
+
 DATA_ERRORS = {
     "missing-annotations": lambda ws, tmp: (
         ["stats", "--annotations", str(tmp / "missing.json")], tmp / "missing.json"),
@@ -734,6 +757,7 @@ DATA_ERRORS = {
     "merge-nan-cell": lambda ws, tmp: _merge_with_broken(tmp, "csv", "nan"),
     "merge-negative-cell": lambda ws, tmp: _merge_with_broken(tmp, "csv", "-0.5"),
     "merge-cell-off-the-quantum": lambda ws, tmp: _merge_with_broken(tmp, "csv", "0.1"),
+    "density-nan-timestamp": _density_with_nan_timestamp,
     "taxonomy-is-a-list": lambda ws, tmp: _stats_with_taxonomy(ws, tmp, []),
     "taxonomy-id-not-a-number": lambda ws, tmp: _stats_with_taxonomy(ws, tmp, {
         "version": 1, "classes": [{"id": "x", "name": "pedestrian", "supercategory": "people"}],
@@ -847,7 +871,7 @@ def test_merge_past_int64_exits_4(tmp_path, capsys):
     assert not (tmp_path / "m.csv").exists()
 
 
-# -- outputs never overwrite inputs ---------------------------------------------------
+# -- outputs never overwrite inputs, each other or the manifest -----------------------
 
 
 def _copy_scene_file(ws, tmp, name):
@@ -891,3 +915,34 @@ def test_output_over_an_input_exits_2(workspace, tmp_path, capsys, case):
     assert main(argv) == 2
     assert f"would overwrite input {victim}" in capsys.readouterr().err
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def _eval_argv(ws, *extra):
+    sim = _sim(ws)
+    return ["eval", "--gt", str(sim / "gt.json"), "--detections", str(sim / "detections.json"),
+            "--iou-mode", "bbox", *extra]
+
+
+# argv, and the message expected on stderr: {tmp} is the test's directory
+COLLISIONS = {
+    "eval-out-is-pr-curves": (
+        lambda ws, tmp: _eval_argv(ws, "--out", str(tmp / "same.json"),
+                                   "--pr-curves", str(tmp / "same.json")),
+        "outputs {tmp}/same.json and {tmp}/same.json name the same file"),
+    "pr-curves-is-the-manifest": (
+        lambda ws, tmp: _eval_argv(ws, "--out", str(tmp / "e.json"),
+                                   "--pr-curves", str(tmp / "e.manifest.json")),
+        "output {tmp}/e.manifest.json would be overwritten by the manifest"),
+    "split-train-is-test": (
+        lambda ws, tmp: ["split", "--annotations", str(_sim(ws) / "gt.json"),
+                         "--out-train", str(tmp / "a.json"), "--out-test", str(tmp / "a.json")],
+        "outputs {tmp}/a.json and {tmp}/a.json name the same file"),
+}
+
+
+@pytest.mark.parametrize("case", list(COLLISIONS))
+def test_two_writes_to_one_file_exit_2(workspace, tmp_path, capsys, case):
+    argv, message = COLLISIONS[case]
+    assert main(argv(workspace, tmp_path)) == 2
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

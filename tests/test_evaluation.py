@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from _reference_eval import reference_evaluate
 from posmap.coco import Annotation, Category, Dataset, ImageRecord
-from posmap.errors import DataError
+from posmap.errors import ConfigError, DataError
 from posmap.evaluation import (
     ClassMetrics,
     EvalParams,
@@ -36,15 +37,16 @@ CATS = [
 BBOX = EvalParams(iou_mode="bbox")
 
 
+# each annotation's polygon is its box, so on integer boxes mask IoU is box IoU
 def _gt(ann_id, image_id, cat, bbox, crowd=0):
     return Annotation(id=ann_id, image_id=image_id, category_id=cat,
-                      bbox=tuple(float(v) for v in bbox),
+                      bbox=tuple(float(v) for v in bbox), segmentation=[_rect(*bbox)],
                       area=float(bbox[2] * bbox[3]), iscrowd=crowd)
 
 
 def _det(ann_id, image_id, cat, bbox, score):
     return Annotation(id=ann_id, image_id=image_id, category_id=cat,
-                      bbox=tuple(float(v) for v in bbox),
+                      bbox=tuple(float(v) for v in bbox), segmentation=[_rect(*bbox)],
                       area=float(bbox[2] * bbox[3]), score=score)
 
 
@@ -237,6 +239,20 @@ def test_max_dets_cuts_low_scores():
     assert roomy.per_class[PED].ap > 0.0
 
 
+@pytest.mark.parametrize("fields", [
+    {"max_dets": 0}, {"max_dets": -1}, {"max_dets": 1.5}, {"iou_mode": "mask"},
+], ids=["max-dets-0", "max-dets--1", "max-dets-float", "unknown-mode"])
+def test_eval_params_refuse_values_that_change_ap(fields):
+    with pytest.raises(ConfigError, match="must be"):
+        EvalParams(**fields)
+
+
+def test_match_refuses_an_unknown_iou_mode():
+    gts = [_gt(1, 1, PED, (0, 0, 10, 10))]
+    with pytest.raises(ConfigError, match="iou_mode"):
+        match_detections(gts, [_det(2, 1, PED, (0, 0, 10, 10), 0.9)], 0.5, iou_mode="mask")
+
+
 def test_detection_referencing_unknowns_rejected():
     ds, dets = _hand_fixture()
     with pytest.raises(DataError, match="unknown image"):
@@ -425,10 +441,18 @@ def _ladder(gts, dets, n_images=1):
     return result
 
 
+def _rung(gts, dets):
+    """The ladder of a one-image rung fixture, which segm mode must reproduce:
+    its boxes are integer rectangles, so mask IoU equals box IoU."""
+    result = _ladder(gts, dets)
+    assert diagnose_errors(_dataset(gts), dets, EvalParams(iou_mode="segm")) == result
+    return result
+
+
 def test_ladder_localization_rung():
     gts = [_gt(1, 1, PED, (0, 0, 10, 10))]
     dets = [_det(1, 1, PED, (6, 0, 10, 10), 0.9)]  # IoU 0.25: matched loosely
-    lad = _ladder(gts, dets).per_class[PED]
+    lad = _rung(gts, dets).per_class[PED]
     assert lad.c75 == 0.0
     assert lad.c50 == 0.0
     assert lad.loc == 1.0
@@ -440,7 +464,7 @@ def test_ladder_similar_class_rung():
     gts = [_gt(1, 1, CYC, (0, 0, 10, 10)), _gt(2, 1, PED, (50, 50, 10, 10))]
     dets = [_det(1, 1, CYC, (50, 50, 10, 10), 0.95),  # sits on the pedestrian
             _det(2, 1, CYC, (0, 0, 10, 10), 0.90)]    # true cyclist
-    lad = _ladder(gts, dets).per_class[CYC]
+    lad = _rung(gts, dets).per_class[CYC]
     assert lad.c75 == lad.c50 == lad.loc == 0.5
     assert lad.sim == 1.0   # same super-category confusion forgiven
     assert lad.oth == 1.0   # nothing further to forgive
@@ -451,7 +475,7 @@ def test_ladder_other_class_rung():
     gts = [_gt(1, 1, DOG, (0, 0, 10, 10)), _gt(2, 1, PED, (50, 50, 10, 10))]
     dets = [_det(1, 1, PED, (0, 0, 10, 10), 0.95),   # sits on the dog
             _det(2, 1, PED, (50, 50, 10, 10), 0.90)]
-    lad = _ladder(gts, dets).per_class[PED]
+    lad = _rung(gts, dets).per_class[PED]
     assert lad.loc == 0.5
     assert lad.sim == 0.5   # dog is not people: not forgiven yet
     assert lad.oth == 1.0
@@ -462,7 +486,7 @@ def test_ladder_background_rung():
     gts = [_gt(1, 1, PED, (0, 0, 10, 10))]
     dets = [_det(1, 1, PED, (70, 70, 10, 10), 0.95),  # empty background
             _det(2, 1, PED, (0, 0, 10, 10), 0.90)]
-    lad = _ladder(gts, dets).per_class[PED]
+    lad = _rung(gts, dets).per_class[PED]
     assert lad.loc == lad.sim == lad.oth == 0.5
     assert lad.bg == 1.0
 
@@ -470,7 +494,7 @@ def test_ladder_background_rung():
 def test_ladder_false_negative_rung():
     gts = [_gt(1, 1, PED, (0, 0, 10, 10)), _gt(2, 1, PED, (50, 50, 10, 10))]
     dets = [_det(1, 1, PED, (0, 0, 10, 10), 0.9)]
-    lad = _ladder(gts, dets).per_class[PED]
+    lad = _rung(gts, dets).per_class[PED]
     assert lad.bg == pytest.approx(51.0 / 101.0, abs=1e-12)
     assert lad.fn == 1.0
     assert lad.fn > lad.bg
@@ -512,6 +536,41 @@ def test_ladder_mean_is_classwise_average():
     result = _ladder(gts, dets)
     assert result.mean.loc == pytest.approx(
         (result.per_class[PED].loc + result.per_class[CYC].loc) / 2.0)
+
+
+# -- memory ---------------------------------------------------------------------
+
+
+def _segm_scene(n_images):
+    """Per 200 x 200 image: two pedestrians and a cyclist, both pedestrians
+    found, and a pedestrian false positive on the cyclist (a Sim error)."""
+    gts, dets = [], []
+    for image_id in range(1, n_images + 1):
+        k = 10 * image_id
+        gts += [_gt(k, image_id, PED, (10, 10, 40, 80)),
+                _gt(k + 1, image_id, PED, (100, 10, 40, 80)),
+                _gt(k + 2, image_id, CYC, (60, 100, 50, 60))]
+        dets += [_det(k, image_id, PED, (12, 10, 40, 80), 0.9),
+                 _det(k + 1, image_id, PED, (100, 14, 40, 80), 0.8),
+                 _det(k + 2, image_id, PED, (60, 100, 50, 60), 0.7)]
+    return _dataset(gts, n_images=n_images, size=(200, 200)), dets
+
+
+@pytest.mark.parametrize("run", [evaluate_detections, diagnose_errors],
+                         ids=["evaluate", "diagnose"])
+def test_segm_memory_is_bounded_by_one_image(run):
+    # masks dominate: a unit's five 40 kB masks outweigh its share of the
+    # class-wide arrays, so holding a class's masks would grow the peak 4x
+    peaks = []
+    for n_images in (4, 16):
+        gt, dets = _segm_scene(n_images)
+        tracemalloc.start()
+        try:
+            run(gt, dets, EvalParams(iou_mode="segm"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 # -- dataset statistics -----------------------------------------------------------

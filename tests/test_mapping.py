@@ -333,6 +333,20 @@ def test_observation_csv_short_row_names_its_line(tmp_path, bad_row):
         load_observations(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "column", ["timestamp", "x", "y", "yaw", "width", "length", "height", "score"]
+)
+def test_observation_csv_refuses_non_finite_numbers(tmp_path, column, value):
+    header = _OBS_HEADER.strip().split(",")
+    row = _OBS_ROW.strip().split(",")
+    row[header.index(column)] = value
+    path = tmp_path / "obs.csv"
+    path.write_text(_OBS_HEADER + _OBS_ROW + ",".join(row) + "\n")
+    with pytest.raises(DataError, match=rf"obs\.csv:3: bad observation row: {column} is {value}"):
+        load_observations(path)
+
+
 def test_observation_csv_columns_in_any_order(camera, tmp_path):
     obs = [locate(camera, _person_ann(camera, 2.25, 12.0, score=0.5), "pedestrian",
                   image_id=4, timestamp=2.0, source="c1")]
