@@ -46,7 +46,6 @@ from .coco import (
 from .density import density_paths, kde_raster, load_density, merge_rasters, save_density
 from .errors import ConfigError, PosmapError
 from .evaluation import (
-    EvalParams,
     dataset_stats,
     diagnose_errors,
     evaluate_detections,
@@ -211,21 +210,6 @@ def _number(name: str, rule: tuple = _FINITE):
             value = math.nan
         if not ok(value):
             raise ConfigError(f"{name} must be {what}, got {text}")
-        return value
-
-    return parse
-
-
-def _count(name: str):
-    """The argparse type of an integer flag that must be at least 1 (else exit 2)."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {text}")
         return value
 
     return parse
@@ -424,8 +408,7 @@ def cmd_eval(args: argparse.Namespace) -> list[Path]:
         treatment = _resolve_treatment(args.treatment, args.taxonomy)
         dets = remap_annotations(dets, list(gt.categories), treatment)
         gt = remap_categories(gt, treatment)
-    params = EvalParams(iou_mode=args.iou_mode, max_dets=args.max_dets)
-    result = evaluate_detections(gt, dets, params)
+    result = evaluate_detections(gt, dets, iou_mode=args.iou_mode)
     names = {c.id: c.name for c in gt.categories}
     for cat_id in sorted(result.per_class):
         m = result.per_class[cat_id]
@@ -483,8 +466,7 @@ def cmd_eval(args: argparse.Namespace) -> list[Path]:
 def cmd_diagnose(args: argparse.Namespace) -> list[Path]:
     gt = load_dataset(args.gt)
     dets = load_detections(args.detections)
-    params = EvalParams(iou_mode=args.iou_mode, max_dets=args.max_dets)
-    result = diagnose_errors(gt, dets, params)
+    result = diagnose_errors(gt, dets, iou_mode=args.iou_mode)
     names = {c.id: c.name for c in gt.categories}
     header = f"{'class':>14s}  " + "  ".join(
         f"{s:>6s}" for s in ("C75", "C50", "Loc", "Sim", "Oth", "BG", "FN")
@@ -716,7 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--gt", type=_Input, required=True)
     p_eval.add_argument("--detections", type=_Input, required=True)
     p_eval.add_argument("--iou-mode", choices=("segm", "bbox"), default="segm")
-    p_eval.add_argument("--max-dets", type=_count("max dets"), default=100)
     p_eval.add_argument("--treatment", default=None)
     p_eval.add_argument("--taxonomy", type=_Input, default=None)
     # the first output set hosts the manifest: --out before --pr-curves
@@ -729,7 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--gt", type=_Input, required=True)
     p_diag.add_argument("--detections", type=_Input, required=True)
     p_diag.add_argument("--iou-mode", choices=("segm", "bbox"), default="segm")
-    p_diag.add_argument("--max-dets", type=_count("max dets"), default=100)
     p_diag.add_argument("--out", type=_Output, default=None)
     p_diag.set_defaults(func=cmd_diagnose)
 

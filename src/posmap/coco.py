@@ -513,7 +513,16 @@ def export_labelme(ds: Dataset, out_dir: str | Path) -> list[Path]:
     then a per-image per-class instance index assigned in descending score
     order. Multi-part objects emit one shape per ring, tied together by
     ``group_id``. Vertices outside the image are clamped with a warning.
+    Each image's file is ``<stem>.json``. Images whose files would share a
+    name, or take ``manifest.json`` (the run manifest ``posmap.cli`` writes
+    into an output directory), are refused before any file is written.
     """
+    names: dict[str, list[str]] = {"manifest.json": ["the run manifest"]}
+    for image in ds.images:
+        names.setdefault(Path(image.file_name).stem + ".json", []).append(image.file_name)
+    clashes = [f"{name} ({', '.join(files)})" for name, files in names.items() if len(files) > 1]
+    if clashes:
+        raise DataError(f"labelme files would overwrite each other: {'; '.join(clashes)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cats = ds.category_by_id()

@@ -3,10 +3,11 @@
 The protocol is fixed: greedy score-ordered matching per image and class,
 the ten IoU thresholds 0.50:0.05:0.95, a 101-point recall grid, the area
 strata all / small (< 32²) / medium (32²–96²) / large (≥ 96² px) with
-crowd and out-of-stratum ignore handling, and recall at ``max_dets``
-detections per image. :class:`EvalParams` sets only ``iou_mode`` — IoU on
-rasterized polygon masks (``segm``, the default) or on axis-aligned boxes
-(``bbox``) — and ``max_dets`` (default 100).
+crowd and out-of-stratum ignore handling, and at most the 100 best-scored
+detections per image and class. Every entry point takes one setting, the
+keyword ``iou_mode``: IoU on rasterized polygon masks (``segm``, the
+default) or on axis-aligned boxes (``bbox``); any other value is a
+:class:`~posmap.errors.ConfigError`.
 
 Every entry point runs on one matching pass per class (:func:`_match`).
 It builds each (image, class) IoU matrix once — a numpy broadcast over
@@ -15,8 +16,9 @@ images to (U, D, G) and sweeps detection rank once for all S strata and
 T thresholds together, keeping an (S, T, U, G) "taken" array. Strata
 differ only in which ground truths are ignored: crowd regions always, plus
 those outside the stratum's area range; unmatched detections outside the
-range are ignored too. Single-IoU entry points run the all-sizes stratum
-alone, which ignores crowd ground truth only.
+range are ignored too. :func:`match_detections` and :func:`diagnose_errors`
+match at one IoU and run the all-sizes stratum alone, which ignores crowd
+ground truth only.
 
 A mask lives only while the IoU matrix of its own (image, class) unit is
 built: segm mode rasterizes that unit's detections and ground truths,
@@ -32,13 +34,14 @@ best ignored one; among equal IoUs it takes the lowest id. Crowd ground
 truth is never used up.
 
 :func:`evaluate_detections` also returns each class's precision/recall
-row at IoU 0.5 over all sizes, which the sweep computes anyway, so PR
-curves need no second pass. :func:`diagnose_errors` produces a cumulative
-error ladder (C75, C50, Loc, Sim, Oth, BG, FN). The ladder matches once
-at IoU 0.10 and then *nests* all later stages inside that matching —
-stricter stages only re-flag the same matched pairs, looser stages only
-ignore more false positives — so the seven numbers are non-decreasing by
-construction, ending at exactly 1.
+row at IoU 0.5 over all sizes, which the sweep computes anyway;
+:func:`pr_curve` is that row for one class, so PR curves have no pass of
+their own. :func:`diagnose_errors` produces a cumulative error ladder
+(C75, C50, Loc, Sim, Oth, BG, FN). The ladder matches once at IoU 0.10
+and then *nests* all later stages inside that matching — stricter stages
+only re-flag the same matched pairs, looser stages only ignore more false
+positives — so the seven numbers are non-decreasing by construction,
+ending at exactly 1.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .geometry2d import polygons_area, rasterize_polygons
 from .taxonomy import Taxonomy
 
 __all__ = [
-    "EvalParams",
     "ClassMetrics",
     "EvalResult",
     "DiagnosisLadder",
@@ -87,20 +89,13 @@ _AREA_RANGES: tuple[tuple[float, float], ...] = (
     (96.0**2, math.inf),
 )
 _ALL_SIZES = _AREA_RANGES[:1]
+# detections per image and class that count, best-scored first
+_MAX_DETS = 100
 
 
-@dataclass(frozen=True)
-class EvalParams:
-    """The two settable parts of the protocol; the rest is fixed."""
-
-    max_dets: int = 100
-    iou_mode: Literal["segm", "bbox"] = "segm"
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.max_dets, int) and self.max_dets >= 1):
-            raise ConfigError(f"max_dets must be an integer >= 1, got {self.max_dets!r}")
-        if self.iou_mode not in ("segm", "bbox"):
-            raise ConfigError(f"iou_mode must be 'segm' or 'bbox', got {self.iou_mode!r}")
+def _check_mode(iou_mode: str) -> None:
+    if iou_mode not in ("segm", "bbox"):
+        raise ConfigError(f"iou_mode must be 'segm' or 'bbox', got {iou_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -278,8 +273,8 @@ class _Unit(NamedTuple):
     gts: list[Annotation]
 
 
-def _units(gt: Dataset, detections: list[Annotation], max_dets: int) -> dict[int, list[_Unit]]:
-    """Validated units per class, in image id order; detections capped at max_dets."""
+def _units(gt: Dataset, detections: list[Annotation]) -> dict[int, list[_Unit]]:
+    """Validated units per class, in image id order; detections capped at _MAX_DETS."""
     images = gt.image_by_id()
     cat_ids = {c.id for c in gt.categories}
     gt_buckets: dict[int, dict[int, list[Annotation]]] = {c: {} for c in cat_ids}
@@ -306,7 +301,7 @@ def _units(gt: Dataset, detections: list[Annotation], max_dets: int) -> dict[int
                 det_buckets[cat].get(image_id, []), key=lambda a: (-(a.score or 0.0), a.id)
             )
             gts = sorted(gt_buckets[cat].get(image_id, []), key=lambda a: a.id)
-            out[cat].append(_Unit(image_id, (im.width, im.height), dets[:max_dets], gts))
+            out[cat].append(_Unit(image_id, (im.width, im.height), dets[:_MAX_DETS], gts))
     return out
 
 
@@ -465,7 +460,7 @@ def match_detections(
     which become ignored rather than true positives. ``segm`` mode needs
     the positive ``image_size`` the masks are rasterized at.
     """
-    EvalParams(iou_mode=iou_mode)  # refuses a mode other than segm or bbox
+    _check_mode(iou_mode)
     for det in dets:
         if det.score is None:
             raise DataError(f"detection {det.id} has no score")
@@ -511,31 +506,22 @@ def _precision_on_grid(tp: np.ndarray, ignore: np.ndarray, n_gt: int) -> tuple[n
     return q, float(recall[-1])
 
 
-def _pr_curve(q: np.ndarray, n_gt: int) -> PRCurve:
-    return PRCurve(
-        recall=tuple(float(v) for v in _RECALL_GRID),
-        precision=tuple(float(v) for v in q),
-        ap=float(q.mean()) if n_gt else None,
-        n_gt=n_gt,
-    )
-
-
 def _mean_or_none(values: list[float]) -> float | None:
     return float(np.mean(values)) if values else None
 
 
 def evaluate_detections(
-    gt: Dataset, detections: list[Annotation], params: EvalParams | None = None
+    gt: Dataset, detections: list[Annotation], *, iou_mode: Literal["segm", "bbox"] = "segm"
 ) -> EvalResult:
     """Score detections against ground truth with the interpolated-AP protocol."""
-    params = params or EvalParams()
-    units = _units(gt, detections, params.max_dets)
+    _check_mode(iou_mode)
+    units = _units(gt, detections)
     n_thr = len(_IOU_THRESHOLDS)
 
     per_class: dict[int, ClassMetrics] = {}
     pr_curves: dict[int, PRCurve] = {}
     for cat in sorted(c.id for c in gt.categories):
-        p = _match(units[cat], _IOU_THRESHOLDS, _AREA_RANGES, params.iou_mode)
+        p = _match(units[cat], _IOU_THRESHOLDS, _AREA_RANGES, iou_mode)
         tp, ignore = p.tp[..., p.rank], p.ignore[..., p.rank]
         # (precision on the grid, max recall) per stratum and threshold;
         # empty for a stratum without ground truth
@@ -547,9 +533,10 @@ def evaluate_detections(
             [float(q.mean()) for q, _ in c] for c in curves
         )
         n_gt = int(p.n_gt[0])
+        ap50 = aps_all[_AP50] if aps_all else None
         per_class[cat] = ClassMetrics(
             ap=_mean_or_none(aps_all),
-            ap50=aps_all[_AP50] if aps_all else None,
+            ap50=ap50,
             ap75=aps_all[_AP75] if aps_all else None,
             ap_small=_mean_or_none(aps_small),
             ap_medium=_mean_or_none(aps_medium),
@@ -558,7 +545,12 @@ def evaluate_detections(
             n_gt=n_gt,
         )
         q50 = curves[0][_AP50][0] if n_gt else np.zeros(len(_RECALL_GRID))
-        pr_curves[cat] = _pr_curve(q50, n_gt)
+        pr_curves[cat] = PRCurve(
+            recall=tuple(float(v) for v in _RECALL_GRID),
+            precision=tuple(float(v) for v in q50),
+            ap=ap50,
+            n_gt=n_gt,
+        )
 
     def class_mean(attr: str) -> float | None:
         return _mean_or_none(
@@ -582,23 +574,19 @@ def pr_curve(
     gt: Dataset,
     detections: list[Annotation],
     class_id: int,
-    iou_threshold: float = 0.5,
-    params: EvalParams | None = None,
+    *,
+    iou_mode: Literal["segm", "bbox"] = "segm",
 ) -> PRCurve:
-    """Dataset-wide precision/recall for one class at a single IoU.
+    """Dataset-wide precision/recall for one class at IoU 0.5.
 
-    Pooled over all images (all object sizes). A class with no ground
-    truth yields ap=None — undefined rather than zero, so it can be
-    excluded from means.
+    Pooled over all images (all object sizes): the class's entry of
+    :attr:`EvalResult.pr_curves`. A class with no ground truth yields
+    ap=None — undefined rather than zero, so it can be excluded from means.
     """
-    params = params or EvalParams()
-    units = _units(gt, detections, params.max_dets)
-    if class_id not in units:
+    curves = evaluate_detections(gt, detections, iou_mode=iou_mode).pr_curves
+    if class_id not in curves:
         raise DataError(f"unknown category id {class_id}")
-    p = _match(units[class_id], (iou_threshold,), _ALL_SIZES, params.iou_mode)
-    n_gt = int(p.n_gt[0])
-    q, _ = _precision_on_grid(p.tp[0, 0, p.rank], p.ignore[0, 0, p.rank], n_gt)
-    return _pr_curve(q, n_gt)
+    return curves[class_id]
 
 
 def mean_ap(
@@ -710,7 +698,7 @@ _LOC_IOU = 0.10
 
 
 def diagnose_errors(
-    gt: Dataset, detections: list[Annotation], params: EvalParams | None = None
+    gt: Dataset, detections: list[Annotation], *, iou_mode: Literal["segm", "bbox"] = "segm"
 ) -> DiagnosisResult:
     """Cumulative error ladder per class (all object sizes pooled).
 
@@ -721,8 +709,8 @@ def diagnose_errors(
     other-class ground truth, BG every remaining false positive, and FN is
     1 by definition. Nesting makes the ladder exactly non-decreasing.
     """
-    params = params or EvalParams()
-    units = _units(gt, detections, params.max_dets)
+    _check_mode(iou_mode)
+    units = _units(gt, detections)
     supercat = {c.id: c.supercategory for c in gt.categories}
     gt_by_image: dict[int, list[Annotation]] = {}
     for ann in gt.annotations:
@@ -730,7 +718,7 @@ def diagnose_errors(
 
     per_class: dict[int, DiagnosisLadder] = {}
     for cat in sorted(c.id for c in gt.categories):
-        p = _match(units[cat], (_LOC_IOU,), _ALL_SIZES, params.iou_mode)
+        p = _match(units[cat], (_LOC_IOU,), _ALL_SIZES, iou_mode)
         n_gt = int(p.n_gt[0])
         if n_gt == 0:
             continue
@@ -748,7 +736,7 @@ def diagnose_errors(
             if len(rows) == 0 or not others:
                 continue
             unmatched = [p.dets[i] for i in rows]
-            hit = _unit_ious(unmatched, others, params.iou_mode, unit.size) >= _LOC_IOU
+            hit = _unit_ious(unmatched, others, iou_mode, unit.size) >= _LOC_IOU
             same = np.array([supercat.get(g.category_id) == supercat.get(cat) for g in others])
             oth_extra[rows] = hit.any(axis=1)
             sim_extra[rows] = (hit & same).any(axis=1)

@@ -17,7 +17,6 @@ from .errors import DataError
 __all__ = [
     "polygon_area",
     "polygons_area",
-    "polygon_bounds",
     "polygons_bounds",
     "as_points",
     "as_flat",
@@ -51,14 +50,6 @@ def polygon_area(flat: Sequence[float]) -> float:
 def polygons_area(polys: Sequence[Sequence[float]]) -> float:
     """Total area of a multi-part polygon set (sum of parts)."""
     return sum(polygon_area(p) for p in polys)
-
-
-def polygon_bounds(flat: Sequence[float]) -> tuple[float, float, float, float]:
-    """Axis-aligned hull (x, y, w, h) of one polygon."""
-    pts = as_points(flat)
-    x0, y0 = pts.min(axis=0)
-    x1, y1 = pts.max(axis=0)
-    return float(x0), float(y0), float(x1 - x0), float(y1 - y0)
 
 
 def polygons_bounds(polys: Sequence[Sequence[float]]) -> tuple[float, float, float, float]:

@@ -32,7 +32,7 @@ import numpy as np
 from .camera import CameraModel, Distortion, Intrinsics, Pose, matrix_to_axis_angle
 from .coco import Annotation, Category, Dataset, ImageRecord
 from .errors import BehindCameraError, ConfigError
-from .geometry2d import as_flat, clip_to_rect, convex_hull, polygon_area, polygon_bounds
+from .geometry2d import as_flat, clip_to_rect, convex_hull, polygon_area, polygons_bounds
 from .mapping import Box3D, GroundObservation, MapExtent
 from .taxonomy import default_taxonomy
 
@@ -336,7 +336,7 @@ def simulate(config: SimConfig, n_frames: int) -> SimResult:
                 image_id=image.id,
                 category_id=class_ids[state.class_name],
                 segmentation=[poly],
-                bbox=polygon_bounds(poly),
+                bbox=polygons_bounds([poly]),
                 area=polygon_area(poly),
             )
             next_gt_id += 1
@@ -380,7 +380,7 @@ def simulate(config: SimConfig, n_frames: int) -> SimResult:
                     image_id=image.id,
                     category_id=class_ids[det_class],
                     segmentation=[noisy_list],
-                    bbox=polygon_bounds(noisy_list),
+                    bbox=polygons_bounds([noisy_list]),
                     area=polygon_area(noisy_list),
                     score=score,
                 )

@@ -37,7 +37,7 @@ from posmap.coco import (
 )
 from posmap.density import kde_raster, merge_rasters, zero_raster
 from posmap.errors import PosmapError
-from posmap.evaluation import EvalParams, diagnose_errors, evaluate_detections
+from posmap.evaluation import diagnose_errors, evaluate_detections
 from posmap.mapping import (
     Box3D,
     GroundObservation,
@@ -311,7 +311,7 @@ def test_c4_evaluator_fidelity(capsys):
     worst = 0.0
     for iou_mode, seed in (("bbox", 21), ("segm", 22)):
         gt, dets = _sim_eval_fixture(seed, iou_mode)
-        ours = evaluate_detections(gt, dets, EvalParams(iou_mode=iou_mode))
+        ours = evaluate_detections(gt, dets, iou_mode=iou_mode)
         ref = reference_evaluate(gt, dets, iou_mode=iou_mode)
         for cat in (c.id for c in gt.categories):
             assert ours.per_class[cat].n_gt == ref[cat]["n_gt"]
@@ -352,7 +352,7 @@ def test_c4_evaluator_fidelity(capsys):
         annotations=gts,
         categories=[ped],
     )
-    hand = evaluate_detections(ds, dets, EvalParams(iou_mode="bbox"))
+    hand = evaluate_detections(ds, dets, iou_mode="bbox")
     expected = 76.4 / 101.0  # precision envelope (1, 2/3, 3/5) on the 101-point grid
     hand_exact = abs(hand.per_class[1].ap - expected) < 1e-12
 
@@ -387,7 +387,6 @@ def _ladder_dataset(gts: list[Annotation], n_images: int = 2) -> Dataset:
 
 def test_c5_error_ladder(capsys):
     rng = np.random.default_rng(555)
-    bbox = EvalParams(iou_mode="bbox")
     n_checked = 0
     for _ in range(1000):
         gts, dets, gid, did = [], [], 1, 1
@@ -412,7 +411,7 @@ def test_c5_error_ladder(capsys):
                     area=float(w * h), score=float(rng.random()),
                 ))
                 did += 1
-        result = diagnose_errors(_ladder_dataset(gts), dets, bbox)
+        result = diagnose_errors(_ladder_dataset(gts), dets, iou_mode="bbox")
         for ladder in result.per_class.values():
             values = [v for _, v in ladder.steps()]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:])), values
@@ -425,7 +424,7 @@ def test_c5_error_ladder(capsys):
                                     bbox=(0.0, 0.0, 10.0, 10.0), area=100.0)]),
         [Annotation(id=1, image_id=1, category_id=1, bbox=(6.0, 0.0, 10.0, 10.0),
                     area=100.0, score=0.9)],
-        bbox,
+        iou_mode="bbox",
     ).per_class[1]
     loc_ok = (loc.c75 == loc.c50 == 0.0 and loc.loc == 1.0
               and loc.sim == loc.oth == loc.bg == loc.fn == 1.0)
@@ -441,7 +440,7 @@ def test_c5_error_ladder(capsys):
                     area=100.0, score=0.95),
          Annotation(id=2, image_id=1, category_id=2, bbox=(0.0, 0.0, 10.0, 10.0),
                     area=100.0, score=0.90)],
-        bbox,
+        iou_mode="bbox",
     ).per_class[2]
     sim_ok = (sim_rung.c75 == sim_rung.c50 == sim_rung.loc == 0.5
               and sim_rung.sim == 1.0)
@@ -453,7 +452,7 @@ def test_c5_error_ladder(capsys):
                     area=100.0, score=0.95),
          Annotation(id=2, image_id=1, category_id=1, bbox=(0.0, 0.0, 10.0, 10.0),
                     area=100.0, score=0.90)],
-        bbox,
+        iou_mode="bbox",
     ).per_class[1]
     bg_ok = bg_rung.loc == bg_rung.sim == bg_rung.oth == 0.5 and bg_rung.bg == 1.0
 
@@ -702,7 +701,7 @@ def test_c9_throughput(capsys):
                 image_id=image.id,
             )
         evaluate_detections(
-            result.dataset, result.detections, EvalParams(iou_mode="bbox")
+            result.dataset, result.detections, iou_mode="bbox"
         )
         best = min(best, time.perf_counter() - t0)
 

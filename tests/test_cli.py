@@ -17,9 +17,9 @@ import posmap.cli
 from posmap import __version__
 from posmap.camera import Distortion, Intrinsics, load_camera, project_points
 from posmap.cli import build_parser, main
-from posmap.coco import load_dataset, load_detections, save_dataset
+from posmap.coco import Dataset, load_dataset, load_detections, save_dataset
 from posmap.density import density_paths, load_density, save_density, zero_raster
-from posmap.evaluation import EvalParams, pr_curve
+from posmap.evaluation import pr_curve
 from posmap.mapping import (
     MapExtent,
     load_extent,
@@ -325,7 +325,7 @@ def test_pr_curves_csv_matches_per_class_pr_curve(workspace, iou_mode):
     dets = load_detections(sim / "detections.json")
     lines = ["class,recall,precision"]
     for cat in sorted(gt.categories, key=lambda c: c.id):
-        curve = pr_curve(gt, dets, cat.id, 0.5, EvalParams(iou_mode=iou_mode))
+        curve = pr_curve(gt, dets, cat.id, iou_mode=iou_mode)
         if curve.ap is not None:
             lines += [f"{cat.name},{r!r},{p!r}" for r, p in zip(curve.recall, curve.precision)]
     assert len(lines) > 101
@@ -403,6 +403,29 @@ def test_export_labelme_command(workspace, tmp_path):
     assert (out_dir / "manifest.json").exists()
     doc = json.loads(files[0].read_text())
     assert doc["shapes"] and doc["shapes"][0]["shape_type"] == "polygon"
+
+
+@pytest.mark.parametrize("file_names, clash", [
+    (("cam1/frame_0001.jpg", "cam2/frame_0001.jpg"),
+     "frame_0001.json (cam1/frame_0001.jpg, cam2/frame_0001.jpg)"),
+    (("frame_0001.jpg", "manifest.jpg"), "manifest.json (the run manifest, manifest.jpg)"),
+], ids=["same-stem", "manifest"])
+def test_export_labelme_refuses_file_names_that_clash(
+    workspace, tmp_path, capsys, file_names, clash
+):
+    ds = load_dataset(_sim(workspace) / "gt.json")
+    images = [dataclasses.replace(im, file_name=name) for im, name in zip(ds.images, file_names)]
+    kept = {im.id for im in images}
+    annotations = tmp_path / "anns.json"
+    save_dataset(annotations, Dataset(
+        images=images, annotations=[a for a in ds.annotations if a.image_id in kept],
+        categories=ds.categories,
+    ))
+    out_dir = tmp_path / "lm"
+    assert main(["export-labelme", "--annotations", str(annotations),
+                 "--out-dir", str(out_dir)]) == 3
+    assert clash in capsys.readouterr().err
+    assert not [p for p in out_dir.rglob("*") if p.is_file()]
 
 
 # -- manifests ----------------------------------------------------------------------
@@ -610,17 +633,6 @@ def test_config_error_exits_2(workspace, tmp_path, capsys, case):
     argv, message = CONFIG_ERRORS[case]
     assert main(argv(workspace, tmp_path)) == 2
     assert message.format(tmp=tmp_path) in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["eval", "diagnose"])
-@pytest.mark.parametrize("max_dets", ["0", "-1"])
-def test_max_dets_below_one_exits_2(workspace, tmp_path, capsys, command, max_dets):
-    sim = _sim(workspace)
-    argv = [command, "--gt", str(sim / "gt.json"), "--detections", str(sim / "detections.json"),
-            "--iou-mode", "bbox", f"--max-dets={max_dets}", "--out", str(tmp_path / "out.json")]
-    assert main(argv) == 2
-    assert f"max dets must be an integer >= 1, got {max_dets}" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
 
 
 def test_bad_prior_exits_2(workspace):

@@ -15,7 +15,6 @@ from posmap.coco import Annotation, Category, Dataset, ImageRecord
 from posmap.errors import ConfigError, DataError
 from posmap.evaluation import (
     ClassMetrics,
-    EvalParams,
     dataset_stats,
     diagnose_errors,
     evaluate_detections,
@@ -34,7 +33,6 @@ CATS = [
     Category(id=CYC, name="cyclist", supercategory="people"),
     Category(id=DOG, name="dog", supercategory="animal"),
 ]
-BBOX = EvalParams(iou_mode="bbox")
 
 
 # each annotation's polygon is its box, so on integer boxes mask IoU is box IoU
@@ -181,7 +179,7 @@ HAND_AP = 76.4 / 101.0  # envelope (1, 2/3, 3/5) over 34 + 33 + 34 grid points
 
 def test_hand_computed_ap():
     ds, dets = _hand_fixture()
-    result = evaluate_detections(ds, dets, BBOX)
+    result = evaluate_detections(ds, dets, iou_mode="bbox")
     m = result.per_class[PED]
     assert m.ap == pytest.approx(HAND_AP, abs=1e-12)
     # true positives overlap perfectly, so every threshold sees the same ranking
@@ -197,7 +195,7 @@ def test_hand_computed_ap():
 def test_zero_gt_class_is_undefined_and_excluded():
     ds, dets = _hand_fixture()
     dets = dets + [_det(9, 1, CYC, (80, 80, 10, 10), 0.99)]  # no cyclist gt
-    result = evaluate_detections(ds, dets, BBOX)
+    result = evaluate_detections(ds, dets, iou_mode="bbox")
     assert result.per_class[CYC].ap is None
     assert result.per_class[CYC].n_gt == 0
     assert result.mean_ap == result.per_class[PED].ap  # mean skips undefined
@@ -205,7 +203,7 @@ def test_zero_gt_class_is_undefined_and_excluded():
 
 def test_empty_detections_score_zero():
     ds, _ = _hand_fixture()
-    result = evaluate_detections(ds, [], BBOX)
+    result = evaluate_detections(ds, [], iou_mode="bbox")
     assert result.per_class[PED].ap == 0.0
     assert result.per_class[PED].ar100 == 0.0
     assert result.mean_ap == 0.0
@@ -213,10 +211,10 @@ def test_empty_detections_score_zero():
 
 def test_score_monotone_transform_invariance():
     ds, dets = _hand_fixture()
-    before = evaluate_detections(ds, dets, BBOX).per_class[PED]
+    before = evaluate_detections(ds, dets, iou_mode="bbox").per_class[PED]
     import dataclasses
     squeezed = [dataclasses.replace(d, score=0.5 + d.score / 3.0) for d in dets]
-    after = evaluate_detections(ds, squeezed, BBOX).per_class[PED]
+    after = evaluate_detections(ds, squeezed, iou_mode="bbox").per_class[PED]
     assert before == after
 
 
@@ -224,41 +222,42 @@ def test_duplicate_detection_is_penalized():
     ds, dets = _hand_fixture()
     import dataclasses
     dup = dataclasses.replace(dets[0], id=99, score=0.85)
-    worse = evaluate_detections(ds, dets + [dup], BBOX).per_class[PED]
+    worse = evaluate_detections(ds, dets + [dup], iou_mode="bbox").per_class[PED]
     assert worse.ap < HAND_AP
 
 
 def test_max_dets_cuts_low_scores():
-    gts = [_gt(1, 1, PED, (0, 0, 10, 10))]
-    dets = [_det(i, 1, PED, (50, 50, 5, 5), 0.9 - i * 1e-4) for i in range(2, 121)]
-    dets.append(_det(1, 1, PED, (0, 0, 10, 10), 0.05))  # the only TP, ranked last
-    ds = _dataset(gts)
-    capped = evaluate_detections(ds, dets, BBOX)
-    assert capped.per_class[PED].ap == 0.0
-    roomy = evaluate_detections(ds, dets, EvalParams(iou_mode="bbox", max_dets=200))
-    assert roomy.per_class[PED].ap > 0.0
+    # 120 detections in one image; only the one ranked `rank` hits the ground truth
+    ds = _dataset([_gt(1, 1, PED, (0, 0, 10, 10))])
+
+    def ap_with_hit_at(rank):
+        dets = [_det(k, 1, PED, (0, 0, 10, 10) if k == rank else (50, 50, 5, 5), 1 - k / 1000)
+                for k in range(1, 121)]
+        return evaluate_detections(ds, dets, iou_mode="bbox").per_class[PED].ap
+
+    assert ap_with_hit_at(100) == pytest.approx(0.01)  # recall 1 at precision 1/100
+    assert ap_with_hit_at(101) == 0.0
+    assert ap_with_hit_at(120) == 0.0
 
 
-@pytest.mark.parametrize("fields", [
-    {"max_dets": 0}, {"max_dets": -1}, {"max_dets": 1.5}, {"iou_mode": "mask"},
-], ids=["max-dets-0", "max-dets--1", "max-dets-float", "unknown-mode"])
-def test_eval_params_refuse_values_that_change_ap(fields):
-    with pytest.raises(ConfigError, match="must be"):
-        EvalParams(**fields)
-
-
-def test_match_refuses_an_unknown_iou_mode():
-    gts = [_gt(1, 1, PED, (0, 0, 10, 10))]
-    with pytest.raises(ConfigError, match="iou_mode"):
-        match_detections(gts, [_det(2, 1, PED, (0, 0, 10, 10), 0.9)], 0.5, iou_mode="mask")
+@pytest.mark.parametrize("entry_point", [
+    lambda gt, dets, **kw: match_detections(list(gt.annotations), dets, 0.5, **kw),
+    evaluate_detections,
+    lambda gt, dets, **kw: pr_curve(gt, dets, PED, **kw),
+    diagnose_errors,
+], ids=["match_detections", "evaluate_detections", "pr_curve", "diagnose_errors"])
+def test_entry_points_refuse_an_unknown_iou_mode(entry_point):
+    ds, dets = _hand_fixture()
+    with pytest.raises(ConfigError, match="iou_mode must be 'segm' or 'bbox', got 'mask'"):
+        entry_point(ds, dets, iou_mode="mask")
 
 
 def test_detection_referencing_unknowns_rejected():
     ds, dets = _hand_fixture()
     with pytest.raises(DataError, match="unknown image"):
-        evaluate_detections(ds, [_det(1, 42, PED, (0, 0, 5, 5), 0.5)], BBOX)
+        evaluate_detections(ds, [_det(1, 42, PED, (0, 0, 5, 5), 0.5)], iou_mode="bbox")
     with pytest.raises(DataError, match="unknown category"):
-        evaluate_detections(ds, [_det(1, 1, 42, (0, 0, 5, 5), 0.5)], BBOX)
+        evaluate_detections(ds, [_det(1, 1, 42, (0, 0, 5, 5), 0.5)], iou_mode="bbox")
 
 
 # -- PR curves --------------------------------------------------------------------
@@ -266,7 +265,7 @@ def test_detection_referencing_unknowns_rejected():
 
 def test_pr_curve_hand_fixture():
     ds, dets = _hand_fixture()
-    pr = pr_curve(ds, dets, PED, iou_threshold=0.5, params=BBOX)
+    pr = pr_curve(ds, dets, PED, iou_mode="bbox")
     assert pr.n_gt == 3
     assert pr.ap == pytest.approx(HAND_AP, abs=1e-12)
     assert len(pr.recall) == len(pr.precision) == 101
@@ -278,14 +277,14 @@ def test_pr_curve_hand_fixture():
 
 def test_pr_curve_recall_grid_is_exact_hundredths():
     ds, dets = _hand_fixture()
-    pr = pr_curve(ds, dets, PED, params=BBOX)
+    pr = pr_curve(ds, dets, PED, iou_mode="bbox")
     for k in range(101):
         assert pr.recall[k] == k / 100.0
 
 
 def test_pr_curve_zero_gt():
     ds, _ = _hand_fixture()
-    pr = pr_curve(ds, [], CYC, params=BBOX)
+    pr = pr_curve(ds, [], CYC, iou_mode="bbox")
     assert pr.ap is None
     assert pr.n_gt == 0
 
@@ -293,7 +292,7 @@ def test_pr_curve_zero_gt():
 def test_pr_curve_unknown_class():
     ds, dets = _hand_fixture()
     with pytest.raises(DataError, match="unknown"):
-        pr_curve(ds, dets, 42, params=BBOX)
+        pr_curve(ds, dets, 42, iou_mode="bbox")
 
 
 # -- mean AP -------------------------------------------------------------------
@@ -336,7 +335,7 @@ def _sim_fixture(seed, iou_mode):
 
 
 def _assert_matches_reference(gt, dets, iou_mode):
-    ours = evaluate_detections(gt, dets, EvalParams(iou_mode=iou_mode))
+    ours = evaluate_detections(gt, dets, iou_mode=iou_mode)
     ref = reference_evaluate(gt, dets, iou_mode=iou_mode)
 
     fields = ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large", "ar100")
@@ -437,7 +436,7 @@ def test_matches_reference_on_adversarial_scenes(iou_mode, data):
 
 
 def _ladder(gts, dets, n_images=1):
-    result = diagnose_errors(_dataset(gts, n_images=n_images), dets, BBOX)
+    result = diagnose_errors(_dataset(gts, n_images=n_images), dets, iou_mode="bbox")
     return result
 
 
@@ -445,7 +444,7 @@ def _rung(gts, dets):
     """The ladder of a one-image rung fixture, which segm mode must reproduce:
     its boxes are integer rectangles, so mask IoU equals box IoU."""
     result = _ladder(gts, dets)
-    assert diagnose_errors(_dataset(gts), dets, EvalParams(iou_mode="segm")) == result
+    assert diagnose_errors(_dataset(gts), dets, iou_mode="segm") == result
     return result
 
 
@@ -566,7 +565,7 @@ def test_segm_memory_is_bounded_by_one_image(run):
         gt, dets = _segm_scene(n_images)
         tracemalloc.start()
         try:
-            run(gt, dets, EvalParams(iou_mode="segm"))
+            run(gt, dets, iou_mode="segm")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -12,8 +12,8 @@ from posmap.geometry2d import (
     clip_to_rect,
     convex_hull,
     polygon_area,
-    polygon_bounds,
     polygons_area,
+    polygons_bounds,
     rasterize_polygons,
 )
 
@@ -38,7 +38,7 @@ def test_polygons_area_sums_parts():
 
 
 def test_polygon_bounds():
-    assert polygon_bounds([1, 2, 5, 2, 5, 9, 1, 9]) == (1.0, 2.0, 4.0, 7.0)
+    assert polygons_bounds([[1, 2, 5, 2, 5, 9, 1, 9]]) == (1.0, 2.0, 4.0, 7.0)
 
 
 def test_convex_hull_recovers_square_from_interior_points():
