@@ -227,6 +227,11 @@ def _dataset_from_doc(doc: dict, path: str | Path) -> Dataset:
         raise DataError(f"annotation file {path} is malformed: {e}") from e
 
     for im in images:
+        if im.width < 1 or im.height < 1:
+            raise DataError(
+                f"annotation file {path}: image {im.id} is {im.width} x {im.height} px, "
+                "not at least 1 x 1"
+            )
         ts = im.extra.get("timestamp")
         if ts is not None and not (type(ts) is int or (type(ts) is float and math.isfinite(ts))):
             raise DataError(

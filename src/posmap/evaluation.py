@@ -11,9 +11,9 @@ default) or on axis-aligned boxes (``bbox``); any other value is a
 
 Every entry point runs on one matching pass per class (:func:`_match`).
 It builds each (image, class) IoU matrix once — a numpy broadcast over
-the box arrays, or one whole-image AND per mask pair — pads the class's
-images to (U, D, G) and sweeps detection rank once for all S strata and
-T thresholds together, keeping an (S, T, U, G) "taken" array. Strata
+the box arrays, or one AND per pair of overlapping mask crops — pads the
+class's images to (U, D, G) and sweeps detection rank once for all S
+strata and T thresholds together, keeping an (S, T, U, G) "taken" array. Strata
 differ only in which ground truths are ignored: crowd regions always, plus
 those outside the stratum's area range; unmatched detections outside the
 range are ignored too. :func:`match_detections` and :func:`diagnose_errors`
@@ -21,9 +21,10 @@ match at one IoU and run the all-sizes stratum alone, which ignores crowd
 ground truth only.
 
 A mask lives only while the IoU matrix of its own (image, class) unit is
-built: segm mode rasterizes that unit's detections and ground truths,
-ANDs them and drops them. Memory is thus bounded by one unit's masks, not
-by the dataset. The Sim/Oth scan of :func:`diagnose_errors` rasterizes the
+built: segm mode rasterizes each polygon set of that unit once, into a
+crop of its own pixel box, ANDs pairs over the overlap of their crops and
+drops the crops. Memory is thus bounded by one unit's crops, not by the
+dataset. The Sim/Oth scan of :func:`diagnose_errors` rasterizes the
 unmatched detections of a unit again, next to the other classes' ground
 truth of that image.
 
@@ -192,28 +193,30 @@ def _box_ious(det_boxes: np.ndarray, gt_boxes: np.ndarray, gt_crowd: np.ndarray)
     return _ious_from_areas(ix * iy, dw * dh, gw * gh, gt_crowd[..., None, :])
 
 
-_Mask = tuple[np.ndarray, int]
+def _mask_ious(
+    dets: list[list[list[float]]], gts: list[list[list[float]]], size: tuple[int, int],
+    gt_crowd: np.ndarray,
+) -> np.ndarray:
+    """Pairwise IoU of polygon sets, each rasterized once into its own crop.
 
-
-def _mask_item(polys: list[list[float]], width: int, height: int) -> _Mask:
-    """A polygon set's mask and pixel count."""
-    mask = rasterize_polygons(polys, width, height)
-    return mask, int(np.count_nonzero(mask))
-
-
-def _mask_ious(dets: list[_Mask], gts: list[_Mask], gt_crowd: np.ndarray) -> np.ndarray:
-    """Pairwise mask IoU; every pair is ANDed over the whole image.
-
-    No pair is skipped or cropped, so the AND work depends only on the
-    mask counts, not on where the masks lie or how much they overlap.
+    A pair is ANDed only over the overlap of its two crops; a pair whose
+    crops do not overlap has intersection 0.
     """
-    inter = np.zeros((len(dets), len(gts)), dtype=np.int64)
-    for i, (dm, _) in enumerate(dets):
-        for j, (gm, _) in enumerate(gts):
-            inter[i, j] = np.count_nonzero(dm & gm)
-    det_area = np.array([m[1] for m in dets], dtype=np.int64)[:, None]
-    gt_area = np.array([m[1] for m in gts], dtype=np.int64)[None, :]
-    return _ious_from_areas(inter, det_area, gt_area, gt_crowd[None, :])
+    dc, gc = ([rasterize_polygons(p, *size) for p in sets] for sets in (dets, gts))
+    # crop boxes (x0, y0, x1, y1), end-exclusive, and the pairwise overlaps
+    db, gb = (
+        np.array([(x, y, x + m.shape[1], y + m.shape[0]) for m, x, y in c]) for c in (dc, gc)
+    )
+    lo, hi = np.maximum(db[:, None, :2], gb[:, :2]), np.minimum(db[:, None, 2:], gb[:, 2:])
+    inter = np.zeros((len(dc), len(gc)), dtype=np.int64)
+    for i, j in zip(*np.nonzero((hi > lo).all(axis=-1))):
+        (x0, y0), (x1, y1) = lo[i, j], hi[i, j]
+        (dm, dx, dy), (gm, gx, gy) = dc[i], gc[j]
+        inter[i, j] = np.count_nonzero(
+            dm[y0 - dy : y1 - dy, x0 - dx : x1 - dx] & gm[y0 - gy : y1 - gy, x0 - gx : x1 - gx]
+        )
+    det_area, gt_area = (np.array([np.count_nonzero(m) for m, _, _ in c]) for c in (dc, gc))
+    return _ious_from_areas(inter, det_area[:, None], gt_area[None, :], gt_crowd[None, :])
 
 
 def _boxes(anns: list[Annotation]) -> np.ndarray:
@@ -234,9 +237,7 @@ def _unit_ious(
         if not ann.segmentation:
             raise DataError(f"annotation {ann.id} has no polygon; use bbox IoU mode")
     return _mask_ious(
-        [_mask_item(d.segmentation, *size) for d in dets],
-        [_mask_item(g.segmentation, *size) for g in gts],
-        crowd,
+        [d.segmentation for d in dets], [g.segmentation for g in gts], size, crowd
     )
 
 
@@ -252,11 +253,10 @@ def iou_mask(
     b: list[list[float]],
     image_size: tuple[int, int],
 ) -> float:
-    """IoU of two polygon sets rasterized at image resolution (even-odd fill)."""
-    w, h = image_size
-    return float(
-        _mask_ious([_mask_item(a, w, h)], [_mask_item(b, w, h)], np.zeros(1, bool))[0, 0]
-    )
+    """IoU of two polygon sets rasterized at a positive (width, height) (even-odd fill)."""
+    if min(image_size) <= 0:
+        raise DataError(f"mask IoU needs a positive image_size, got {image_size}")
+    return float(_mask_ious([a], [b], image_size, np.zeros(1, bool))[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -141,33 +141,48 @@ def clip_to_rect(
 
 def rasterize_polygons(
     polys: Sequence[Sequence[float]], width: int, height: int
-) -> np.ndarray:
-    """Rasterize a multi-part polygon to a boolean (height, width) mask.
+) -> tuple[np.ndarray, int, int]:
+    """Rasterize a multi-part polygon into a crop ``(mask, x0, y0)`` of the image.
 
-    Even-odd scanline fill sampled at pixel centers (x+0.5, y+0.5). Parts are
-    OR-combined, matching the multi-part occlusion-split convention.
+    ``mask[r, c]`` is pixel ``(x0 + c, y0 + r)`` of a (height, width) image;
+    the crop is the smallest box holding every set pixel, (0, 0) at (0, 0)
+    when none is. Even-odd fill at pixel centres on half-open edges, all rows
+    at once: crossings 2i and 2i+1 of a part on a row bound the pixels
+    ``ceil(x - 0.5) .. floor(x' - 0.5)``. Parts are OR-combined.
     """
-    mask = np.zeros((height, width), dtype=bool)
-    for flat in polys:
-        pts = as_points(flat)
-        if len(pts) < 3:
-            raise DataError("cannot rasterize a polygon with fewer than 3 vertices")
-        ys = pts[:, 1]
-        row_lo = max(0, int(np.floor(ys.min() - 0.5)))
-        row_hi = min(height - 1, int(np.ceil(ys.max())))
-        xs_a, ys_a = pts[:, 0], pts[:, 1]
-        xs_b, ys_b = np.roll(xs_a, -1), np.roll(ys_a, -1)
-        for row in range(row_lo, row_hi + 1):
-            yc = row + 0.5
-            # edges straddling the scanline (half-open to avoid double counting)
-            straddle = (ys_a <= yc) != (ys_b <= yc)
-            if not straddle.any():
-                continue
-            t = (yc - ys_a[straddle]) / (ys_b[straddle] - ys_a[straddle])
-            xhits = np.sort(xs_a[straddle] + t * (xs_b[straddle] - xs_a[straddle]))
-            for i in range(0, len(xhits) - 1, 2):
-                lo = max(int(np.ceil(xhits[i] - 0.5)), 0)
-                hi = min(int(np.floor(xhits[i + 1] - 0.5)), width - 1)
-                if hi >= lo:
-                    mask[row, lo : hi + 1] = True
-    return mask
+    parts = [as_points(flat) for flat in polys]
+    if any(len(p) < 3 for p in parts):
+        raise DataError("cannot rasterize a polygon with fewer than 3 vertices")
+    if not parts:
+        return np.zeros((0, 0), dtype=bool), 0, 0
+    xs_a, ys_a = np.concatenate(parts).T
+    if not (np.isfinite(xs_a).all() and np.isfinite(ys_a).all()):
+        raise DataError("cannot rasterize a polygon with a non-finite coordinate")
+    # the other end of each edge: the next vertex of its part
+    xs_b, ys_b = np.concatenate([np.concatenate((p[1:], p[:1])) for p in parts]).T
+    row_lo = max(0, int(np.floor(ys_a.min() - 0.5)))
+    row_hi = min(height - 1, int(np.ceil(ys_a.max())))
+    yc = np.arange(row_lo, row_hi + 1) + 0.5
+    r, e = np.nonzero((ys_a <= yc[:, None]) != (ys_b <= yc[:, None]))
+    x = xs_a[e] + (yc[r] - ys_a[e]) / (ys_b[e] - ys_a[e]) * (xs_b[e] - xs_a[e])
+    part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    order = np.lexsort((x, r * len(parts) + part[e]))
+    x, r = x[order], r[order]
+    lo = np.maximum(np.ceil(x[0::2] - 0.5), 0)
+    hi = np.minimum(np.floor(x[1::2] - 0.5), width - 1)
+    keep = hi >= lo
+    if not keep.any():
+        return np.zeros((0, 0), dtype=bool), 0, 0
+    row, lo, hi = r[0::2][keep] + row_lo, lo[keep].astype(np.intp), hi[keep].astype(np.intp)
+    x0, y0 = int(lo.min()), int(row.min())
+    w, h = int(hi.max()) + 1 - x0, int(row.max()) + 1 - y0
+    # spans as runs [start, end) of the flat crop, merged where parts or equal
+    # crossings overlap; the mask alternates False and True between run bounds
+    start = (row - y0) * w + lo - x0
+    order = np.argsort(start)
+    start, end = start[order], (start + hi - lo + 1)[order]
+    reach = np.maximum.accumulate(end)
+    new = np.concatenate(([True], start[1:] > reach[:-1]))
+    bounds = np.column_stack((start[new], reach[np.append(new[1:], True)])).ravel()
+    lengths = np.diff(bounds, prepend=0, append=h * w)
+    return np.repeat(np.arange(len(lengths)) % 2 == 1, lengths).reshape(h, w), x0, y0

@@ -747,6 +747,16 @@ def _map_with_timestamp(ws, tmp, timestamp):
     return argv, tmp / "gt.json"
 
 
+def _eval_with_image_size(ws, tmp, width, height):
+    """``eval --iou-mode segm`` with the first image's size replaced."""
+    doc = json.loads((_sim(ws) / "gt.json").read_text())
+    doc["images"][0].update(width=width, height=height)
+    (tmp / "gt.json").write_text(json.dumps(doc))
+    argv = ["eval", "--gt", str(tmp / "gt.json"),
+            "--detections", str(_sim(ws) / "detections.json"), "--iou-mode", "segm"]
+    return argv, f"image {doc['images'][0]['id']} is {width} x {height} px"
+
+
 def _density_with_nan_timestamp(ws, tmp):
     """``density`` on the scene's observations with the first row's timestamp NaN."""
     obs = _observations(ws, tmp)
@@ -770,6 +780,8 @@ DATA_ERRORS = {
     "merge-negative-cell": lambda ws, tmp: _merge_with_broken(tmp, "csv", "-0.5"),
     "merge-cell-off-the-quantum": lambda ws, tmp: _merge_with_broken(tmp, "csv", "0.1"),
     "density-nan-timestamp": _density_with_nan_timestamp,
+    "eval-image-width-0": lambda ws, tmp: _eval_with_image_size(ws, tmp, 0, 1080),
+    "eval-negative-image-height": lambda ws, tmp: _eval_with_image_size(ws, tmp, 1920, -1080),
     "taxonomy-is-a-list": lambda ws, tmp: _stats_with_taxonomy(ws, tmp, []),
     "taxonomy-id-not-a-number": lambda ws, tmp: _stats_with_taxonomy(ws, tmp, {
         "version": 1, "classes": [{"id": "x", "name": "pedestrian", "supercategory": "people"}],

@@ -173,6 +173,18 @@ def test_load_rejects_a_timestamp_that_is_not_a_finite_number(tmp_path, timestam
         assert load_dataset(path).images[0].extra["timestamp"] == fine
 
 
+@pytest.mark.parametrize("width,height", [(0, 48), (64, 0), (64, -48), (-1, -1)])
+def test_load_rejects_an_image_smaller_than_one_pixel(tmp_path, width, height):
+    image = {"id": 3, "file_name": "a.jpg", "width": width, "height": height}
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps({"images": [image], "categories": [], "annotations": []}))
+    with pytest.raises(DataError, match=re.escape(f"image 3 is {width} x {height} px")):
+        load_dataset(path)
+    path.write_text(json.dumps({"images": [{**image, "width": 1, "height": 1}],
+                                "categories": [], "annotations": []}))
+    assert load_dataset(path).images[0].width == 1
+
+
 def test_load_warns_on_bbox_hull_mismatch(tmp_path):
     doc = {
         "images": [{"id": 1, "file_name": "a.jpg", "width": 640, "height": 480}],

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference_eval import reference_evaluate
+from _reference_raster import mask_ious as reference_mask_ious
 from posmap.coco import Annotation, Category, Dataset, ImageRecord
 from posmap.errors import ConfigError, DataError
 from posmap.evaluation import (
     ClassMetrics,
+    _unit_ious,
     dataset_stats,
     diagnose_errors,
     evaluate_detections,
@@ -96,6 +98,69 @@ def test_iou_mask_multi_part():
     parts = [_rect(0, 0, 4, 4), _rect(10, 0, 4, 4)]  # total 32 px
     whole = [_rect(0, 0, 14, 4)]  # 56 px, contains both parts
     assert iou_mask(parts, whole, (32, 16)) == 32.0 / 56.0
+
+
+@pytest.mark.parametrize(
+    "other,expected",
+    [
+        (_rect(30, 20, 5, 5), 0.0),  # crops far apart
+        (_rect(22, 3, 10, 10), 0.0),  # crops touch along the column x = 22
+        (_rect(21, 12, 10, 10), 1.0 / 299.0),  # one shared pixel, (21, 12)
+        (_rect(70, 3, 5, 5), 0.0),  # wholly outside the image: an empty crop
+    ],
+    ids=["disjoint", "touching", "one-pixel", "outside"],
+)
+def test_iou_mask_on_crops(other, expected):
+    a = [_rect(2, 3, 20, 10)]  # 200 px
+    assert iou_mask(a, [other], (64, 48)) == expected
+    assert iou_mask([other], a, (64, 48)) == expected
+
+
+def test_iou_mask_of_two_sets_outside_the_image_is_zero():
+    outside = [_rect(-20, -20, 5, 5)]
+    assert iou_mask(outside, outside, (64, 48)) == 0.0
+
+
+def test_iou_mask_parts_far_apart():
+    parts = [_rect(0, 0, 4, 4), _rect(90, 60, 4, 4)]  # 32 px, opposite corners
+    near = [_rect(88, 58, 8, 8)]  # 64 px, holds the second part
+    assert iou_mask(parts, near, (100, 70)) == 16.0 / (32.0 + 64.0 - 16.0)
+
+
+@pytest.mark.parametrize("size", [(0, 48), (64, 0), (-64, 48)])
+def test_iou_mask_needs_a_positive_image_size(size):
+    with pytest.raises(DataError, match="image_size"):
+        iou_mask([_rect(0, 0, 4, 4)], [_rect(0, 0, 4, 4)], size)
+
+
+def test_segm_crowd_ground_truth_divides_by_the_detection_area():
+    crowd = _gt(1, 1, PED, (10, 10, 60, 40), crowd=1)
+    inside = _det(1, 1, PED, (20, 20, 10, 10), 0.9)
+    half_out = _det(2, 1, PED, (65, 20, 10, 10), 0.8)  # 50 of its 100 px inside
+    outside = _det(3, 1, PED, (120, 20, 10, 10), 0.7)  # beyond the 100 x 100 image
+    ious = _unit_ious([inside, half_out, outside], [crowd], "segm", (100, 100))
+    assert ious.tolist() == [[1.0], [0.5], [0.0]]
+
+
+def test_unit_ious_equal_full_frame_ious_on_a_simulated_scene():
+    """Each image's detections against all its ground truth, half of them crowd."""
+    gt, dets = _sim_fixture(12, "segm")
+    width, height = 640, 480
+    gts = [dataclasses.replace(g, iscrowd=g.id % 2) for g in gt.annotations]
+    pairs = 0
+    for image in gt.images:
+        d = [a for a in dets if a.image_id == image.id]
+        g = [a for a in gts if a.image_id == image.id]
+        if not (d and g):
+            continue
+        crowd = np.array([bool(a.iscrowd) for a in g])
+        ref = reference_mask_ious([a.segmentation for a in d], [a.segmentation for a in g],
+                                  crowd, width, height)
+        ours = _unit_ious(d, g, "segm", (image.width, image.height))
+        assert (image.width, image.height) == (width, height)
+        assert ours.tobytes() == ref.tobytes()
+        pairs += np.count_nonzero(ref > 0)
+    assert pairs > 20
 
 
 # -- matching -----------------------------------------------------------------
@@ -541,24 +606,24 @@ def test_ladder_mean_is_classwise_average():
 
 
 def _segm_scene(n_images):
-    """Per 200 x 200 image: two pedestrians and a cyclist, both pedestrians
+    """Per 800 x 800 image: two pedestrians and a cyclist, both pedestrians
     found, and a pedestrian false positive on the cyclist (a Sim error)."""
     gts, dets = [], []
     for image_id in range(1, n_images + 1):
         k = 10 * image_id
-        gts += [_gt(k, image_id, PED, (10, 10, 40, 80)),
-                _gt(k + 1, image_id, PED, (100, 10, 40, 80)),
-                _gt(k + 2, image_id, CYC, (60, 100, 50, 60))]
-        dets += [_det(k, image_id, PED, (12, 10, 40, 80), 0.9),
-                 _det(k + 1, image_id, PED, (100, 14, 40, 80), 0.8),
-                 _det(k + 2, image_id, PED, (60, 100, 50, 60), 0.7)]
-    return _dataset(gts, n_images=n_images, size=(200, 200)), dets
+        gts += [_gt(k, image_id, PED, (40, 40, 160, 320)),
+                _gt(k + 1, image_id, PED, (400, 40, 160, 320)),
+                _gt(k + 2, image_id, CYC, (240, 400, 200, 240))]
+        dets += [_det(k, image_id, PED, (48, 40, 160, 320), 0.9),
+                 _det(k + 1, image_id, PED, (400, 56, 160, 320), 0.8),
+                 _det(k + 2, image_id, PED, (240, 400, 200, 240), 0.7)]
+    return _dataset(gts, n_images=n_images, size=(800, 800)), dets
 
 
 @pytest.mark.parametrize("run", [evaluate_detections, diagnose_errors],
                          ids=["evaluate", "diagnose"])
 def test_segm_memory_is_bounded_by_one_image(run):
-    # masks dominate: a unit's five 40 kB masks outweigh its share of the
+    # masks dominate: a unit's five 50 kB crops outweigh its share of the
     # class-wide arrays, so holding a class's masks would grow the peak 4x
     peaks = []
     for n_images in (4, 16):
@@ -570,6 +635,32 @@ def test_segm_memory_is_bounded_by_one_image(run):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def _crowd_segm_scene():
+    """The benchmark's crowd-segm scene at seed 7: 4 full-HD frames, 12 + 12 masks each."""
+    from posmap.mapping import MapExtent
+
+    extent = MapExtent(origin=(0.0, 0.0), rotation=0.0, width=4.5, length=32.0)
+    config = SimConfig(extent=extent, camera=default_camera(extent), n_agents=12, seed=7,
+                       noise_px=1.5)
+    gt, dets, _ = render_detections(config, 4)
+    assert {(im.width, im.height) for im in gt.images} == {(1920, 1080)}
+    assert len(gt.annotations) == len(dets) == 48
+    return gt, dets
+
+
+@pytest.mark.parametrize("run", [evaluate_detections, diagnose_errors],
+                         ids=["evaluate", "diagnose"])
+def test_segm_peak_memory_is_below_one_full_frame_mask(run):
+    gt, dets = _crowd_segm_scene()
+    tracemalloc.start()
+    try:
+        run(gt, dets, iou_mode="segm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1920 * 1080, peak
 
 
 # -- dataset statistics -----------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference_raster import paste
+from _reference_raster import rasterize_polygons as reference_rasterize
 from posmap.errors import DataError
 from posmap.geometry2d import (
     as_flat,
@@ -18,6 +20,11 @@ from posmap.geometry2d import (
 )
 
 SQUARE = [0.0, 0.0, 10.0, 0.0, 10.0, 10.0, 0.0, 10.0]
+
+
+def _frame(polys, width, height):
+    """The crop of a polygon set pasted into its whole (height, width) frame."""
+    return paste(rasterize_polygons(polys, width, height), width, height)
 
 
 def test_polygon_area_square():
@@ -93,7 +100,7 @@ def test_clip_to_rect_outside_returns_empty():
 
 
 def test_rasterize_square_counts_interior_pixels():
-    mask = rasterize_polygons([SQUARE], 20, 20)
+    mask = _frame([SQUARE], 20, 20)
     # pixel centers 0.5..9.5 in both axes fall inside
     assert mask.sum() == 100
     assert mask[0, 0] and mask[9, 9] and not mask[10, 10]
@@ -101,7 +108,7 @@ def test_rasterize_square_counts_interior_pixels():
 
 def test_rasterize_respects_image_bounds():
     poly = [-5.0, -5.0, 15.0, -5.0, 15.0, 15.0, -5.0, 15.0]
-    mask = rasterize_polygons([poly], 10, 10)
+    mask = _frame([poly], 10, 10)
     assert mask.all()
 
 
@@ -113,19 +120,27 @@ def test_rasterize_respects_image_bounds():
     ],
 )
 def test_rasterize_polygon_outside_image_sets_nothing(poly):
-    assert not rasterize_polygons([poly], 20, 10).any()
+    assert not _frame([poly], 20, 10).any()
 
 
 def test_rasterize_multiple_parts_union():
     a = [0.0, 0.0, 4.0, 0.0, 4.0, 4.0, 0.0, 4.0]
     b = [6.0, 6.0, 9.0, 6.0, 9.0, 9.0, 6.0, 9.0]
-    mask = rasterize_polygons([a, b], 12, 12)
+    mask = _frame([a, b], 12, 12)
     assert mask.sum() == 16 + 9
 
 
 def test_rasterize_rejects_degenerate():
     with pytest.raises(DataError):
         rasterize_polygons([[0.0, 0.0, 1.0, 1.0]], 4, 4)
+
+
+@pytest.mark.parametrize("k,value", [(4, float("nan")), (5, float("nan")), (0, float("inf"))])
+def test_rasterize_rejects_a_non_finite_coordinate(k, value):
+    poly = list(SQUARE)
+    poly[k] = value
+    with pytest.raises(DataError, match="non-finite"):
+        rasterize_polygons([SQUARE, poly], 20, 20)
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,6 +160,62 @@ def test_rasterized_area_close_to_shoelace(data):
     ys = cy + radius * np.sin(angles)
     flat = [float(v) for pair in zip(xs, ys) for v in pair]
     exact = polygon_area(flat)
-    mask = rasterize_polygons([flat], 100, 100)
+    mask = _frame([flat], 100, 100)
     perimeter = float(np.sum(np.hypot(np.diff(xs, append=xs[0]), np.diff(ys, append=ys[0]))))
     assert abs(mask.sum() - exact) <= max(2.0, perimeter)
+
+
+def test_rasterize_crops_to_the_set_pixels():
+    a = [2.0, 3.0, 6.0, 3.0, 6.0, 5.0, 2.0, 5.0]
+    b = [9.0, 8.0, 10.0, 8.0, 10.0, 9.0, 9.0, 9.0]
+    mask, x0, y0 = rasterize_polygons([a, b], 12, 12)
+    assert (x0, y0, mask.shape) == (2, 3, (6, 8))
+    assert mask.sum() == 8 + 1
+
+
+@pytest.mark.parametrize(
+    "polys",
+    [
+        [[-10.0, 2.0, -3.0, 2.0, -3.0, 5.0, -10.0, 5.0]],  # wholly outside the image
+        [[3.6, 3.6, 4.4, 3.6, 4.4, 4.4, 3.6, 4.4]],  # inside, but holds no pixel centre
+        [],  # no part at all
+    ],
+)
+def test_rasterize_without_a_pixel_centre_is_an_empty_crop(polys):
+    mask, x0, y0 = rasterize_polygons(polys, 20, 10)
+    assert (mask.shape, x0, y0) == ((0, 0), 0, 0)
+
+
+# whole, half and arbitrary pixel coordinates, some outside a 24 x 18 image
+_COORD = st.one_of(
+    st.integers(-6, 30).map(float),
+    st.integers(-12, 60).map(lambda v: v / 2),
+    st.floats(-40.0, 40.0, allow_nan=False),
+)
+
+
+@st.composite
+def _polygon_sets(draw):
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(3, 9))
+        if draw(st.booleans()):
+            flat = [draw(_COORD) for _ in range(2 * n)]
+        else:  # sub-pixel or axis-aligned, with horizontal edges
+            x, y = draw(_COORD), draw(_COORD)
+            w, h = draw(st.sampled_from([0.25, 0.5, 1.0, 3.0, 7.5])), draw(_COORD)
+            flat = [x, y, x + w, y, x + w, y + h, x, y + h]
+        parts.append(flat)
+    return parts
+
+
+@settings(max_examples=400, deadline=None)
+@given(_polygon_sets(), st.integers(1, 24), st.integers(1, 18))
+def test_rasterize_crop_equals_the_full_frame_loop(polys, width, height):
+    """Multi-part, self-intersecting, on-pixel, off-image and sub-pixel sets."""
+    mask, x0, y0 = rasterize_polygons(polys, width, height)
+    assert mask.dtype == bool
+    assert 0 <= x0 and x0 + mask.shape[1] <= width
+    assert 0 <= y0 and y0 + mask.shape[0] <= height
+    assert np.array_equal(paste((mask, x0, y0), width, height),
+                          reference_rasterize(polys, width, height))
