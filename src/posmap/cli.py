@@ -46,6 +46,7 @@ from .coco import (
 from .density import density_paths, kde_raster, load_density, merge_rasters, save_density
 from .errors import ConfigError, PosmapError
 from .evaluation import (
+    Scores,
     dataset_stats,
     diagnose_errors,
     evaluate_detections,
@@ -247,6 +248,14 @@ def _fmt(v: float | None, digits: int = 4) -> str:
     return "-" if v is None else f"{v:.{digits}f}"
 
 
+def _scores_line(label: str, s: Scores) -> str:
+    return (
+        f"{label:>14s}  AP {_fmt(s.ap)}  AP50 {_fmt(s.ap50)}  AP75 {_fmt(s.ap75)}  "
+        f"small {_fmt(s.ap_small)}  medium {_fmt(s.ap_medium)}  large {_fmt(s.ap_large)}  "
+        f"AR100 {_fmt(s.ar100)}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------
@@ -412,20 +421,10 @@ def cmd_eval(args: argparse.Namespace) -> list[Path]:
     names = {c.id: c.name for c in gt.categories}
     for cat_id in sorted(result.per_class):
         m = result.per_class[cat_id]
-        print(
-            f"{names[cat_id]:>14s}  AP {_fmt(m.ap)}  AP50 {_fmt(m.ap50)}  "
-            f"AP75 {_fmt(m.ap75)}  small {_fmt(m.ap_small)}  "
-            f"medium {_fmt(m.ap_medium)}  large {_fmt(m.ap_large)}  "
-            f"AR100 {_fmt(m.ar100)}  n_gt {m.n_gt}"
-        )
+        print(f"{_scores_line(names[cat_id], m)}  n_gt {m.n_gt}")
     people_ids = [c.id for c in gt.categories if c.supercategory == "people"]
     map_people = mean_ap(result.per_class, people_ids) if people_ids else None
-    print(
-        f"{'mean':>14s}  AP {_fmt(result.mean_ap)}  AP50 {_fmt(result.mean_ap50)}  "
-        f"AP75 {_fmt(result.mean_ap75)}  small {_fmt(result.mean_ap_small)}  "
-        f"medium {_fmt(result.mean_ap_medium)}  large {_fmt(result.mean_ap_large)}  "
-        f"AR100 {_fmt(result.mean_ar100)}"
-    )
+    print(_scores_line("mean", result.mean))
     print(f"{'people mAP':>14s}  {_fmt(map_people)}")
     outputs = []
     if args.pr_curves:
@@ -445,17 +444,9 @@ def cmd_eval(args: argparse.Namespace) -> list[Path]:
             "per_class": {
                 names[cat_id]: dataclasses.asdict(m) for cat_id, m in result.per_class.items()
             },
-            "mean": {
-                "ap": result.mean_ap,
-                "ap50": result.mean_ap50,
-                "ap75": result.mean_ap75,
-                "ap_small": result.mean_ap_small,
-                "ap_medium": result.mean_ap_medium,
-                "ap_large": result.mean_ap_large,
-                "ar100": result.mean_ar100,
-            },
+            "mean": dataclasses.asdict(result.mean),
             "map_people": map_people,
-            "map_overall": result.mean_ap,
+            "map_overall": result.mean.ap,
             "iou_mode": args.iou_mode,
         }
         out.write_text(json.dumps(doc, indent=2) + "\n")
@@ -472,22 +463,19 @@ def cmd_diagnose(args: argparse.Namespace) -> list[Path]:
         f"{s:>6s}" for s in ("C75", "C50", "Loc", "Sim", "Oth", "BG", "FN")
     )
     print(header)
-    for cat_id in sorted(result.per_class):
-        ladder = result.per_class[cat_id]
-        print(
-            f"{names[cat_id]:>14s}  "
-            + "  ".join(f"{v:6.4f}" for _, v in ladder.steps())
-        )
+    rows = [(names[cat_id], result.per_class[cat_id]) for cat_id in sorted(result.per_class)]
     if result.mean is not None:
-        print(f"{'mean':>14s}  " + "  ".join(f"{v:6.4f}" for _, v in result.mean.steps()))
+        rows.append(("mean", result.mean))
+    for label, ladder in rows:
+        print(f"{label:>14s}  " + "  ".join(f"{v:6.4f}" for v in dataclasses.astuple(ladder)))
     if args.out:
         out = Path(args.out)
         doc = {
             "per_class": {
-                names[cat_id]: dict(ladder.steps())
+                names[cat_id]: dataclasses.asdict(ladder)
                 for cat_id, ladder in result.per_class.items()
             },
-            "mean": dict(result.mean.steps()) if result.mean else None,
+            "mean": dataclasses.asdict(result.mean) if result.mean else None,
             "iou_mode": args.iou_mode,
         }
         out.write_text(json.dumps(doc, indent=2) + "\n")

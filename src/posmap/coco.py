@@ -133,6 +133,8 @@ def _parse_segmentation(raw, ann_id: int) -> list[list[float]]:
                 f"annotation {ann_id}: degenerate polygon with "
                 f"{len(coords)} coordinates"
             )
+        if not all(map(math.isfinite, coords)):
+            raise DataError(f"annotation {ann_id}: polygon has a non-finite coordinate")
         polys.append(coords)
     return polys
 
@@ -140,10 +142,11 @@ def _parse_segmentation(raw, ann_id: int) -> list[list[float]]:
 def _parse_annotation(r: dict, ann_id: int) -> Annotation:
     """Build one annotation from its JSON record.
 
-    The bbox must have 4 values; without one it is the polygon hull. A bbox
-    more than 1 px off the hull only warns. Without an area, the polygon
-    area (else the bbox area) is used; a non-finite or negative area is a
-    ``DataError``. Errors from malformed fields
+    Every polygon coordinate must be finite. The bbox must have 4 values;
+    without one it is the polygon hull. A bbox more than 1 px off the hull
+    only warns; this is the one place bbox and hull are compared. Without an
+    area, the polygon area (else the bbox area) is used; a non-finite or
+    negative area is a ``DataError``. Errors from malformed fields
     (``KeyError``, ``TypeError``, ``ValueError``, or ``AttributeError``
     when the record is not an object) propagate to the caller.
     """
@@ -283,13 +286,6 @@ def save_dataset(path: str | Path, ds: Dataset) -> None:
             raise DataError(
                 f"annotation {ann.id} references missing category {ann.category_id}"
             )
-        if ann.segmentation:
-            hull = polygons_bounds(ann.segmentation)
-            if max(abs(h - b) for h, b in zip(hull, ann.bbox)) > 1.0:
-                raise DataError(
-                    f"annotation {ann.id}: bbox {tuple(ann.bbox)} deviates more "
-                    f"than 1 px from its polygon hull {hull}"
-                )
         row = {
             "id": ann.id,
             "image_id": ann.image_id,

@@ -43,13 +43,17 @@ and then *nests* all later stages inside that matching — stricter stages
 only re-flag the same matched pairs, looser stages only ignore more false
 positives — so the seven numbers are non-decreasing by construction,
 ending at exactly 1.
+
+Every class mean — :attr:`EvalResult.mean`, :func:`mean_ap` and
+:attr:`DiagnosisResult.mean` — is one rule: the unweighted mean over the
+classes where the value is defined, None where it is defined for none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Literal, NamedTuple
+from dataclasses import dataclass, fields
+from typing import Iterable, Literal, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -59,6 +63,7 @@ from .geometry2d import polygons_area, rasterize_polygons
 from .taxonomy import Taxonomy
 
 __all__ = [
+    "Scores",
     "ClassMetrics",
     "EvalResult",
     "DiagnosisLadder",
@@ -100,8 +105,8 @@ def _check_mode(iou_mode: str) -> None:
 
 
 @dataclass(frozen=True)
-class ClassMetrics:
-    """Per-class scores; None where the class has no ground truth to score."""
+class Scores:
+    """The seven scores of a class or a class mean; None where undefined."""
 
     ap: float | None
     ap50: float | None
@@ -110,6 +115,12 @@ class ClassMetrics:
     ap_medium: float | None
     ap_large: float | None
     ar100: float | None
+
+
+@dataclass(frozen=True)
+class ClassMetrics(Scores):
+    """A class's scores and ground-truth count; scores are None without ground truth."""
+
     n_gt: int
 
 
@@ -126,13 +137,7 @@ class PRCurve:
 @dataclass(frozen=True)
 class EvalResult:
     per_class: dict[int, ClassMetrics]
-    mean_ap: float | None
-    mean_ap50: float | None
-    mean_ap75: float | None
-    mean_ap_small: float | None
-    mean_ap_medium: float | None
-    mean_ap_large: float | None
-    mean_ar100: float | None
+    mean: Scores  # class means, each over the classes where the score is defined
     pr_curves: dict[int, PRCurve]  # per class, IoU 0.5, all sizes
 
 
@@ -147,17 +152,6 @@ class DiagnosisLadder:
     oth: float
     bg: float
     fn: float
-
-    def steps(self) -> tuple[tuple[str, float], ...]:
-        return (
-            ("c75", self.c75),
-            ("c50", self.c50),
-            ("loc", self.loc),
-            ("sim", self.sim),
-            ("oth", self.oth),
-            ("bg", self.bg),
-            ("fn", self.fn),
-        )
 
 
 @dataclass(frozen=True)
@@ -506,8 +500,18 @@ def _precision_on_grid(tp: np.ndarray, ignore: np.ndarray, n_gt: int) -> tuple[n
     return q, float(recall[-1])
 
 
-def _mean_or_none(values: list[float]) -> float | None:
-    return float(np.mean(values)) if values else None
+def _mean_or_none(values: Iterable[float | None]) -> float | None:
+    """Unweighted mean of the defined values; None if no value is defined."""
+    defined = [v for v in values if v is not None]
+    return float(np.mean(defined)) if defined else None
+
+
+_Record = TypeVar("_Record")
+
+
+def _mean_record(cls: type[_Record], records: list) -> _Record:
+    """The ``cls`` record whose every field is :func:`_mean_or_none` over ``records``."""
+    return cls(**{f.name: _mean_or_none(getattr(r, f.name) for r in records) for f in fields(cls)})
 
 
 def evaluate_detections(
@@ -552,22 +556,8 @@ def evaluate_detections(
             n_gt=n_gt,
         )
 
-    def class_mean(attr: str) -> float | None:
-        return _mean_or_none(
-            [getattr(m, attr) for m in per_class.values() if getattr(m, attr) is not None]
-        )
-
-    return EvalResult(
-        per_class=per_class,
-        mean_ap=class_mean("ap"),
-        mean_ap50=class_mean("ap50"),
-        mean_ap75=class_mean("ap75"),
-        mean_ap_small=class_mean("ap_small"),
-        mean_ap_medium=class_mean("ap_medium"),
-        mean_ap_large=class_mean("ap_large"),
-        mean_ar100=class_mean("ar100"),
-        pr_curves=pr_curves,
-    )
+    mean = _mean_record(Scores, list(per_class.values()))
+    return EvalResult(per_class=per_class, mean=mean, pr_curves=pr_curves)
 
 
 def pr_curve(
@@ -603,8 +593,7 @@ def mean_ap(
     unknown = [i for i in ids if i not in per_class]
     if unknown:
         raise DataError(f"classes not in evaluation result: {unknown}")
-    vals = [per_class[i].ap for i in ids if per_class[i].ap is not None]
-    return float(np.mean(vals)) if vals else None
+    return _mean_or_none(per_class[i].ap for i in ids)
 
 
 # ---------------------------------------------------------------------------
@@ -759,15 +748,5 @@ def diagnose_errors(
             c75=c75, c50=c50, loc=loc, sim=sim, oth=oth, bg=bg, fn=1.0
         )
 
-    mean = None
-    if per_class:
-        vals = list(per_class.values())
-
-        def m(attr: str) -> float:
-            return float(np.mean([getattr(v, attr) for v in vals]))
-
-        mean = DiagnosisLadder(
-            c75=m("c75"), c50=m("c50"), loc=m("loc"), sim=m("sim"), oth=m("oth"),
-            bg=m("bg"), fn=1.0,
-        )
+    mean = _mean_record(DiagnosisLadder, list(per_class.values())) if per_class else None
     return DiagnosisResult(per_class=per_class, mean=mean)

@@ -8,6 +8,7 @@ tolerance quietly widening.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
@@ -322,7 +323,7 @@ def test_c4_evaluator_fidelity(capsys):
                 if a is not None:
                     worst = max(worst, abs(a - b))
         for f in _FIELDS:
-            a = getattr(ours, "mean_" + f)
+            a = getattr(ours.mean, f)
             b = ref["means"][f]
             assert (a is None) == (b is None)
             if a is not None:
@@ -413,7 +414,7 @@ def test_c5_error_ladder(capsys):
                 did += 1
         result = diagnose_errors(_ladder_dataset(gts), dets, iou_mode="bbox")
         for ladder in result.per_class.values():
-            values = [v for _, v in ladder.steps()]
+            values = dataclasses.astuple(ladder)
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:])), values
             assert values[-1] == 1.0
             n_checked += 1

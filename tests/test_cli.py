@@ -351,6 +351,133 @@ def test_diagnose_report(workspace):
     assert doc["mean"] is not None
 
 
+
+def _report_box(ann_id, image_id, cat, xywh, score=None):
+    x, y, w, h = xywh
+    record = {"id": ann_id, "image_id": image_id, "category_id": cat,
+              "segmentation": [[x, y, x + w, y, x + w, y + h, x, y + h]],
+              "bbox": [x, y, w, h], "area": w * h, "iscrowd": 0}
+    return record if score is None else {**record, "score": score}
+
+
+# The reports of eval and diagnose on a hand-built scene, pinned to the byte:
+# two 100 x 100 images, a people class and a vehicle class, medium objects
+# only (small and large scores are undefined), a localization error, a
+# pedestrian false positive on a car and a car false positive on a pedestrian
+_EVAL_STDOUT = """\
+    pedestrian  AP 0.8515  AP50 1.0000  AP75 1.0000  small -  medium 0.8515  large -  AR100 0.8500  n_gt 2
+           car  AP 0.2525  AP50 0.2525  AP75 0.2525  small -  medium 0.2525  large -  AR100 0.5000  n_gt 2
+          mean  AP 0.5520  AP50 0.6262  AP75 0.6262  small -  medium 0.5520  large -  AR100 0.6750
+    people mAP  0.8515
+"""
+_EVAL_JSON = """\
+{
+  "per_class": {
+    "pedestrian": {
+      "ap": 0.8514851485148514,
+      "ap50": 1.0,
+      "ap75": 1.0,
+      "ap_small": null,
+      "ap_medium": 0.8514851485148514,
+      "ap_large": null,
+      "ar100": 0.85,
+      "n_gt": 2
+    },
+    "car": {
+      "ap": 0.2524752475247524,
+      "ap50": 0.2524752475247525,
+      "ap75": 0.2524752475247525,
+      "ap_small": null,
+      "ap_medium": 0.2524752475247524,
+      "ap_large": null,
+      "ar100": 0.5,
+      "n_gt": 2
+    }
+  },
+  "mean": {
+    "ap": 0.5519801980198019,
+    "ap50": 0.6262376237623762,
+    "ap75": 0.6262376237623762,
+    "ap_small": null,
+    "ap_medium": 0.5519801980198019,
+    "ap_large": null,
+    "ar100": 0.675
+  },
+  "map_people": 0.8514851485148514,
+  "map_overall": 0.5519801980198019,
+  "iou_mode": "bbox"
+}
+"""
+_DIAG_STDOUT = """\
+         class     C75     C50     Loc     Sim     Oth      BG      FN
+    pedestrian  1.0000  1.0000  1.0000  1.0000  1.0000  1.0000  1.0000
+           car  0.2525  0.2525  0.2525  0.2525  0.5050  0.5050  1.0000
+          mean  0.6262  0.6262  0.6262  0.6262  0.7525  0.7525  1.0000
+"""
+_DIAG_JSON = """\
+{
+  "per_class": {
+    "pedestrian": {
+      "c75": 1.0,
+      "c50": 1.0,
+      "loc": 1.0,
+      "sim": 1.0,
+      "oth": 1.0,
+      "bg": 1.0,
+      "fn": 1.0
+    },
+    "car": {
+      "c75": 0.2524752475247525,
+      "c50": 0.2524752475247525,
+      "loc": 0.2524752475247525,
+      "sim": 0.2524752475247525,
+      "oth": 0.504950495049505,
+      "bg": 0.504950495049505,
+      "fn": 1.0
+    }
+  },
+  "mean": {
+    "c75": 0.6262376237623762,
+    "c50": 0.6262376237623762,
+    "loc": 0.6262376237623762,
+    "sim": 0.6262376237623762,
+    "oth": 0.7524752475247525,
+    "bg": 0.7524752475247525,
+    "fn": 1.0
+  },
+  "iou_mode": "bbox"
+}
+"""
+
+
+def test_eval_and_diagnose_reports_are_pinned(tmp_path, capsys):
+    gt = {
+        "images": [{"id": i, "file_name": f"{i}.jpg", "width": 100, "height": 100}
+                   for i in (1, 2)],
+        "categories": [{"id": 1, "name": "pedestrian", "supercategory": "people"},
+                       {"id": 2, "name": "car", "supercategory": "vehicle"}],
+        "annotations": [
+            _report_box(1, 1, 1, (10, 10, 40, 40)), _report_box(2, 1, 2, (50, 50, 40, 40)),
+            _report_box(3, 2, 1, (0, 0, 40, 40)), _report_box(4, 2, 2, (30, 30, 40, 40)),
+        ],
+    }
+    dets = [
+        _report_box(1, 1, 1, (10, 10, 40, 40), 0.9), _report_box(2, 2, 1, (4, 0, 40, 40), 0.8),
+        _report_box(3, 1, 1, (60, 60, 30, 30), 0.7), _report_box(4, 1, 2, (50, 50, 40, 40), 0.6),
+        _report_box(5, 2, 2, (0, 0, 40, 40), 0.95),
+    ]
+    (tmp_path / "gt.json").write_text(json.dumps(gt))
+    (tmp_path / "dets.json").write_text(json.dumps(dets))
+    io = ["--gt", str(tmp_path / "gt.json"), "--detections", str(tmp_path / "dets.json"),
+          "--iou-mode", "bbox"]
+    capsys.readouterr()
+    assert main(["eval", *io, "--out", str(tmp_path / "eval.json")]) == 0
+    assert capsys.readouterr().out == _EVAL_STDOUT
+    assert (tmp_path / "eval.json").read_text() == _EVAL_JSON
+    assert main(["diagnose", *io, "--out", str(tmp_path / "diag.json")]) == 0
+    assert capsys.readouterr().out == _DIAG_STDOUT
+    assert (tmp_path / "diag.json").read_text() == _DIAG_JSON
+
 def test_stats_report(workspace, capsys):
     sim = _sim(workspace)
     out = workspace / "stats.json"
@@ -392,6 +519,28 @@ def test_split_command(workspace, tmp_path):
     assert len(train.images) + len(test.images) == 6
     assert len(train.images) == 3
 
+
+def test_split_keeps_a_bbox_the_loader_only_warns_about(tmp_path):
+    # bbox (8, 8, 14, 24) is 6 px off its polygon's hull (10, 10, 20, 30)
+    square = [10.0, 10.0, 30.0, 10.0, 30.0, 40.0, 10.0, 40.0]
+    doc = {
+        "images": [{"id": i, "file_name": f"{i}.jpg", "width": 64, "height": 64}
+                   for i in (1, 2)],
+        "categories": [{"id": 1, "name": "pedestrian", "supercategory": "people"}],
+        "annotations": [
+            {"id": i, "image_id": i, "category_id": 1, "segmentation": [square],
+             "bbox": [8.0, 8.0, 14.0, 24.0], "area": 600.0}
+            for i in (1, 2)
+        ],
+    }
+    (tmp_path / "gt.json").write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match="deviates"):
+        assert main(["split", "--annotations", str(tmp_path / "gt.json"), "--fraction", "0.5",
+                     "--out-train", str(tmp_path / "tr.json"),
+                     "--out-test", str(tmp_path / "te.json")]) == 0
+    for part in ("tr", "te"):
+        (ann,) = json.loads((tmp_path / f"{part}.json").read_text())["annotations"]
+        assert ann["bbox"] == [8.0, 8.0, 14.0, 24.0]
 
 def test_export_labelme_command(workspace, tmp_path):
     sim = _sim(workspace)
@@ -769,11 +918,23 @@ def _density_with_nan_timestamp(ws, tmp):
     return argv, f"{obs}:2"
 
 
+def _map_with_nan_polygon(ws, tmp):
+    """``map`` on the scene's annotations with annotation 1's first x NaN and an area."""
+    doc = json.loads((_sim(ws) / "gt.json").read_text())
+    ann = doc["annotations"][0]
+    ann["segmentation"][0][0] = math.nan
+    ann["area"] = 100
+    (tmp / "gt.json").write_text(json.dumps(doc))
+    argv = ["map", "--camera", str(_sim(ws) / "camera.json"),
+            "--annotations", str(tmp / "gt.json"), "--out", str(tmp / "obs.csv")]
+    return argv, f"annotation {ann['id']}: polygon has a non-finite coordinate"
+
 DATA_ERRORS = {
     "missing-annotations": lambda ws, tmp: (
         ["stats", "--annotations", str(tmp / "missing.json")], tmp / "missing.json"),
     "map-nan-timestamp": lambda ws, tmp: _map_with_timestamp(ws, tmp, math.nan),
     "map-string-timestamp": lambda ws, tmp: _map_with_timestamp(ws, tmp, "x"),
+    "map-nan-polygon": _map_with_nan_polygon,
     "merge-missing-csv": lambda ws, tmp: _merge_with_broken(tmp, "csv", None),
     "merge-header-is-a-list": lambda ws, tmp: _merge_with_broken(tmp, "json", "[]"),
     "merge-nan-cell": lambda ws, tmp: _merge_with_broken(tmp, "csv", "nan"),

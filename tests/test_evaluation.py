@@ -263,7 +263,7 @@ def test_zero_gt_class_is_undefined_and_excluded():
     result = evaluate_detections(ds, dets, iou_mode="bbox")
     assert result.per_class[CYC].ap is None
     assert result.per_class[CYC].n_gt == 0
-    assert result.mean_ap == result.per_class[PED].ap  # mean skips undefined
+    assert result.mean.ap == result.per_class[PED].ap  # mean skips undefined
 
 
 def test_empty_detections_score_zero():
@@ -271,7 +271,7 @@ def test_empty_detections_score_zero():
     result = evaluate_detections(ds, [], iou_mode="bbox")
     assert result.per_class[PED].ap == 0.0
     assert result.per_class[PED].ar100 == 0.0
-    assert result.mean_ap == 0.0
+    assert result.mean.ap == 0.0
 
 
 def test_score_monotone_transform_invariance():
@@ -414,7 +414,7 @@ def _assert_matches_reference(gt, dets, iou_mode):
             if a is not None:
                 assert abs(a - b) <= 1e-6, f"{cat}/{f}: {a} vs {b}"
     for f in fields:
-        a = getattr(ours, "mean_" + f if f != "ar100" else "mean_ar100")
+        a = getattr(ours.mean, f)
         b = ref["means"][f]
         assert (a is None) == (b is None)
         if a is not None:
@@ -585,12 +585,12 @@ def test_ladder_monotone_on_random_fixtures():
                 did += 1
         result = _ladder(gts, dets, n_images=2)
         for ladder in result.per_class.values():
-            values = [v for _, v in ladder.steps()]
+            values = dataclasses.astuple(ladder)
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:])), (
                 trial, values)
             assert values[-1] == 1.0
         if result.mean is not None:
-            mv = [v for _, v in result.mean.steps()]
+            mv = dataclasses.astuple(result.mean)
             assert all(b >= a - 1e-12 for a, b in zip(mv, mv[1:]))
 
 
