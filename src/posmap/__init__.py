@@ -35,13 +35,7 @@ from .evaluation import (
     pr_curve,
 )
 from .mapping import GroundObservation, MapExtent, locate, map_frame
-from .simulate import (
-    SimConfig,
-    default_camera,
-    edge_scenario,
-    render_detections,
-    simulate,
-)
+from .simulate import SimConfig, default_camera, simulate
 from .taxonomy import Taxonomy, Treatment, default_taxonomy, default_treatments
 
 __all__ = [
@@ -68,7 +62,6 @@ __all__ = [
     "default_taxonomy",
     "default_treatments",
     "diagnose_errors",
-    "edge_scenario",
     "evaluate_detections",
     "ground_mapping_error",
     "iou_bbox",
@@ -82,7 +75,6 @@ __all__ = [
     "mean_ap",
     "merge_rasters",
     "pr_curve",
-    "render_detections",
     "save_camera",
     "save_dataset",
     "simulate",

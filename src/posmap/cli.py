@@ -374,6 +374,9 @@ def cmd_map(args: argparse.Namespace) -> list[Path]:
 
 def cmd_density(args: argparse.Namespace) -> list[Path]:
     if args.merge:
+        for flag in ("observations", "extent", "classes"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} applies only when rasterizing, not with --merge")
         grids = [load_density(base) for base in args.merge]
         merged = grids[0]
         for grid in grids[1:]:
@@ -409,6 +412,8 @@ def cmd_density(args: argparse.Namespace) -> list[Path]:
 
 
 def cmd_eval(args: argparse.Namespace) -> list[Path]:
+    if args.taxonomy and not args.treatment:
+        raise ConfigError("--taxonomy applies only with --treatment")
     gt = load_dataset(args.gt)
     dets = load_detections(args.detections)
     if args.treatment:
@@ -490,11 +495,14 @@ def cmd_diagnose(args: argparse.Namespace) -> list[Path]:
 
 def cmd_stats(args: argparse.Namespace) -> list[Path]:
     ds = load_dataset(args.annotations)
-    taxonomy = load_taxonomy(args.taxonomy)[0] if args.taxonomy else default_taxonomy()
     if args.treatment:
         from .coco import remap_categories
 
-        ds = remap_categories(ds, _resolve_treatment(args.treatment, args.taxonomy))
+        treatment = _resolve_treatment(args.treatment, args.taxonomy)
+        ds = remap_categories(ds, treatment)
+        taxonomy = treatment.taxonomy
+    else:
+        taxonomy = load_taxonomy(args.taxonomy)[0] if args.taxonomy else default_taxonomy()
     stats = dataset_stats(ds, taxonomy)
     print(
         f"{'class':>14s}  {'count':>7s}  {'area_mean':>10s}  {'area_std':>10s}  "
@@ -502,16 +510,8 @@ def cmd_stats(args: argparse.Namespace) -> list[Path]:
     )
     rows = []
     for cs in stats.per_class:
-        rows.append(
-            {
-                "class": cs.class_name,
-                "count": cs.count,
-                "area_mean": cs.area_mean,
-                "area_std": cs.area_std,
-                "aspect_mean": cs.aspect_mean,
-                "aspect_std": cs.aspect_std,
-            }
-        )
+        row = dataclasses.asdict(cs)
+        rows.append({"class": row.pop("class_name"), **row})
         if cs.count == 0:
             continue
         print(

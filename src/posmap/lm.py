@@ -64,13 +64,13 @@ def levenberg_marquardt(
     gradient_tol: float = 1e-10,
     step_tol: float = 1e-12,
     cost_tol: float = 0.0,
-    lambda0: float = 1e-3,
 ) -> LMResult:
     """Minimize 0.5*||fun(theta)||^2 from theta0.
 
-    The damping parameter multiplies diag(J^T J) (Marquardt scaling); it is
-    divided by 10 after an accepted step and multiplied by 10 after a
-    rejected one. The accepted-cost sequence is strictly non-increasing.
+    The damping parameter multiplies diag(J^T J) (Marquardt scaling); it
+    starts at 1e-3, is divided by 10 after an accepted step and multiplied
+    by 10 after a rejected one. The accepted-cost sequence is strictly
+    non-increasing.
 
     Raises :class:`SolverError` if the damped normal equations stay singular
     even at very large damping, or if the problem is under-determined
@@ -84,7 +84,7 @@ def levenberg_marquardt(
         )
     cost = 0.5 * float(r @ r)
     history = [cost]
-    lam = lambda0
+    lam = 1e-3
 
     jac_fn = jac if jac is not None else (lambda t: numeric_jacobian(fun, t))
 

@@ -43,19 +43,25 @@ __all__ = [
     "SimResult",
     "default_camera",
     "simulate",
-    "render_detections",
-    "edge_scenario",
-    "truth_observations",
-    "render_agent_polygon",
 ]
 
 _BODY_Z = (0.45, 0.80)  # body box, as a fraction of agent height
 _BODY_HALF_WIDTH = {"pedestrian": 0.25, "cyclist": 0.25}
 _BODY_HALF_LENGTH = {"pedestrian": 0.30, "cyclist": 0.80}
+_DWELL_FRACTION = 0.7  # share of agents that dwell when there is an attractor
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One synthetic scene.
+
+    ``attractor`` is a point in the extent's local coordinates, such as a
+    bench or fountain at the edge. With it, 70% of the agents dwell in
+    orbits within 0.9 m of the point, so that share of agent-time is spent
+    within 1 m of it by construction. Without it, every agent is uniform
+    through-traffic, whose long-run occupancy is flat.
+    """
+
     extent: MapExtent
     camera: CameraModel
     n_agents: int = 12
@@ -66,7 +72,6 @@ class SimConfig:
     miss_rate: float = 0.0
     confusion_rate: float = 0.0
     attractor: tuple[float, float] | None = None
-    dwell_fraction: float = 0.7
 
     def __post_init__(self) -> None:
         if self.n_agents < 1:
@@ -79,6 +84,10 @@ class SimConfig:
             raise ConfigError("invalid noise configuration")
         if not 0.0 <= self.confusion_rate <= 1.0:
             raise ConfigError("confusion rate must be within [0, 1]")
+        if not (math.isfinite(self.fps) and math.isfinite(self.noise_px)):
+            raise ConfigError("fps and noise must be finite")
+        if self.attractor is not None and not all(map(math.isfinite, self.attractor)):
+            raise ConfigError("attractor must be finite")
 
 
 @dataclass(frozen=True)
@@ -181,11 +190,7 @@ def _frame_rng(config: SimConfig, frame: int) -> np.random.Generator:
 def _init_agents(config: SimConfig) -> tuple[_Agent, ...]:
     rng = _agent_rng(config)
     agents = []
-    n_dwell = (
-        round(config.dwell_fraction * config.n_agents)
-        if config.attractor is not None
-        else 0
-    )
+    n_dwell = round(_DWELL_FRACTION * config.n_agents) if config.attractor is not None else 0
     for i in range(config.n_agents):
         is_cyclist = rng.random() < config.cyclist_fraction
         class_name = "cyclist" if is_cyclist else "pedestrian"
@@ -256,7 +261,7 @@ def _solid_vertices(state: AgentState) -> np.ndarray:
     return np.array(verts)
 
 
-def render_agent_polygon(
+def _render_agent_polygon(
     camera: CameraModel, state: AgentState
 ) -> list[float] | None:
     """Project an agent to its image-plane polygon, or None if not visible."""
@@ -328,7 +333,7 @@ def simulate(config: SimConfig, n_frames: int) -> SimResult:
             score = float(np.clip(rng.normal(0.90, 0.08), 0.05, 1.0))
             confuse_draw = float(rng.random())
 
-            poly = render_agent_polygon(config.camera, state)
+            poly = _render_agent_polygon(config.camera, state)
             if poly is None:
                 continue
             gt_ann = Annotation(
@@ -406,46 +411,3 @@ def simulate(config: SimConfig, n_frames: int) -> SimResult:
     ]
     dataset = Dataset(images=images, annotations=gt_anns, categories=categories)
     return SimResult(dataset=dataset, detections=detections, frames=frames)
-
-
-def truth_observations(result: SimResult) -> list[GroundObservation]:
-    """Exact ground positions of every visible agent, across all frames."""
-    return [obs for frame in result.frames for obs in frame.truth_observations]
-
-
-def render_detections(
-    config: SimConfig, n_frames: int
-) -> tuple[Dataset, list[Annotation], list[GroundObservation]]:
-    """One-call scenario render: (ground truth, detections, true positions)."""
-    result = simulate(config, n_frames)
-    return result.dataset, result.detections, truth_observations(result)
-
-
-def edge_scenario(
-    extent: MapExtent,
-    attractor: tuple[float, float] | None,
-    *,
-    camera: CameraModel | None = None,
-    n_agents: int = 12,
-    dwell_fraction: float = 0.7,
-    seed: int = 0,
-    noise_px: float = 0.0,
-) -> SimConfig:
-    """Scene with a crowd dwelling near a boundary feature plus through-traffic.
-
-    The attractor is given in the extent's local coordinates (e.g. a bench
-    or fountain at the edge). Dwelling agents orbit within 0.9 m of it, so
-    the configured fraction of agent-time is spent within 1 m of the
-    feature by construction. With ``attractor=None`` the scene degenerates
-    to pure uniform through-traffic, whose long-run occupancy is flat.
-    """
-    return SimConfig(
-        extent=extent,
-        camera=camera or default_camera(extent),
-        n_agents=n_agents,
-        fps=1.0,
-        seed=seed,
-        noise_px=noise_px,
-        attractor=attractor,
-        dwell_fraction=dwell_fraction if attractor is not None else 0.0,
-    )

@@ -9,7 +9,7 @@ twice gives the same result as applying it once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, DataError, read_json
@@ -37,7 +37,7 @@ class ClassDef:
 
 @dataclass(frozen=True)
 class Taxonomy:
-    """An immutable class table with name/id lookups."""
+    """An immutable class table with a name lookup."""
 
     classes: tuple[ClassDef, ...]
 
@@ -55,27 +55,6 @@ class Taxonomy:
                 return c
         raise DataError(f"unknown class name {name!r}")
 
-    def by_id(self, class_id: int) -> ClassDef:
-        for c in self.classes:
-            if c.class_id == class_id:
-                return c
-        raise DataError(f"unknown class id {class_id}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.classes)
-
-    @property
-    def supercategories(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for c in self.classes:
-            if c.supercategory not in seen:
-                seen.append(c.supercategory)
-        return tuple(seen)
-
-    def in_supercategory(self, supercategory: str) -> tuple[ClassDef, ...]:
-        return tuple(c for c in self.classes if c.supercategory == supercategory)
-
 
 @dataclass(frozen=True)
 class Treatment:
@@ -88,12 +67,10 @@ class Treatment:
     """
 
     name: str
-    mapping: dict[str, str] = field(default_factory=dict)
-    taxonomy: Taxonomy = None  # type: ignore[assignment]
+    mapping: dict[str, str]
+    taxonomy: Taxonomy
 
     def __post_init__(self) -> None:
-        if self.taxonomy is None:
-            raise ConfigError("treatment requires a taxonomy")
         known = {c.name for c in self.taxonomy.classes}
         for src, dst in self.mapping.items():
             for name in (src, dst):
@@ -116,9 +93,6 @@ class Treatment:
         """Distinct class names that survive the treatment, in table order."""
         survivors = {self.mapping.get(c.name, c.name) for c in self.taxonomy.classes}
         return tuple(c.name for c in self.taxonomy.classes if c.name in survivors)
-
-    def effective_class_count(self) -> int:
-        return len(self.effective_classes())
 
 
 def default_taxonomy() -> Taxonomy:

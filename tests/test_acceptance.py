@@ -46,14 +46,7 @@ from posmap.mapping import (
     locate,
     sample_frames,
 )
-from posmap.simulate import (
-    SimConfig,
-    default_camera,
-    edge_scenario,
-    render_detections,
-    simulate,
-    truth_observations,
-)
+from posmap.simulate import SimConfig, default_camera, simulate
 from posmap.taxonomy import default_taxonomy, default_treatments
 
 EXTENT = MapExtent(origin=(0.0, 0.0), rotation=0.0, width=4.5, length=32.0)
@@ -304,8 +297,8 @@ def _sim_eval_fixture(seed: int, iou_mode: str) -> tuple[Dataset, list[Annotatio
         extent=extent, camera=camera, n_agents=7, cyclist_fraction=0.3,
         seed=seed, noise_px=2.5, miss_rate=0.25, confusion_rate=0.15,
     )
-    gt, dets, _ = render_detections(config, 20)
-    return gt, dets
+    result = simulate(config, 20)
+    return result.dataset, result.detections
 
 
 def test_c4_evaluator_fidelity(capsys):
@@ -492,10 +485,10 @@ def test_c6_taxonomy_treatments(capsys):
         if "pedpart" in eff or "cycpart" in eff:
             problems.append(f"{tname}: part classes survive")
 
-    n_eff = treatments["merging"].effective_class_count()
+    n_eff = len(treatments["merging"].effective_classes())
     if n_eff != 11:
         problems.append(f"merging keeps {n_eff} classes, expected 11")
-    if treatments["separating"].effective_class_count() != 14:
+    if len(treatments["separating"].effective_classes()) != 14:
         problems.append("separating should only fold roller")
 
     _check(
@@ -558,8 +551,9 @@ def test_c7_density_maps(capsys):
     attractor = (2.25, 3.0)  # extent is axis-aligned at the origin: local == world
     hits = 0
     for seed in range(100):
-        config = edge_scenario(EXTENT, attractor, n_agents=10, seed=seed)
-        obs = truth_observations(simulate(config, 25))
+        config = SimConfig(extent=EXTENT, camera=default_camera(EXTENT), n_agents=10,
+                           seed=seed, attractor=attractor)
+        obs = [o for f in simulate(config, 25).frames for o in f.truth_observations]
         grid = kde_raster(obs, EXTENT, 0.25)
         row, col = np.unravel_index(int(np.argmax(grid.values)), grid.values.shape)
         cx, cy = (col + 0.5) * 0.25, (row + 0.5) * 0.25
@@ -595,7 +589,7 @@ def test_c8_formats(capsys, tmp_path):
             extent=EXTENT, camera=default_camera(EXTENT), n_agents=n_agents,
             cyclist_fraction=0.4, seed=seed, noise_px=1.0,
         )
-        ds, _, _ = render_detections(config, n_frames)
+        ds = simulate(config, n_frames).dataset
         path = tmp_path / f"ds{seed}.json"
         save_dataset(path, ds)
         first = path.read_bytes()
@@ -609,7 +603,7 @@ def test_c8_formats(capsys, tmp_path):
     # polygon-editor round trip preserves classes and geometry
     config = SimConfig(extent=EXTENT, camera=default_camera(EXTENT), n_agents=6,
                        cyclist_fraction=0.5, seed=8)
-    ds, _, _ = render_detections(config, 3)
+    ds = simulate(config, 3).dataset
     lm_dir = tmp_path / "lm"
     files = export_labelme(ds, lm_dir)
     back = import_labelme(files, default_taxonomy())

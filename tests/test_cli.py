@@ -727,6 +727,12 @@ def _merge_with_header_extent(tmp, **fields):
     return ["density", "--merge", str(tmp / "a"), str(tmp / "b"), "--out", str(tmp / "m")]
 
 
+def _merge_argv(tmp, *extra):
+    """``density --merge a a`` over an empty raster ``a``, plus ``extra``."""
+    save_density(tmp / "a", zero_raster(MapExtent((0.0, 0.0), 0.0, 4.5, 32.0), 0.5))
+    return ["density", "--merge", str(tmp / "a"), str(tmp / "a"), *extra, "--out", str(tmp / "m")]
+
+
 _BAD_SIZE = "extent width and length must be finite and positive"
 
 # argv, and the message expected on stderr: {tmp} is the test's directory
@@ -772,6 +778,21 @@ CONFIG_ERRORS = {
         lambda ws, tmp: _map_argv(ws, "--prior", "pedestrian:nan:0.6",
                                   "--out", str(tmp / "obs.csv")),
         "prior 'pedestrian:nan:0.6' size must be finite and positive, got nan"),
+    # a merge reads only its rasters, so the rasterizing inputs are refused
+    "merge-with-observations": (
+        lambda ws, tmp: _merge_argv(tmp, "--observations", str(tmp / "obs.csv")),
+        "--observations applies only when rasterizing, not with --merge"),
+    "merge-with-extent": (
+        lambda ws, tmp: _merge_argv(tmp, "--extent", str(_sim(ws) / "extent.json")),
+        "--extent applies only when rasterizing, not with --merge"),
+    "merge-with-classes": (
+        lambda ws, tmp: _merge_argv(tmp, "--classes", "dog"),
+        "--classes applies only when rasterizing, not with --merge"),
+    "eval-taxonomy-without-treatment": (
+        lambda ws, tmp: ["eval", "--gt", str(_sim(ws) / "gt.json"),
+                         "--detections", str(_sim(ws) / "detections.json"),
+                         "--taxonomy", str(tmp / "nonexistent.json"), "--iou-mode", "bbox"],
+        "--taxonomy applies only with --treatment"),
 }
 
 

@@ -26,7 +26,7 @@ from posmap.evaluation import (
     mean_ap,
     pr_curve,
 )
-from posmap.simulate import SimConfig, default_camera, render_detections
+from posmap.simulate import SimConfig, default_camera, simulate
 from posmap.taxonomy import default_taxonomy
 
 PED, CYC, DOG = 1, 2, 3
@@ -395,8 +395,8 @@ def _sim_fixture(seed, iou_mode):
     config = SimConfig(extent=extent, camera=camera, n_agents=7,
                        cyclist_fraction=0.3, seed=seed, noise_px=2.5,
                        miss_rate=0.25, confusion_rate=0.15)
-    gt, dets, _ = render_detections(config, 10)
-    return gt, dets
+    result = simulate(config, 10)
+    return result.dataset, result.detections
 
 
 def _assert_matches_reference(gt, dets, iou_mode):
@@ -644,7 +644,8 @@ def _crowd_segm_scene():
     extent = MapExtent(origin=(0.0, 0.0), rotation=0.0, width=4.5, length=32.0)
     config = SimConfig(extent=extent, camera=default_camera(extent), n_agents=12, seed=7,
                        noise_px=1.5)
-    gt, dets, _ = render_detections(config, 4)
+    result = simulate(config, 4)
+    gt, dets = result.dataset, result.detections
     assert {(im.width, im.height) for im in gt.images} == {(1920, 1080)}
     assert len(gt.annotations) == len(dets) == 48
     return gt, dets

@@ -10,14 +10,7 @@ from scipy.stats import chisquare
 
 from posmap.errors import ConfigError
 from posmap.mapping import locate
-from posmap.simulate import (
-    SimConfig,
-    default_camera,
-    edge_scenario,
-    render_detections,
-    simulate,
-    truth_observations,
-)
+from posmap.simulate import SimConfig, default_camera, simulate
 
 
 def _config(extent, **kw):
@@ -76,18 +69,7 @@ def test_frame_bookkeeping(sim_noisy):
             assert ann.score is None
         assert frame.image.extra["timestamp"] == frame.image.id - 1  # 1 fps
 
-    flat = truth_observations(sim_noisy)
-    assert len(flat) == sum(len(f.truth_observations) for f in sim_noisy.frames)
-    assert all(o.source == "sim" for o in flat)
-
-
-def test_render_detections_matches_simulate(extent):
-    config = _config(extent, noise_px=1.0, miss_rate=0.1)
-    gt, dets, truths = render_detections(config, 4)
-    result = simulate(config, 4)
-    assert gt == result.dataset
-    assert dets == result.detections
-    assert truths == truth_observations(result)
+    assert all(o.source == "sim" for f in sim_noisy.frames for o in f.truth_observations)
 
 
 def test_truth_box_carries_agent_geometry(extent):
@@ -178,10 +160,9 @@ def test_noisy_detections_locate_close(extent, camera):
 # -- crowd scenarios -----------------------------------------------------------------
 
 
-def test_edge_scenario_dwell_time(extent):
+def test_attractor_dwell_time(extent):
     attractor = (2.25, 3.0)  # local coords near the short edge
-    config = edge_scenario(extent, attractor, n_agents=10, dwell_fraction=0.7,
-                           seed=4)
+    config = _config(extent, n_agents=10, seed=4, attractor=attractor)
     result = simulate(config, 50)
     near = total = 0
     for frame in result.frames:
@@ -192,9 +173,8 @@ def test_edge_scenario_dwell_time(extent):
     assert near / total >= 0.7
 
 
-def test_edge_scenario_without_attractor_is_uniform(extent):
-    config = edge_scenario(extent, None, n_agents=600, seed=11)
-    assert config.dwell_fraction == 0.0
+def test_without_attractor_is_uniform(extent):
+    config = _config(extent, n_agents=600, seed=11)
     result = simulate(config, 1)
     counts = np.zeros((8, 4), dtype=int)
     for state in result.frames[0].truth:
@@ -222,5 +202,10 @@ def test_config_validation(extent):
         SimConfig(extent=extent, camera=camera, miss_rate=1.5)
     with pytest.raises(ConfigError):
         SimConfig(extent=extent, camera=camera, confusion_rate=-0.1)
+    # non-finite values would build silently wrong scenes
+    for bad in ({"fps": math.nan}, {"fps": math.inf}, {"noise_px": math.nan},
+                {"attractor": (math.nan, 1.0)}):
+        with pytest.raises(ConfigError):
+            SimConfig(extent=extent, camera=camera, n_agents=4, **bad)
     with pytest.raises(ConfigError):
         simulate(_config(extent), 0)

@@ -18,13 +18,13 @@ TAX = default_taxonomy()
 TREATMENTS = default_treatments(TAX)
 
 
-def test_fifteen_classes_four_supercategories():
+def test_fifteen_classes_in_four_groups():
     assert len(TAX.classes) == 15
-    assert set(TAX.supercategories) == {"people", "accessory", "animal", "vehicle"}
+    assert {c.supercategory for c in TAX.classes} == {"people", "accessory", "animal", "vehicle"}
 
 
 def test_people_supercategory_has_ten_classes():
-    assert len(TAX.in_supercategory("people")) == 10
+    assert sum(c.supercategory == "people" for c in TAX.classes) == 10
 
 
 def test_class_ids_are_unique_and_contiguous():
@@ -62,13 +62,13 @@ def test_filtering_sends_parts_to_peopleother():
     assert t.apply("cycpart") == "peopleother"
 
 
-def test_merging_effective_class_count_is_eleven():
-    assert TREATMENTS["merging"].effective_class_count() == 11
-    assert TREATMENTS["filtering"].effective_class_count() == 11
+def test_merging_and_filtering_keep_eleven_classes():
+    assert len(TREATMENTS["merging"].effective_classes()) == 11
+    assert len(TREATMENTS["filtering"].effective_classes()) == 11
 
 
 def test_separating_keeps_fourteen_classes():
-    assert TREATMENTS["separating"].effective_class_count() == 14
+    assert len(TREATMENTS["separating"].effective_classes()) == 14
 
 
 @pytest.mark.parametrize("name", sorted(TREATMENTS))
