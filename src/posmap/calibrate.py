@@ -442,6 +442,8 @@ def load_correspondences(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                 pixels.append([float(row["u"]), float(row["v"])])
             except (TypeError, ValueError) as e:
                 raise DataError(f"{path}:{lineno}: bad number: {e}") from e
+            if not np.isfinite(world[-1] + pixels[-1]).all():
+                raise DataError(f"{path}:{lineno}: non-finite number in {world[-1] + pixels[-1]}")
     if not world:
         raise DataError(f"correspondence file {path} has no data rows")
     return np.asarray(world), np.asarray(pixels)
@@ -460,4 +462,6 @@ def load_planar_views(path: str | Path) -> list[tuple[np.ndarray, np.ndarray]]:
             )
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"view {i} in {path} is malformed: {e}") from e
+        if not all(np.isfinite(points).all() for points in views[-1]):
+            raise DataError(f"view {i} in {path} has a non-finite coordinate")
     return views

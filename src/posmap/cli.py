@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -216,10 +217,6 @@ def _number(name: str, rule: tuple = _FINITE):
     return parse
 
 
-def _bandwidth(text: str) -> float | str:
-    return text if text == "auto" else _number("bandwidth", _NON_NEGATIVE)(text)
-
-
 def _prior(spec: str) -> tuple[str, tuple[float, float]]:
     """``CLASS:W:L``: a class and its footprint width and length in metres."""
     parts = spec.split(":")
@@ -373,37 +370,32 @@ def cmd_map(args: argparse.Namespace) -> list[Path]:
 
 
 def cmd_density(args: argparse.Namespace) -> list[Path]:
-    if args.merge:
-        for flag in ("observations", "extent", "classes"):
+    if args.observations is None:
+        for flag in ("extent", "cell", "bandwidth", "classes"):
             if getattr(args, flag) is not None:
-                raise ConfigError(f"--{flag} applies only when rasterizing, not with --merge")
-        grids = [load_density(base) for base in args.merge]
-        merged = grids[0]
-        for grid in grids[1:]:
-            merged = merge_rasters(merged, grid)
-        paths = save_density(args.out, merged)
+                raise ConfigError(f"--{flag} applies only with --observations")
+        if not args.merge:
+            raise ConfigError("density needs --observations and --extent, or --merge")
+    elif args.extent is None:
+        raise ConfigError("--observations needs --extent")
+    grids = [load_density(base) for base in args.merge or []]
+    if args.observations is not None:
+        classes = tuple(args.classes.split(",")) if args.classes else None
+        grid = kde_raster(load_observations(args.observations), load_extent(args.extent),
+                          args.cell or 0.25, bandwidth=args.bandwidth, classes=classes)
+        grids.append(grid)
         print(
-            f"merged {len(grids)} rasters: {merged.total_count} observations, "
-            f"mass {merged.mass():.6f}"
+            f"rasterized {grid.total_count} observations onto "
+            f"{grid.shape[1]}x{grid.shape[0]} cells "
+            f"(bandwidth {grid.bandwidth:.3f} m, mass {grid.mass():.6f})"
         )
-        return list(paths.values())
-
-    if not args.observations or not args.extent:
-        raise ConfigError("density needs --observations and --extent (or --merge)")
-    observations = load_observations(args.observations)
-    extent = load_extent(args.extent)
-    bandwidth = None if args.bandwidth == "auto" else args.bandwidth
-    classes = tuple(args.classes.split(",")) if args.classes else None
-    grid = kde_raster(
-        observations, extent, args.cell, bandwidth=bandwidth, classes=classes
-    )
-    paths = save_density(args.out, grid)
-    print(
-        f"rasterized {grid.total_count} observations onto "
-        f"{grid.shape[1]}x{grid.shape[0]} cells "
-        f"(bandwidth {grid.bandwidth:.3f} m, mass {grid.mass():.6f})"
-    )
-    return list(paths.values())
+    folded = functools.reduce(merge_rasters, grids)
+    if args.merge:
+        print(
+            f"merged {len(grids)} rasters: {folded.total_count} observations, "
+            f"mass {folded.mass():.6f}"
+        )
+    return list(save_density(args.out, folded).values())
 
 
 # ---------------------------------------------------------------------------
@@ -672,11 +664,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--out", type=_Output, required=True)
     p_map.set_defaults(func=cmd_map)
 
-    p_den = sub.add_parser("density", help="rasterize observations to a density grid")
+    p_den = sub.add_parser("density", help="rasterize observations and merge rasters")
     p_den.add_argument("--observations", type=_Input)
     p_den.add_argument("--extent", type=_Input)
-    p_den.add_argument("--cell", type=_number("cell size", _POSITIVE), default=0.25)
-    p_den.add_argument("--bandwidth", type=_bandwidth, default="auto")
+    p_den.add_argument("--cell", type=_number("cell size", _POSITIVE), help="default 0.25 m")
+    p_den.add_argument("--bandwidth", type=_number("bandwidth", _NON_NEGATIVE),
+                       help="default: Silverman's rule")
     p_den.add_argument("--classes", default=None, help="comma-separated filter")
     p_den.add_argument("--merge", type=_RasterInput, nargs="+", default=None, metavar="BASE")
     p_den.add_argument("--out", type=_RasterOutput, required=True)
@@ -759,7 +752,8 @@ def main(argv: list[str] | None = None) -> int:
     Inputs are hashed before the command runs, since an output may replace
     one (``density --merge A B --out A``); any other output that would
     overwrite an input is refused. A declared input that does not exist is
-    left to its loader, whose ``DataError`` names it.
+    left to its loader, whose ``DataError`` names it. A refused command
+    leaves behind no directory this run created, unless it wrote there.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -777,9 +771,16 @@ def main(argv: list[str] | None = None) -> int:
             for p in arg.files()
             if p.is_file()
         }
+        made = {d for out in outputs for d in out.manifest().parents if not d.exists()}
         for out in outputs:
             out.manifest().parent.mkdir(parents=True, exist_ok=True)
-        written = args.func(args)
+        try:
+            written = args.func(args)
+        except PosmapError:
+            for directory in sorted(made, key=lambda d: len(d.parts), reverse=True):
+                if not any(directory.iterdir()):
+                    directory.rmdir()
+            raise
         _write_manifest(outputs[0].manifest(), list(argv), args, inputs, written, t0)
         return 0
     except PosmapError as e:

@@ -396,7 +396,10 @@ def split_dataset(
     else:
         buckets = {}
         for im in ds.images:
-            buckets.setdefault(im.extra.get(stratify_key), []).append(im)
+            value = im.extra.get(stratify_key)
+            if isinstance(value, (list, dict)):
+                raise DataError(f"image {im.id}: field {stratify_key!r} is not a JSON scalar")
+            buckets.setdefault(value, []).append(im)
 
     train_ids: set[int] = set()
     for key in sorted(buckets, key=repr):

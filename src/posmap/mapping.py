@@ -57,32 +57,23 @@ def _polygon_band_midpoint(ann: Annotation, bottom: bool) -> tuple[float, float]
     else:
         xs = [x for part in seg for x in part[0::2]]
         ys = [y for part in seg for y in part[1::2]]
-    y_min, y_max = min(ys), max(ys)
-    band = _BAND_FRACTION * (y_max - y_min)
-    edge = y_max if bottom else y_min
+    sign = 1.0 if bottom else -1.0
+    if not bottom:  # the top band is the bottom band of the polygon mirrored in y
+        ys = [-y for y in ys]
+    edge = max(ys)
+    cut = edge - _BAND_FRACTION * (edge - min(ys))
     x_lo = x_hi = xs[ys.index(edge)]
     inner = edge  # the band vertex farthest from the edge
-    if bottom:
-        cut = y_max - band
-        for x, y in zip(xs, ys):
-            if y >= cut:
-                if x < x_lo:
-                    x_lo = x
-                elif x > x_hi:
-                    x_hi = x
-                if y < inner:
-                    inner = y
-    else:
-        cut = y_min + band
-        for x, y in zip(xs, ys):
-            if y <= cut:
-                if x < x_lo:
-                    x_lo = x
-                elif x > x_hi:
-                    x_hi = x
-                if y > inner:
-                    inner = y
-    return (x_lo + x_hi) / 2.0, (inner + edge) / 2.0
+    for x, y in zip(xs, ys):
+        if y >= cut:
+            if x < x_lo:
+                x_lo = x
+            elif x > x_hi:
+                x_hi = x
+            if y < inner:
+                inner = y
+    # mirrored back before the sum, which keeps the sign of a zero midpoint
+    return (x_lo + x_hi) / 2.0, (sign * inner + sign * edge) / 2.0
 
 
 def footpoint(ann: Annotation) -> tuple[float, float]:

@@ -278,6 +278,50 @@ def test_in_place_merge_manifest_hashes_inputs_before_writing(workspace, tmp_pat
         before[str(running.with_suffix(".csv"))]
 
 
+def test_one_command_update_matches_map_density_merge(workspace, tmp_path, capsys):
+    """``density --observations O --extent E --merge R --out R`` writes what a clip
+    raster and a separate ``density --merge R clip --out R`` write, byte for byte."""
+    sim = _sim(workspace)
+    extent = str(sim / "extent.json")
+    assert main(["map", "--camera", str(sim / "camera.json"), "--annotations",
+                 str(sim / "gt.json"), "--out", str(tmp_path / "day.csv")]) == 0
+    clip_scene = tmp_path / "clip"
+    assert main(["simulate", "--out-dir", str(clip_scene), "--frames", "4", "--agents", "5",
+                 "--seed", "11", "--extent", extent]) == 0
+    obs = tmp_path / "obs.csv"
+    assert main(["map", "--camera", str(clip_scene / "camera.json"), "--annotations",
+                 str(clip_scene / "gt.json"), "--extent", extent, "--out", str(obs)]) == 0
+    rasterize = ["--observations", str(obs), "--extent", extent, "--cell", "0.1"]
+    for way in ("two", "one"):
+        assert main(["density", "--observations", str(tmp_path / "day.csv"), "--extent", extent,
+                     "--cell", "0.1", "--out", str(tmp_path / way / "running")]) == 0
+    two, one = tmp_path / "two" / "running", tmp_path / "one" / "running"
+    assert main(["density", *rasterize, "--out", str(tmp_path / "two" / "clip")]) == 0
+    assert main(["density", "--merge", str(two), str(tmp_path / "two" / "clip"),
+                 "--out", str(two)]) == 0
+    before = {str(p): _sha256(p) for p in (obs, Path(extent), *density_paths(one).values())
+              if p.suffix != ".pgm"}
+    capsys.readouterr()
+    assert main(["density", *rasterize, "--merge", str(one), "--out", str(one)]) == 0
+    assert "merged 2 rasters" in capsys.readouterr().out
+    for kind in ("csv", "json", "pgm"):
+        assert density_paths(one)[kind].read_bytes() == density_paths(two)[kind].read_bytes()
+    manifest = json.loads((tmp_path / "one" / "running.manifest.json").read_text())
+    assert manifest["inputs"] == before
+    assert manifest["config"]["cell"] == 0.1 and manifest["config"]["bandwidth"] is None
+
+
+def test_a_refused_command_leaves_no_directory_it_made(tmp_path):
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(["density", "--out", str(tmp_path / "deep" / "dir" / "m")]) == 2
+    assert main(["density", "--merge", str(tmp_path / "nosuch"),
+                 "--out", str(tmp_path / "x" / "m")]) == 3
+    assert main(["density", "--merge", str(tmp_path / "nosuch"),
+                 "--out", str(kept / "new" / "m")]) == 3
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]
+
+
 # -- eval / diagnose / stats -----------------------------------------------------
 
 
@@ -580,6 +624,17 @@ def test_export_labelme_refuses_file_names_that_clash(
 # -- manifests ----------------------------------------------------------------------
 
 
+def _planar_views() -> list[dict]:
+    """Four exact views of a 7 x 5 planar pattern, as ``calibrate intrinsics`` reads them."""
+    pattern = np.array([[0.12 * i, 0.12 * j, 0.0] for i in range(7) for j in range(5)])
+    views = []
+    for rvec in ((0.3, 0.0, 0.05), (-0.35, 0.1, -0.03), (0.1, 0.4, 0.0), (0.05, -0.38, 0.08)):
+        pixels = project_points(Intrinsics(1200.0, 1180.0, 960.0, 540.0), Distortion(),
+                                np.array(rvec), np.array([-0.36, -0.24, 1.4]), pattern)
+        views.append({"plane": pattern[:, :2].tolist(), "pixels": pixels.tolist()})
+    return views
+
+
 @pytest.fixture(scope="module")
 def inputs(workspace):
     """Input files beyond the scene: taxonomy, calibration data, observations, rasters."""
@@ -587,13 +642,7 @@ def inputs(workspace):
     root.mkdir()
     tax = default_taxonomy()
     save_taxonomy(root / "tax.json", tax, default_treatments(tax))
-    pattern = np.array([[0.12 * i, 0.12 * j, 0.0] for i in range(7) for j in range(5)])
-    views = []
-    for rvec in ((0.3, 0.0, 0.05), (-0.35, 0.1, -0.03), (0.1, 0.4, 0.0), (0.05, -0.38, 0.08)):
-        pixels = project_points(Intrinsics(1200.0, 1180.0, 960.0, 540.0), Distortion(),
-                                np.array(rvec), np.array([-0.36, -0.24, 1.4]), pattern)
-        views.append({"plane": pattern[:, :2].tolist(), "pixels": pixels.tolist()})
-    (root / "views.json").write_text(json.dumps(views))
+    (root / "views.json").write_text(json.dumps(_planar_views()))
     ground = np.array([[x, y, 0.0] for x in (0.5, 2.0, 4.0) for y in (4.0, 12.0, 24.0)])
     pixels = load_camera(sim / "camera.json").project(ground)
     (root / "points.csv").write_text("X,Y,Z,u,v\n" + "".join(
@@ -778,16 +827,25 @@ CONFIG_ERRORS = {
         lambda ws, tmp: _map_argv(ws, "--prior", "pedestrian:nan:0.6",
                                   "--out", str(tmp / "obs.csv")),
         "prior 'pedestrian:nan:0.6' size must be finite and positive, got nan"),
-    # a merge reads only its rasters, so the rasterizing inputs are refused
+    # every rasterizing flag needs --observations, which needs --extent
     "merge-with-observations": (
         lambda ws, tmp: _merge_argv(tmp, "--observations", str(tmp / "obs.csv")),
-        "--observations applies only when rasterizing, not with --merge"),
+        "--observations needs --extent"),
     "merge-with-extent": (
         lambda ws, tmp: _merge_argv(tmp, "--extent", str(_sim(ws) / "extent.json")),
-        "--extent applies only when rasterizing, not with --merge"),
+        "--extent applies only with --observations"),
     "merge-with-classes": (
         lambda ws, tmp: _merge_argv(tmp, "--classes", "dog"),
-        "--classes applies only when rasterizing, not with --merge"),
+        "--classes applies only with --observations"),
+    "merge-with-cell": (
+        lambda ws, tmp: _merge_argv(tmp, "--cell", "7"),
+        "--cell applies only with --observations"),
+    "merge-with-bandwidth": (
+        lambda ws, tmp: _merge_argv(tmp, "--bandwidth", "0.5"),
+        "--bandwidth applies only with --observations"),
+    "density-without-inputs": (
+        lambda ws, tmp: ["density", "--out", str(tmp / "d")],
+        "density needs --observations and --extent, or --merge"),
     "eval-taxonomy-without-treatment": (
         lambda ws, tmp: ["eval", "--gt", str(_sim(ws) / "gt.json"),
                          "--detections", str(_sim(ws) / "detections.json"),
@@ -950,9 +1008,51 @@ def _map_with_nan_polygon(ws, tmp):
             "--annotations", str(tmp / "gt.json"), "--out", str(tmp / "obs.csv")]
     return argv, f"annotation {ann['id']}: polygon has a non-finite coordinate"
 
+
+def _extrinsics_with(ws, tmp, column, value):
+    """``calibrate extrinsics`` on 12 exact ground points, the fifth with ``column`` = ``value``."""
+    ground = np.array([[x, y, 0.0] for x in (0.5, 2.0, 4.0) for y in (4.0, 10.0, 16.0, 24.0)])
+    pixels = load_camera(_sim(ws) / "camera.json").project(ground)
+    rows = [dict(zip("XYZuv", map(str, [*point, *pixel]))) for point, pixel in zip(ground, pixels)]
+    rows[4][column] = value
+    points = tmp / "points.csv"
+    points.write_text("X,Y,Z,u,v\n" + "".join(",".join(r.values()) + "\n" for r in rows))
+    argv = ["calibrate", "extrinsics", "--intrinsics", str(_sim(ws) / "camera.json"),
+            "--points", str(points), "--out", str(tmp / "cam.json")]
+    return argv, f"{points}:6"
+
+
+def _intrinsics_with_nan_pixel(ws, tmp):
+    """``calibrate intrinsics`` on four views of a pattern, view 1's first pixel NaN."""
+    views = _planar_views()
+    views[1]["pixels"][0][0] = math.nan
+    (tmp / "views.json").write_text(json.dumps(views))
+    argv = ["calibrate", "intrinsics", "--views", str(tmp / "views.json"),
+            "--image-size", "1920", "1080", "--out", str(tmp / "intr.json")]
+    return argv, f"view 1 in {tmp / 'views.json'}"
+
+
+def _split_with_camera(ws, tmp, camera):
+    """``split --stratify camera`` where the first image's ``camera`` is ``camera``."""
+    doc = json.loads((_sim(ws) / "gt.json").read_text())
+    for image in doc["images"]:
+        image["camera"] = "cam0"
+    doc["images"][0]["camera"] = camera
+    (tmp / "gt.json").write_text(json.dumps(doc))
+    argv = ["split", "--annotations", str(tmp / "gt.json"), "--stratify", "camera",
+            "--out-train", str(tmp / "train.json"), "--out-test", str(tmp / "test.json")]
+    return argv, f"image {doc['images'][0]['id']}: field 'camera'"
+
+
 DATA_ERRORS = {
     "missing-annotations": lambda ws, tmp: (
         ["stats", "--annotations", str(tmp / "missing.json")], tmp / "missing.json"),
+    "extrinsics-nan-X": lambda ws, tmp: _extrinsics_with(ws, tmp, "X", "nan"),
+    "extrinsics-inf-X": lambda ws, tmp: _extrinsics_with(ws, tmp, "X", "inf"),
+    "extrinsics-inf-v": lambda ws, tmp: _extrinsics_with(ws, tmp, "v", "inf"),
+    "intrinsics-nan-pixel": _intrinsics_with_nan_pixel,
+    "split-stratify-list": lambda ws, tmp: _split_with_camera(ws, tmp, ["cam1"]),
+    "split-stratify-object": lambda ws, tmp: _split_with_camera(ws, tmp, {"name": "cam1"}),
     "map-nan-timestamp": lambda ws, tmp: _map_with_timestamp(ws, tmp, math.nan),
     "map-string-timestamp": lambda ws, tmp: _map_with_timestamp(ws, tmp, "x"),
     "map-nan-polygon": _map_with_nan_polygon,
