@@ -11,7 +11,7 @@ default) or on axis-aligned boxes (``bbox``); any other value is a
 
 Every entry point runs on one matching pass per class (:func:`_match`).
 It builds each (image, class) IoU matrix once — a numpy broadcast over
-the box arrays, or one AND per pair of overlapping mask crops — pads the
+the box arrays, or the summed overlaps of the polygons' pixel runs — pads the
 class's images to (U, D, G) and sweeps detection rank once for all S
 strata and T thresholds together, keeping an (S, T, U, G) "taken" array. Strata
 differ only in which ground truths are ignored: crowd regions always, plus
@@ -20,11 +20,11 @@ range are ignored too. :func:`match_detections` and :func:`diagnose_errors`
 match at one IoU and run the all-sizes stratum alone, which ignores crowd
 ground truth only.
 
-A mask lives only while the IoU matrix of its own (image, class) unit is
-built: segm mode rasterizes each polygon set of that unit once, into a
-crop of its own pixel box, ANDs pairs over the overlap of their crops and
-drops the crops. Memory is thus bounded by one unit's crops, not by the
-dataset. The Sim/Oth scan of :func:`diagnose_errors` rasterizes the
+Segm mode builds no mask. One scan (:func:`~posmap.geometry2d.polygon_runs`)
+turns all polygon sets of an (image, class) unit into pixel runs, spans of
+one image row each, which live only while that unit's IoU matrix is
+built. Memory is thus bounded by one unit's runs, not by the dataset or
+the frame size. The Sim/Oth scan of :func:`diagnose_errors` scans the
 unmatched detections of a unit again, next to the other classes' ground
 truth of that image.
 
@@ -59,7 +59,8 @@ import numpy as np
 
 from .coco import Annotation, Dataset
 from .errors import ConfigError, DataError
-from .geometry2d import polygons_area, rasterize_polygons
+from .geometry2d import polygon_runs, polygons_area
+from .geometry2d import rasterize_polygons  # noqa: F401 -- perfbench/spans.py wraps this name
 from .taxonomy import Taxonomy
 
 __all__ = [
@@ -191,26 +192,30 @@ def _mask_ious(
     dets: list[list[list[float]]], gts: list[list[list[float]]], size: tuple[int, int],
     gt_crowd: np.ndarray,
 ) -> np.ndarray:
-    """Pairwise IoU of polygon sets, each rasterized once into its own crop.
+    """Pairwise IoU of polygon sets from the pixel runs of one scan of them all.
 
-    A pair is ANDed only over the overlap of its two crops; a pair whose
-    crops do not overlap has intersection 0.
+    A set's area is the summed length of its runs. A pair's intersection is
+    the summed overlap of its runs; as no run crosses a row end, a detection
+    run can overlap only the ground-truth runs that start on its row before
+    it ends.
     """
-    dc, gc = ([rasterize_polygons(p, *size) for p in sets] for sets in (dets, gts))
-    # crop boxes (x0, y0, x1, y1), end-exclusive, and the pairwise overlaps
-    db, gb = (
-        np.array([(x, y, x + m.shape[1], y + m.shape[0]) for m, x, y in c]) for c in (dc, gc)
-    )
-    lo, hi = np.maximum(db[:, None, :2], gb[:, :2]), np.minimum(db[:, None, 2:], gb[:, 2:])
-    inter = np.zeros((len(dc), len(gc)), dtype=np.int64)
-    for i, j in zip(*np.nonzero((hi > lo).all(axis=-1))):
-        (x0, y0), (x1, y1) = lo[i, j], hi[i, j]
-        (dm, dx, dy), (gm, gx, gy) = dc[i], gc[j]
-        inter[i, j] = np.count_nonzero(
-            dm[y0 - dy : y1 - dy, x0 - dx : x1 - dx] & gm[y0 - gy : y1 - gy, x0 - gx : x1 - gx]
-        )
-    det_area, gt_area = (np.array([np.count_nonzero(m) for m, _, _ in c]) for c in (dc, gc))
-    return _ious_from_areas(inter, det_area[:, None], gt_area[None, :], gt_crowd[None, :])
+    width, n_det, n_gt = size[0], len(dets), len(gts)
+    obj, start, end = polygon_runs([*dets, *gts], *size)
+    area = np.bincount(obj, weights=end - start, minlength=n_det + n_gt).astype(np.int64)
+    split = np.searchsorted(obj, n_det)
+    d_obj, d_start, d_end = obj[:split], start[:split], end[:split]
+    order = np.argsort(start[split:], kind="stable") + split
+    g_obj, g_start, g_end = obj[order] - n_det, start[order], end[order]
+    first = np.searchsorted(g_start, d_start - d_start % width)
+    count = np.searchsorted(g_start, d_end) - first
+    # every pair (k, m) of a detection run and a candidate ground-truth run
+    k = np.repeat(np.arange(split), count)
+    m = np.arange(len(k)) - np.repeat(np.cumsum(count) - count - first, count)
+    overlap = np.minimum(d_end[k], g_end[m]) - np.maximum(d_start[k], g_start[m])
+    inter = np.bincount(
+        d_obj[k] * n_gt + g_obj[m], weights=np.maximum(overlap, 0), minlength=n_det * n_gt
+    ).astype(np.int64).reshape(n_det, n_gt)
+    return _ious_from_areas(inter, area[:n_det, None], area[None, n_det:], gt_crowd[None, :])
 
 
 def _boxes(anns: list[Annotation]) -> np.ndarray:
@@ -222,7 +227,7 @@ def _unit_ious(
 ) -> np.ndarray:
     """(D, G) IoU matrix of one image's detections against ground truths.
 
-    In segm mode the masks are rasterized here and dropped on return.
+    In segm mode the pixel runs are scanned here and dropped on return.
     """
     crowd = np.array([bool(g.iscrowd) for g in gts], dtype=bool)
     if mode == "bbox":

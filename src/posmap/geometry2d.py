@@ -22,6 +22,7 @@ __all__ = [
     "as_flat",
     "convex_hull",
     "clip_to_rect",
+    "polygon_runs",
     "rasterize_polygons",
 ]
 
@@ -139,6 +140,69 @@ def clip_to_rect(
     return np.array(poly) if poly else np.zeros((0, 2))
 
 
+def polygon_runs(
+    sets: Sequence[Sequence[Sequence[float]]], width: int, height: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel runs ``(obj, start, end)`` of many multi-part polygons, in one scan.
+
+    Run k covers the flat pixels ``start[k] <= p < end[k]`` (p = row * width
+    + column) of a (height, width) image that polygon set ``sets[obj[k]]``
+    fills. A run never crosses a row end; the runs of one set are disjoint,
+    and all runs are sorted by (obj, start). Even-odd fill at pixel centres
+    on half-open edges: crossings 2i and 2i+1 of a part on a row bound the
+    pixels ``ceil(x - 0.5) .. floor(x' - 0.5)``. Parts are OR-combined.
+    A part with fewer than 3 vertices, a non-finite coordinate or an edge
+    span that overflows float64 raises :class:`~posmap.errors.DataError`.
+    """
+    parts = [as_points(flat) for polys in sets for flat in polys]
+    if any(len(p) < 3 for p in parts):
+        raise DataError("cannot rasterize a polygon with fewer than 3 vertices")
+    if not parts:
+        return (np.zeros(0, dtype=np.intp),) * 3
+    xs_a, ys_a = np.concatenate(parts).T
+    if not (np.isfinite(xs_a).all() and np.isfinite(ys_a).all()):
+        raise DataError("cannot rasterize a polygon with a non-finite coordinate")
+    # the other end of each edge: the next vertex of its part
+    xs_b, ys_b = np.concatenate([np.concatenate((p[1:], p[:1])) for p in parts]).T
+    part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    # an edge crosses the rows r with min(ya, yb) <= r + 0.5 < max(ya, yb);
+    # ceil(y - 0.5) is exact wherever it lands inside the image
+    r0, r1 = (
+        np.clip(np.ceil(y - 0.5), 0, height).astype(np.intp)
+        for y in (np.minimum(ys_a, ys_b), np.maximum(ys_a, ys_b))
+    )
+    # one crossing per (edge e, row r) pair
+    count = r1 - r0
+    e = np.repeat(np.arange(len(count)), count)
+    r = np.arange(len(e)) - np.repeat(np.cumsum(count) - count - r0, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy = xs_b - xs_a, ys_b - ys_a
+        x = xs_a[e] + (r + 0.5 - ys_a[e]) / dy[e] * dx[e]
+    if not (np.isfinite(x).all() and np.isfinite(dy).all()):
+        raise DataError("cannot rasterize a polygon whose edge span overflows float64")
+    order = np.lexsort((x, part[e] * height + r))
+    x, r, part = x[order], r[order][0::2], part[e[order][0::2]]
+    lo = np.maximum(np.ceil(x[0::2] - 0.5), 0)
+    hi = np.minimum(np.floor(x[1::2] - 0.5), width - 1)
+    keep = hi >= lo
+    obj = np.repeat(np.arange(len(sets)), [len(polys) for polys in sets])[part[keep]]
+    r, lo, end = r[keep], lo[keep].astype(np.intp), hi[keep].astype(np.intp) + 1
+    # merge the spans of one (set, row) where parts or equal crossings overlap;
+    # shifting each (set, row) group past the last keeps groups apart
+    order = np.lexsort((lo, r, obj))
+    obj, r, lo, end = obj[order], r[order], lo[order], end[order]
+    group = np.ones(len(obj), dtype=bool)
+    group[1:] = (obj[1:] != obj[:-1]) | (r[1:] != r[:-1])
+    shift = np.cumsum(group) * (width + 1)
+    reach = np.maximum.accumulate(end + shift)
+    new = np.ones(len(obj), dtype=bool)
+    new[1:] = lo[1:] + shift[1:] > reach[:-1]
+    last = np.ones(len(obj), dtype=bool)
+    last[:-1] = new[1:]
+    row_start = r[new] * width
+    return obj[new], row_start + lo[new], row_start + reach[last] - shift[last]
+
+
 def rasterize_polygons(
     polys: Sequence[Sequence[float]], width: int, height: int
 ) -> tuple[np.ndarray, int, int]:
@@ -146,43 +210,17 @@ def rasterize_polygons(
 
     ``mask[r, c]`` is pixel ``(x0 + c, y0 + r)`` of a (height, width) image;
     the crop is the smallest box holding every set pixel, (0, 0) at (0, 0)
-    when none is. Even-odd fill at pixel centres on half-open edges, all rows
-    at once: crossings 2i and 2i+1 of a part on a row bound the pixels
-    ``ceil(x - 0.5) .. floor(x' - 0.5)``. Parts are OR-combined.
+    when none is. The pixels are the runs of :func:`polygon_runs`.
     """
-    parts = [as_points(flat) for flat in polys]
-    if any(len(p) < 3 for p in parts):
-        raise DataError("cannot rasterize a polygon with fewer than 3 vertices")
-    if not parts:
+    _, start, end = polygon_runs([polys], width, height)
+    if not len(start):
         return np.zeros((0, 0), dtype=bool), 0, 0
-    xs_a, ys_a = np.concatenate(parts).T
-    if not (np.isfinite(xs_a).all() and np.isfinite(ys_a).all()):
-        raise DataError("cannot rasterize a polygon with a non-finite coordinate")
-    # the other end of each edge: the next vertex of its part
-    xs_b, ys_b = np.concatenate([np.concatenate((p[1:], p[:1])) for p in parts]).T
-    row_lo = max(0, int(np.floor(ys_a.min() - 0.5)))
-    row_hi = min(height - 1, int(np.ceil(ys_a.max())))
-    yc = np.arange(row_lo, row_hi + 1) + 0.5
-    r, e = np.nonzero((ys_a <= yc[:, None]) != (ys_b <= yc[:, None]))
-    x = xs_a[e] + (yc[r] - ys_a[e]) / (ys_b[e] - ys_a[e]) * (xs_b[e] - xs_a[e])
-    part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
-    order = np.lexsort((x, r * len(parts) + part[e]))
-    x, r = x[order], r[order]
-    lo = np.maximum(np.ceil(x[0::2] - 0.5), 0)
-    hi = np.minimum(np.floor(x[1::2] - 0.5), width - 1)
-    keep = hi >= lo
-    if not keep.any():
-        return np.zeros((0, 0), dtype=bool), 0, 0
-    row, lo, hi = r[0::2][keep] + row_lo, lo[keep].astype(np.intp), hi[keep].astype(np.intp)
-    x0, y0 = int(lo.min()), int(row.min())
-    w, h = int(hi.max()) + 1 - x0, int(row.max()) + 1 - y0
-    # spans as runs [start, end) of the flat crop, merged where parts or equal
-    # crossings overlap; the mask alternates False and True between run bounds
-    start = (row - y0) * w + lo - x0
-    order = np.argsort(start)
-    start, end = start[order], (start + hi - lo + 1)[order]
-    reach = np.maximum.accumulate(end)
-    new = np.concatenate(([True], start[1:] > reach[:-1]))
-    bounds = np.column_stack((start[new], reach[np.append(new[1:], True)])).ravel()
+    row, lo = np.divmod(start, width)
+    hi = end - row * width
+    x0, y0 = int(lo.min()), int(row[0])
+    w, h = int(hi.max()) - x0, int(row[-1]) + 1 - y0
+    # the mask alternates False and True between the runs' bounds in the crop
+    crop_start = (row - y0) * w + lo - x0
+    bounds = np.column_stack((crop_start, crop_start + end - start)).ravel()
     lengths = np.diff(bounds, prepend=0, append=h * w)
     return np.repeat(np.arange(len(lengths)) % 2 == 1, lengths).reshape(h, w), x0, y0

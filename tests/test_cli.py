@@ -1091,6 +1091,17 @@ def test_bare_list_bbox_with_3_values_exits_3(workspace, tmp_path, capsys):
     assert "bbox with 3 values" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_polygon_whose_edge_span_overflows(workspace, tmp_path, capsys):
+    doc = json.loads((_sim(workspace) / "gt.json").read_text())
+    doc["annotations"][0]["segmentation"] = [[-1e308, 0.0, 1e308, 10.0, 0.0, 20.0]]
+    (tmp_path / "gt.json").write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match="deviates more than 1 px"):
+        rc = main(["eval", "--gt", str(tmp_path / "gt.json"),
+                   "--detections", str(_sim(workspace) / "detections.json"), "--iou-mode", "segm"])
+    assert rc == 3
+    assert "overflows float64" in capsys.readouterr().err
+
+
 def test_extrinsics_rejects_intrinsics_in_other_units(workspace, tmp_path, capsys):
     intr = tmp_path / "intr.json"
     intr.write_text(json.dumps({

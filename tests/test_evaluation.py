@@ -163,6 +163,54 @@ def test_unit_ious_equal_full_frame_ious_on_a_simulated_scene():
     assert pairs > 20
 
 
+@st.composite
+def _parts(draw, width, height):
+    """One to four parts of a polygon set, as they fall in a small image."""
+    half = st.integers(-6, 2 * max(width, height) + 6).map(lambda v: v / 2)
+    parts, n_parts = [], draw(st.integers(1, 3))
+    while len(parts) < n_parts:
+        kind = draw(st.sampled_from(["rows", "row-ends", "rect", "polygon", "outside"]))
+        row = draw(st.integers(-1, height))
+        if kind == "rows":  # whole rows, from the image border or past it
+            x0, x1 = draw(st.sampled_from([-1, 0])), draw(st.sampled_from([width, width + 1]))
+            parts.append(_rect(x0, row, x1 - x0, draw(st.integers(1, height + 1))))
+        elif kind == "row-ends":  # the end of one row and the start of the next
+            cut = draw(st.integers(0, width))
+            parts += [_rect(cut, row, width - cut, 1),
+                      _rect(0, row + 1, draw(st.integers(1, width)), 1)]
+        elif kind == "rect":
+            x0 = draw(st.integers(-1, width))
+            parts.append(_rect(x0, row, draw(st.integers(1, width + 1 - x0)),
+                               draw(st.integers(1, height + 1 - row))))
+        elif kind == "polygon":
+            parts.append([draw(half) for _ in range(2 * draw(st.integers(3, 6)))])
+        else:  # wholly right of or below the image
+            parts.append(_rect(width + draw(st.integers(0, 2)), row, 2, 2)
+                         if draw(st.booleans()) else _rect(0, height + 1, width, 2))
+    return parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_segm_ious_equal_the_full_frame_masks_on_small_images(data):
+    """Pixel runs give the IoU of full-frame masks, bit for bit, on 1-12 px images."""
+    width, height = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    dets = data.draw(st.lists(_parts(width, height), min_size=1, max_size=4))
+    gts = data.draw(st.lists(_parts(width, height), min_size=1, max_size=4))
+    crowd = np.array(data.draw(st.lists(st.booleans(), min_size=len(gts), max_size=len(gts))))
+    ref = reference_mask_ious(dets, gts, crowd, width, height)
+    ours = _unit_ious(
+        [Annotation(id=k, image_id=1, category_id=PED, segmentation=p) for k, p in enumerate(dets)],
+        [Annotation(id=k, image_id=1, category_id=PED, segmentation=p, iscrowd=int(c))
+         for k, (p, c) in enumerate(zip(gts, crowd))],
+        "segm", (width, height),
+    )
+    assert ours.tobytes() == ref.tobytes()
+    no_crowd = np.zeros(1, dtype=bool)
+    assert iou_mask(dets[0], gts[0], (width, height)) == float(
+        reference_mask_ious(dets[:1], gts[:1], no_crowd, width, height)[0, 0])
+
+
 # -- matching -----------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from posmap.geometry2d import (
     clip_to_rect,
     convex_hull,
     polygon_area,
+    polygon_runs,
     polygons_area,
     polygons_bounds,
     rasterize_polygons,
@@ -143,6 +144,25 @@ def test_rasterize_rejects_a_non_finite_coordinate(k, value):
         rasterize_polygons([SQUARE, poly], 20, 20)
 
 
+@pytest.mark.parametrize(
+    "poly",
+    [
+        [-1e308, 0.0, 1e308, 10.0, 0.0, 20.0],  # an edge's x span overflows
+        [0.0, -1e308, 10.0, 1e308, 20.0, 0.0],  # an edge's y span overflows
+    ],
+)
+def test_rasterize_refuses_an_edge_span_that_overflows(poly):
+    with pytest.raises(DataError, match="overflows float64"):
+        rasterize_polygons([poly], 64, 48)
+    with pytest.raises(DataError, match="overflows float64"):
+        polygon_runs([[SQUARE], [poly]], 64, 48)
+
+
+def test_rasterize_a_huge_finite_triangle():
+    mask, x0, y0 = rasterize_polygons([[-1e200, 0.0, 1e200, 10.0, 0.0, 20.0]], 64, 48)
+    assert (x0, y0, mask.shape, mask.sum()) == (0, 5, (15, 64), 960)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_rasterized_area_close_to_shoelace(data):
@@ -219,3 +239,18 @@ def test_rasterize_crop_equals_the_full_frame_loop(polys, width, height):
     assert 0 <= y0 and y0 + mask.shape[0] <= height
     assert np.array_equal(paste((mask, x0, y0), width, height),
                           reference_rasterize(polys, width, height))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_polygon_sets(), max_size=4), st.integers(1, 24), st.integers(1, 18))
+def test_polygon_runs_are_each_sets_pixels_row_by_row(sets, width, height):
+    """One scan of many sets: sorted, disjoint runs within rows, each set's own pixels."""
+    obj, start, end = polygon_runs(sets, width, height)
+    assert (start < end).all() and (start // width == (end - 1) // width).all()
+    assert (np.diff(obj) >= 0).all() and (end[:-1] <= start[1:])[np.diff(obj) == 0].all()
+    for k, polys in enumerate(sets):
+        frame = np.zeros(width * height, dtype=bool)
+        for a, b in zip(start[obj == k], end[obj == k]):
+            frame[a:b] = True
+        assert np.array_equal(frame.reshape(height, width),
+                              reference_rasterize(polys, width, height))
