@@ -16,30 +16,24 @@ import numpy as np
 
 from posmap.calibrate import ground_mapping_error, solve_extrinsics
 from posmap.camera import CameraModel
+from posmap.evaluation import localization_pairs
 from posmap.mapping import MapExtent, locate
 from posmap.simulate import SimConfig, default_camera, simulate
 
 
 def locate_errors(extent, camera, noise_px, n_agents, seed, n_frames=3):
-    """(distance, error) pairs for every cleanly visible detection."""
+    """(distance, error) of every detection matched to a ground truth in full view."""
     config = SimConfig(extent=extent, camera=camera, n_agents=n_agents,
                        cyclist_fraction=0.2, seed=seed, noise_px=noise_px)
     result = simulate(config, n_frames)
+    observations = [locate(camera, det, "pedestrian", image_id=det.image_id)
+                    for det in result.detections]
+    truth = [o for frame in result.frames for o in frame.truth_observations]
     cam_xy = camera.pose.camera_center[:2]
-    w, h = camera.image_size
-    pairs = []
-    for frame in result.frames:
-        truth = {o.annotation_id: o for o in frame.truth_observations}
-        gt_ids = [a.id for a in frame.gt_annotations]
-        for det, gid in zip(frame.detections, gt_ids):
-            xs, ys = det.segmentation[0][0::2], det.segmentation[0][1::2]
-            if min(xs) <= 0 or max(xs) >= w or min(ys) <= 0 or max(ys) >= h:
-                continue  # clipped at the image border; footpoint unreliable
-            obs = locate(camera, det, "pedestrian")
-            t = truth[gid]
-            dist = math.hypot(t.x - cam_xy[0], t.y - cam_xy[1])
-            pairs.append((dist, math.hypot(obs.x - t.x, obs.y - t.y)))
-    return pairs
+    return [
+        (math.hypot(t.x - cam_xy[0], t.y - cam_xy[1]), math.hypot(o.x - t.x, o.y - t.y))
+        for o, t in localization_pairs(result.dataset, result.detections, observations, truth)
+    ]
 
 
 def main() -> None:

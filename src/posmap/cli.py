@@ -589,15 +589,9 @@ def cmd_simulate(args: argparse.Namespace) -> list[Path]:
     save_extent(out_dir / "extent.json", extent)
     save_dataset(out_dir / "gt.json", result.dataset)
     save_detections(out_dir / "detections.json", result.detections)
-    truth_lines = ["frame,timestamp,class,x,y,heading,height"]
-    for frame in result.frames:
-        ts = frame.image.extra["timestamp"]
-        for state in frame.truth:
-            truth_lines.append(
-                f"{frame.image.id},{ts!r},{state.class_name},{state.x!r},"
-                f"{state.y!r},{state.heading!r},{state.height!r}"
-            )
-    (out_dir / "truth.csv").write_text("\n".join(truth_lines) + "\n")
+    save_observations(
+        out_dir / "truth.csv", [o for f in result.frames for o in f.truth_observations]
+    )
     n_gt = len(result.dataset.annotations)
     print(
         f"simulated {args.frames} frames, {args.agents} agents: "

@@ -139,14 +139,23 @@ def _parse_segmentation(raw, ann_id: int) -> list[list[float]]:
     return polys
 
 
+def _check_finite_box(box: tuple[float, float, float, float], what: str, ann_id: int) -> None:
+    # a non-finite value or an overflowing width makes a far corner non-finite
+    x, y, w, h = box
+    if not (math.isfinite(x + w) and math.isfinite(y + h)):
+        raise DataError(f"annotation {ann_id} has {what} {box}, not finite")
+
+
 def _parse_annotation(r: dict, ann_id: int) -> Annotation:
     """Build one annotation from its JSON record.
 
     Every polygon coordinate must be finite. The bbox must have 4 values;
-    without one it is the polygon hull. A bbox more than 1 px off the hull
-    only warns; this is the one place bbox and hull are compared. Without an
-    area, the polygon area (else the bbox area) is used; a non-finite or
-    negative area is a ``DataError``. Errors from malformed fields
+    without one it is the polygon hull. A bbox or hull with a corner that is
+    not finite (a non-finite value, or a width that overflows) is a
+    ``DataError``. A bbox more than 1 px off the hull only warns; this is
+    the one place bbox and hull are compared. Without an area, the polygon
+    area (else the bbox area) is used; a non-finite or negative area is a
+    ``DataError``. Errors from malformed fields
     (``KeyError``, ``TypeError``, ``ValueError``, or ``AttributeError``
     when the record is not an object) propagate to the caller.
     """
@@ -163,21 +172,24 @@ def _parse_annotation(r: dict, ann_id: int) -> Annotation:
             raise DataError(f"annotation {ann_id} has a bbox with {len(bbox_raw)} values")
         x, y, w, h = bbox_raw
         bbox = (float(x), float(y), float(w), float(h))
-        if hull is not None and max(
-            abs(hull[0] - bbox[0]),
-            abs(hull[1] - bbox[1]),
-            abs(hull[2] - bbox[2]),
-            abs(hull[3] - bbox[3]),
-        ) > 1.0:
-            warnings.warn(
-                f"annotation {ann_id}: bbox {bbox} deviates more than "
-                f"1 px from its polygon hull {hull}",
-                stacklevel=4,
-            )
     elif hull is not None:
         bbox = hull
     else:
         raise DataError(f"annotation {ann_id} has neither bbox nor segmentation")
+    _check_finite_box(bbox, "bbox", ann_id)
+    # a hull that is not finite is more than 1 px off the finite bbox
+    if bbox_raw is not None and hull is not None and max(
+        abs(hull[0] - bbox[0]),
+        abs(hull[1] - bbox[1]),
+        abs(hull[2] - bbox[2]),
+        abs(hull[3] - bbox[3]),
+    ) > 1.0:
+        _check_finite_box(hull, "polygon hull", ann_id)
+        warnings.warn(
+            f"annotation {ann_id}: bbox {bbox} deviates more than "
+            f"1 px from its polygon hull {hull}",
+            stacklevel=4,
+        )
     area_raw = r.get("area")
     if area_raw is not None:
         area = float(area_raw)
@@ -249,6 +261,7 @@ def _dataset_from_doc(doc: dict, path: str | Path) -> Dataset:
         raise DataError(f"annotation file {path} has duplicate category ids")
 
     annotations = []
+    ann_ids: set[int] = set()
     for r in doc.get("annotations", []):
         try:
             ann = _parse_annotation(r, int(r["id"]))
@@ -262,6 +275,9 @@ def _dataset_from_doc(doc: dict, path: str | Path) -> Dataset:
             raise DataError(
                 f"annotation {ann.id} references missing category {ann.category_id}"
             )
+        if ann.id in ann_ids:
+            raise DataError(f"annotation file {path} has duplicate annotation id {ann.id}")
+        ann_ids.add(ann.id)
         annotations.append(ann)
 
     return Dataset(

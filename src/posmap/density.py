@@ -359,6 +359,9 @@ def load_density(base: str | Path) -> DensityGrid:
     without it has the earlier float cells, each a finite, non-negative
     multiple of :data:`QUANTUM` below 2**23, converted to quanta exactly.
     Any other cell is refused: the exact merge law holds only for these.
+    The header's ``cell_size`` must be a finite positive number,
+    ``bandwidth`` one or null, ``total_count`` a non-negative integer and
+    ``classes`` a list of names; the CSV must have the grid's shape.
     """
     paths = density_paths(base)
     json_path, csv_path = paths["json"], paths["csv"]
@@ -369,6 +372,7 @@ def load_density(base: str | Path) -> DensityGrid:
             f"density header {json_path}: quantum {header['quantum']!r} is not 2**-40"
         )
     try:
+        _check_header(header, json_path)
         quanta = _read_quanta(csv_path) if integer_cells else _read_float_cells(csv_path)
         tw = header.get("time_window")
         grid = DensityGrid(
@@ -376,7 +380,7 @@ def load_density(base: str | Path) -> DensityGrid:
             cell_size=float(header["cell_size"]),
             quanta=quanta,
             bandwidth=header.get("bandwidth"),
-            total_count=int(header["total_count"]),
+            total_count=header["total_count"],
             time_window=(float(tw[0]), float(tw[1])) if tw else None,
             classes=tuple(header.get("classes", [])),
         )
@@ -386,12 +390,38 @@ def load_density(base: str | Path) -> DensityGrid:
         raise DataError(f"density raster {base} is malformed: {e}") from e
     except ConfigError as e:
         raise ConfigError(f"density header {json_path}: {e}") from e
+    expected = grid_shape(grid.extent, grid.cell_size)
+    if quanta.shape != expected:
+        raise DataError(
+            f"density values file {csv_path}: shape {quanta.shape} is not the grid's "
+            f"shape {expected}"
+        )
     if list(quanta.shape) != list(header.get("shape", quanta.shape)):
         raise DataError(
             f"density raster {base}: CSV shape {quanta.shape} does not match "
             f"header {header.get('shape')}"
         )
     return grid
+
+
+def _check_header(header: dict, json_path: Path) -> None:
+    """Refuse a header field that would load as some other value."""
+
+    def positive(value) -> bool:
+        return type(value) in (int, float) and 0 < value < math.inf
+
+    def refuse(field: str, want: str) -> DataError:
+        return DataError(f"density header {json_path}: {field} {header[field]!r} is not {want}")
+
+    if not positive(header["cell_size"]):
+        raise refuse("cell_size", "a finite positive number")
+    if header.get("bandwidth") is not None and not positive(header["bandwidth"]):
+        raise refuse("bandwidth", "a finite positive number or null")
+    if not (type(header["total_count"]) is int and header["total_count"] >= 0):
+        raise refuse("total_count", "a non-negative integer")
+    classes = header.get("classes", [])
+    if not (type(classes) is list and all(type(c) is str for c in classes)):
+        raise refuse("classes", "a list of class names")
 
 
 def _read_quanta(csv_path: Path) -> np.ndarray:

@@ -57,8 +57,9 @@ from typing import Iterable, Literal, NamedTuple, TypeVar
 
 import numpy as np
 
-from .coco import Annotation, Dataset
+from .coco import Annotation, Dataset, ImageRecord
 from .errors import ConfigError, DataError
+from .mapping import GroundObservation
 from .geometry2d import polygon_runs, polygons_area
 from .geometry2d import rasterize_polygons  # noqa: F401 -- perfbench/spans.py wraps this name
 from .taxonomy import Taxonomy
@@ -76,6 +77,7 @@ __all__ = [
     "iou_bbox",
     "iou_mask",
     "match_detections",
+    "localization_pairs",
     "pr_curve",
     "mean_ap",
     "evaluate_detections",
@@ -477,6 +479,64 @@ def match_detections(
         ignored=tuple(bool(v) for v in p.ignore[0, 0]),
         unmatched_gt=tuple(g.id for g in gts if g.id not in taken and not g.iscrowd),
     )
+
+
+def _touches_border(ann: Annotation, image: ImageRecord) -> bool:
+    """Whether the polygon, else the bbox, reaches the image border."""
+    x, y, w, h = ann.bbox
+    parts = ann.segmentation or [[x, y, x + w, y + h]]
+    xs = [v for part in parts for v in part[0::2]]
+    ys = [v for part in parts for v in part[1::2]]
+    return min(xs) <= 0 or max(xs) >= image.width or min(ys) <= 0 or max(ys) >= image.height
+
+
+def localization_pairs(
+    gt: Dataset,
+    detections: list[Annotation],
+    observations: list[GroundObservation],
+    truth: list[GroundObservation],
+    *,
+    iou_mode: Literal["segm", "bbox"] = "segm",
+) -> list[tuple[GroundObservation, GroundObservation]]:
+    """(observation, truth) for each mapped detection that matches a ground truth in view.
+
+    Observations join on ``(image_id, annotation_id)`` to the detections
+    they were mapped from, and ``truth`` on the same key to the ground
+    truths. A detection matches under :func:`match_detections` at IoU 0.5
+    per image and class. It gives no pair when it matches nothing or a crowd
+    region, or when the ground truth's polygon touches the image border,
+    where the true footpoint may be out of view. An observation without its
+    detection, or a matched ground truth without its truth, is a
+    :class:`DataError`.
+    """
+    _check_mode(iou_mode)
+    images = gt.image_by_id()
+    units: dict[tuple[int, int], tuple[list[Annotation], list[Annotation]]] = {}
+    for side, anns in enumerate((gt.annotations, detections)):
+        for ann in anns:
+            units.setdefault((ann.image_id, ann.category_id), ([], []))[side].append(ann)
+    in_view: dict[tuple[int, int], Annotation | None] = {}  # by (image id, detection id)
+    for (image_id, _), (gts, dets) in units.items():
+        if image_id not in images:
+            raise DataError(f"annotations reference unknown image {image_id}")
+        im, by_id = images[image_id], {g.id: g for g in gts}
+        m = match_detections(gts, dets, 0.5, iou_mode=iou_mode, image_size=(im.width, im.height))
+        for det_id, gt_id, ignored in zip(m.det_ids, m.matched_gt, m.ignored):
+            hit = None if ignored else by_id.get(gt_id)
+            in_view[image_id, det_id] = None if hit is None or _touches_border(hit, im) else hit
+    truth_by_key = {(o.image_id, o.annotation_id): o for o in truth}
+    pairs = []
+    for obs in observations:
+        key = (obs.image_id, obs.annotation_id)
+        if key not in in_view:
+            raise DataError(f"observation of annotation {key[1]} in image {key[0]} has no detection")
+        hit = in_view[key]
+        if hit is None:
+            continue
+        if (hit.image_id, hit.id) not in truth_by_key:
+            raise DataError(f"ground truth {hit.id} in image {hit.image_id} has no truth")
+        pairs.append((obs, truth_by_key[hit.image_id, hit.id]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -118,10 +118,8 @@ class SizePriors:
 
 @dataclass(frozen=True)
 class Box3D:
-    """Upright oriented box on the ground plane."""
+    """Heading and size of an upright box; its place is the observation's (x, y)."""
 
-    center_x: float
-    center_y: float
     yaw: float
     width: float
     length: float
@@ -140,18 +138,15 @@ def estimate_box3d(
     """Oriented 3D box from a ground contact point and a head pixel.
 
     A single camera cannot observe depth along the viewing ray, so the box
-    is oriented away from the camera (yaw along the ray's ground trace) and
-    the ground point is taken as the near face: the center sits half a
-    length further out. Height comes from the point on the head-pixel ray
-    closest (in the ground plane) to the contact point, clamped to the
-    plausible person range.
+    is oriented away from the camera (yaw along the ray's ground trace).
+    Height comes from the point on the head-pixel ray closest (in the
+    ground plane) to the contact point, clamped to the plausible person
+    range.
     """
     gx, gy = ground_xy
     (cx, cy, cz), (dx, dy, dz) = camera.viewing_ray(top_pixel[0], top_pixel[1])
     yaw = math.atan2(gy - cy, gx - cx)
     width, length = prior
-    center_x = gx + (length / 2.0) * math.cos(yaw)
-    center_y = gy + (length / 2.0) * math.sin(yaw)
 
     horiz2 = dx * dx + dy * dy
     if horiz2 < 1e-12:
@@ -161,14 +156,7 @@ def estimate_box3d(
     s = ((gx - cx) * dx + (gy - cy) * dy) / horiz2
     height = cz + s * dz
     height = min(max(height, _HEIGHT_RANGE[0]), _HEIGHT_RANGE[1])
-    return Box3D(
-        center_x=center_x,
-        center_y=center_y,
-        yaw=yaw,
-        width=width,
-        length=length,
-        height=height,
-    )
+    return Box3D(yaw=yaw, width=width, length=length, height=height)
 
 
 @dataclass(frozen=True)
@@ -460,17 +448,11 @@ def load_observations(path: str | Path) -> list[GroundObservation]:
             try:
                 x = _finite(row[i_x], "x")
                 y = _finite(row[i_y], "y")
-                yaw = _finite(row[i_yaw], "yaw")
-                width = _finite(row[i_width], "width")
-                length = _finite(row[i_length], "length")
-                height = _finite(row[i_height], "height")
                 box = Box3D(
-                    center_x=x + (length / 2.0) * math.cos(yaw),
-                    center_y=y + (length / 2.0) * math.sin(yaw),
-                    yaw=yaw,
-                    width=width,
-                    length=length,
-                    height=height,
+                    yaw=_finite(row[i_yaw], "yaw"),
+                    width=_finite(row[i_width], "width"),
+                    length=_finite(row[i_length], "length"),
+                    height=_finite(row[i_height], "height"),
                 )
                 out.append(
                     GroundObservation(

@@ -119,9 +119,7 @@ class AgentState:
 class SimFrame:
     image: ImageRecord
     truth: tuple[AgentState, ...]
-    truth_observations: tuple[GroundObservation, ...]  # visible agents only
-    gt_annotations: tuple[Annotation, ...]
-    detections: tuple[Annotation, ...]
+    truth_observations: tuple[GroundObservation, ...]  # one per gt annotation, by its id
 
 
 @dataclass(frozen=True)
@@ -314,8 +312,6 @@ def simulate(config: SimConfig, n_frames: int) -> SimResult:
         )
         truth = []
         frame_truth_obs: list[GroundObservation] = []
-        frame_gt: list[Annotation] = []
-        frame_det: list[Annotation] = []
         for agent in agents:
             lx, ly = _agent_local_position(agent, config, t)
             wx, wy = config.extent.to_world(lx, ly)
@@ -345,7 +341,7 @@ def simulate(config: SimConfig, n_frames: int) -> SimResult:
                 area=polygon_area(poly),
             )
             next_gt_id += 1
-            frame_gt.append(gt_ann)
+            gt_anns.append(gt_ann)
             hw = _BODY_HALF_WIDTH[state.class_name]
             hl = _BODY_HALF_LENGTH[state.class_name]
             frame_truth_obs.append(
@@ -354,8 +350,6 @@ def simulate(config: SimConfig, n_frames: int) -> SimResult:
                     x=state.x,
                     y=state.y,
                     box=Box3D(
-                        center_x=state.x,
-                        center_y=state.y,
                         yaw=state.heading,
                         width=2.0 * hw,
                         length=2.0 * hl,
@@ -379,7 +373,7 @@ def simulate(config: SimConfig, n_frames: int) -> SimResult:
             det_class = state.class_name
             if confuse_draw < config.confusion_rate:
                 det_class = "cyclist" if det_class == "pedestrian" else "pedestrian"
-            frame_det.append(
+            detections.append(
                 Annotation(
                     id=next_det_id,
                     image_id=image.id,
@@ -393,15 +387,11 @@ def simulate(config: SimConfig, n_frames: int) -> SimResult:
             next_det_id += 1
 
         images.append(image)
-        gt_anns.extend(frame_gt)
-        detections.extend(frame_det)
         frames.append(
             SimFrame(
                 image=image,
                 truth=tuple(truth),
                 truth_observations=tuple(frame_truth_obs),
-                gt_annotations=tuple(frame_gt),
-                detections=tuple(frame_det),
             )
         )
 

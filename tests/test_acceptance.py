@@ -38,7 +38,7 @@ from posmap.coco import (
 )
 from posmap.density import kde_raster, merge_rasters, zero_raster
 from posmap.errors import PosmapError
-from posmap.evaluation import diagnose_errors, evaluate_detections
+from posmap.evaluation import diagnose_errors, evaluate_detections, localization_pairs
 from posmap.mapping import (
     Box3D,
     GroundObservation,
@@ -68,13 +68,6 @@ def _look_at(center: np.ndarray, target: np.ndarray) -> Pose:
         rvec=tuple(float(v) for v in matrix_to_axis_angle(rot)),
         t=tuple(float(v) for v in (-rot @ center)),
     )
-
-
-def _unclipped(ann: Annotation, image_size: tuple[int, int]) -> bool:
-    w, h = image_size
-    xs = ann.segmentation[0][0::2]
-    ys = ann.segmentation[0][1::2]
-    return min(xs) > 0 and max(xs) < w and min(ys) > 0 and max(ys) < h
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +133,12 @@ def _localization_error(noise_px: float) -> float:
         seed=404, noise_px=noise_px,
     )
     result = simulate(config, 3)
-    errors = []
-    for frame in result.frames:
-        truth = {o.annotation_id: o for o in frame.truth_observations}
-        gt_ids = [a.id for a in frame.gt_annotations]
-        for det, gid in zip(frame.detections, gt_ids):
-            if not _unclipped(det, camera.image_size):
-                continue
-            obs = locate(camera, det, "pedestrian")
-            t = truth[gid]
-            errors.append(math.hypot(obs.x - t.x, obs.y - t.y))
+    observations = [
+        locate(camera, det, "pedestrian", image_id=det.image_id) for det in result.detections
+    ]
+    truth = [o for frame in result.frames for o in frame.truth_observations]
+    pairs = localization_pairs(result.dataset, result.detections, observations, truth)
+    errors = [math.hypot(o.x - t.x, o.y - t.y) for o, t in pairs]
     assert len(errors) > 150
     return float(np.mean(errors))
 
@@ -508,7 +497,7 @@ def test_c6_taxonomy_treatments(capsys):
 def _obs_at(i: int, x: float, y: float) -> GroundObservation:
     return GroundObservation(
         class_name="pedestrian", x=x, y=y,
-        box=Box3D(x, y, 0.0, 0.5, 0.5, 1.7),
+        box=Box3D(0.0, 0.5, 0.5, 1.7),
         annotation_id=i, image_id=1,
     )
 

@@ -28,6 +28,7 @@ from posmap.mapping import (
     save_observations,
 )
 from posmap.errors import ConfigError
+from posmap.simulate import SimConfig, default_camera, simulate
 from posmap.taxonomy import default_taxonomy, default_treatments, save_taxonomy
 
 LADDER = ("c75", "c50", "loc", "sim", "oth", "bg", "fn")
@@ -96,6 +97,24 @@ def test_simulate_reruns_are_byte_identical(workspace, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes(), name
+
+
+def test_simulate_truth_reads_back_as_the_truth_observations(tmp_path, capsys):
+    # half of the agents are cyclists, whose box is longest
+    args = ["simulate", "--frames", "4", "--agents", "6", "--cyclists", "0.5", "--seed", "9"]
+    assert main(args + ["--out-dir", str(tmp_path)]) == 0
+    extent = load_extent(tmp_path / "extent.json")
+    config = SimConfig(extent=extent, camera=default_camera(extent), n_agents=6,
+                       cyclist_fraction=0.5, seed=9)
+    truth = [o for frame in simulate(config, 4).frames for o in frame.truth_observations]
+    assert len(truth) == 24
+    assert load_observations(tmp_path / "truth.csv") == truth
+
+    # the truth is obs.csv's format, so it rasterizes as it is
+    assert main(["density", "--observations", str(tmp_path / "truth.csv"),
+                 "--extent", str(tmp_path / "extent.json"),
+                 "--out", str(tmp_path / "truth-density")]) == 0
+    assert load_density(tmp_path / "truth-density").total_count == 24
 
 
 # -- project -------------------------------------------------------------------
@@ -1009,6 +1028,38 @@ def _map_with_nan_polygon(ws, tmp):
     return argv, f"annotation {ann['id']}: polygon has a non-finite coordinate"
 
 
+def _eval_with_overflowing_polygon(ws, tmp, iou_mode):
+    """``eval`` where annotation 1 has a finite polygon whose hull's width overflows."""
+    doc = json.loads((_sim(ws) / "gt.json").read_text())
+    ann = doc["annotations"][0]
+    ann["segmentation"] = [[-1e308, 0, 1e308, 10, 0, 20]]
+    ann["area"] = 100
+    del ann["bbox"]
+    (tmp / "gt.json").write_text(json.dumps(doc))
+    argv = ["eval", "--gt", str(tmp / "gt.json"),
+            "--detections", str(_sim(ws) / "detections.json"), "--iou-mode", iou_mode]
+    return argv, f"annotation {ann['id']} has bbox (-1e+308, 0.0, inf, 20.0), not finite"
+
+
+def _eval_with_duplicate_annotation_id(ws, tmp):
+    """``eval`` where the second ground truth takes the first one's id."""
+    doc = json.loads((_sim(ws) / "gt.json").read_text())
+    doc["annotations"][1]["id"] = doc["annotations"][0]["id"]
+    (tmp / "gt.json").write_text(json.dumps(doc))
+    argv = ["eval", "--gt", str(tmp / "gt.json"),
+            "--detections", str(_sim(ws) / "detections.json"), "--iou-mode", "bbox"]
+    return argv, f"duplicate annotation id {doc['annotations'][0]['id']}"
+
+
+def _merge_with_header(tmp, field, value):
+    """``density --merge a b`` where raster ``b``'s header has ``field`` = ``value``."""
+    argv, _ = _merge_with_broken(tmp, "csv", "0")
+    header_path = density_paths(tmp / "b")["json"]
+    header = json.loads(header_path.read_text())
+    header_path.write_text(json.dumps({**header, field: value}))
+    return argv, f"{header_path}: {field} {value!r}"
+
+
 def _extrinsics_with(ws, tmp, column, value):
     """``calibrate extrinsics`` on 12 exact ground points, the fifth with ``column`` = ``value``."""
     ground = np.array([[x, y, 0.0] for x in (0.5, 2.0, 4.0) for y in (4.0, 10.0, 16.0, 24.0)])
@@ -1061,7 +1112,12 @@ DATA_ERRORS = {
     "merge-nan-cell": lambda ws, tmp: _merge_with_broken(tmp, "csv", "nan"),
     "merge-negative-cell": lambda ws, tmp: _merge_with_broken(tmp, "csv", "-0.5"),
     "merge-cell-off-the-quantum": lambda ws, tmp: _merge_with_broken(tmp, "csv", "0.1"),
+    "merge-fractional-total-count": lambda ws, tmp: _merge_with_header(tmp, "total_count", 3.7),
+    "merge-classes-not-a-list": lambda ws, tmp: _merge_with_header(tmp, "classes", "ped"),
     "density-nan-timestamp": _density_with_nan_timestamp,
+    "eval-bbox-overflowing-polygon": lambda ws, tmp: _eval_with_overflowing_polygon(ws, tmp, "bbox"),
+    "eval-segm-overflowing-polygon": lambda ws, tmp: _eval_with_overflowing_polygon(ws, tmp, "segm"),
+    "eval-duplicate-annotation-id": _eval_with_duplicate_annotation_id,
     "eval-image-width-0": lambda ws, tmp: _eval_with_image_size(ws, tmp, 0, 1080),
     "eval-negative-image-height": lambda ws, tmp: _eval_with_image_size(ws, tmp, 1920, -1080),
     "taxonomy-is-a-list": lambda ws, tmp: _stats_with_taxonomy(ws, tmp, []),
@@ -1092,14 +1148,17 @@ def test_bare_list_bbox_with_3_values_exits_3(workspace, tmp_path, capsys):
 
 
 def test_eval_refuses_a_polygon_whose_edge_span_overflows(workspace, tmp_path, capsys):
+    # the annotation keeps its finite bbox; loading refuses the hull, naming it
     doc = json.loads((_sim(workspace) / "gt.json").read_text())
     doc["annotations"][0]["segmentation"] = [[-1e308, 0.0, 1e308, 10.0, 0.0, 20.0]]
     (tmp_path / "gt.json").write_text(json.dumps(doc))
-    with pytest.warns(UserWarning, match="deviates more than 1 px"):
+    for iou_mode in ("segm", "bbox"):
         rc = main(["eval", "--gt", str(tmp_path / "gt.json"),
-                   "--detections", str(_sim(workspace) / "detections.json"), "--iou-mode", "segm"])
-    assert rc == 3
-    assert "overflows float64" in capsys.readouterr().err
+                   "--detections", str(_sim(workspace) / "detections.json"),
+                   "--iou-mode", iou_mode])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "annotation 1 has polygon hull (-1e+308, 0.0, inf, 20.0), not finite" in err
 
 
 def test_extrinsics_rejects_intrinsics_in_other_units(workspace, tmp_path, capsys):

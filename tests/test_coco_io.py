@@ -127,6 +127,24 @@ def test_load_rejects_duplicate_ids(tmp_path):
         load_dataset(path)
 
 
+def test_load_rejects_duplicate_annotation_ids(tmp_path):
+    # matching and the localization join find annotations by id
+    doc = {
+        "images": [{"id": 1, "file_name": "a.jpg", "width": 64, "height": 48}],
+        "categories": [{"id": 1, "name": "pedestrian"}],
+        "annotations": [
+            {"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5]},
+            {"id": 1, "image_id": 1, "category_id": 1, "bbox": [30, 30, 5, 5]},
+        ],
+    }
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape(f"{path} has duplicate annotation id 1")):
+        load_dataset(path)
+    with pytest.raises(DataError, match="duplicate annotation id 1"):
+        load_detections(path)
+
+
 def test_load_rejects_out_of_range_score(tmp_path):
     doc = {
         "images": [{"id": 1, "file_name": "a.jpg", "width": 64, "height": 48}],
@@ -178,6 +196,28 @@ def test_load_rejects_a_non_finite_polygon_coordinate(tmp_path, bad):
     bare.write_text(json.dumps([{**record, "score": 0.5}]))
     with pytest.raises(DataError, match="annotation 1: polygon has a non-finite coordinate"):
         load_detections(bare)
+
+@pytest.mark.parametrize("record, named", [
+    # the polygon is finite, but its hull's width overflows to inf
+    ({"segmentation": [[-1e308, 0, 1e308, 10, 0, 20]], "area": 100},
+     "bbox (-1e+308, 0.0, inf, 20.0)"),
+    ({"segmentation": [[-1e308, 0, 1e308, 10, 0, 20]], "bbox": [0, 0, 5, 5], "area": 100},
+     "polygon hull (-1e+308, 0.0, inf, 20.0)"),
+    ({"bbox": [0, 0, float("inf"), 5]}, "bbox (0.0, 0.0, inf, 5.0)"),
+    ({"bbox": [float("nan"), 0, 5, 5]}, "bbox (nan, 0.0, 5.0, 5.0)"),
+    ({"bbox": [0, 1e308, 5, 1e308]}, "bbox (0.0, 1e+308, 5.0, 1e+308)"),
+])
+def test_load_rejects_a_box_that_is_not_finite(tmp_path, record, named):
+    doc = {
+        "images": [{"id": 1, "file_name": "a.jpg", "width": 64, "height": 48}],
+        "categories": [{"id": 1, "name": "pedestrian"}],
+        "annotations": [{"id": 6, "image_id": 1, "category_id": 1, **record}],
+    }
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape(f"annotation 6 has {named}, not finite")):
+        load_dataset(path)
+
 
 @pytest.mark.parametrize("timestamp", [float("nan"), float("inf"), "12.5", True, [1.0]])
 def test_load_rejects_a_timestamp_that_is_not_a_finite_number(tmp_path, timestamp):

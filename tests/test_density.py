@@ -32,7 +32,7 @@ from posmap.mapping import Box3D, GroundObservation, MapExtent
 
 
 def _obs(x, y, cls="pedestrian", ts=None, src="", oid=1):
-    box = Box3D(center_x=x, center_y=y, yaw=0.0, width=0.5, length=0.6, height=1.75)
+    box = Box3D(yaw=0.0, width=0.5, length=0.6, height=1.75)
     return GroundObservation(class_name=cls, x=x, y=y, box=box,
                              annotation_id=oid, image_id=0, timestamp=ts, source=src)
 
@@ -414,6 +414,34 @@ def test_density_load_errors(extent, tmp_path):
     csv_path.write_text("\n".join(lines[:-1]) + "\n")  # drop a row
     with pytest.raises(DataError, match="shape"):
         load_density(tmp_path / "bad")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("total_count", 3.7), ("total_count", -5), ("total_count", "3"),
+    ("bandwidth", "abc"), ("bandwidth", -1.0), ("bandwidth", math.inf),
+    ("classes", "ped"), ("classes", [1]),
+    ("cell_size", math.nan), ("cell_size", -0.5), ("cell_size", True),
+])
+def test_header_fields_that_would_load_as_other_values_are_refused(
+    extent, tmp_path, field, value
+):
+    paths = save_density(tmp_path / "r", kde_raster(_scatter(extent, 5), extent, 0.5))
+    header = json.loads(paths["json"].read_text())
+    header[field] = value
+    paths["json"].write_text(json.dumps(header))  # json writes and reads NaN
+    with pytest.raises(DataError, match=re.escape(f"{paths['json']}: {field} {value!r}")):
+        load_density(tmp_path / "r")
+
+
+def test_cells_off_the_grid_shape_are_refused(extent, tmp_path):
+    paths = save_density(tmp_path / "r", zero_raster(extent, 0.5))
+    header = json.loads(paths["json"].read_text())
+    del header["shape"]  # the header's own shape is optional
+    paths["json"].write_text(json.dumps({**header, "cell_size": 0.25}))
+    with pytest.raises(DataError, match=re.escape(f"{paths['csv']}: shape (64, 9)")):
+        load_density(tmp_path / "r")
+    paths["json"].write_text(json.dumps(header))
+    assert load_density(tmp_path / "r").shape == (64, 9)
 
 
 # -- on-disk cells ------------------------------------------------------------

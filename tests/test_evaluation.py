@@ -22,10 +22,12 @@ from posmap.evaluation import (
     evaluate_detections,
     iou_bbox,
     iou_mask,
+    localization_pairs,
     match_detections,
     mean_ap,
     pr_curve,
 )
+from posmap.mapping import Box3D, GroundObservation
 from posmap.simulate import SimConfig, default_camera, simulate
 from posmap.taxonomy import default_taxonomy
 
@@ -272,6 +274,48 @@ def test_segm_match_needs_a_positive_image_size():
     assert m.true_positive == (True,)
 
 
+# -- localization pairs -------------------------------------------------------
+
+
+def _ground(ann_id, x):
+    return GroundObservation(class_name="pedestrian", x=x, y=0.0, box=Box3D(0.0, 0.5, 0.6, 1.7),
+                             annotation_id=ann_id, image_id=1)
+
+
+def _localization_fixture():
+    gts = [_gt(1, 1, PED, (10, 10, 20, 20)), _gt(2, 1, PED, (50, 10, 20, 20)),
+           _gt(3, 1, PED, (0, 60, 20, 20)),  # touches the image's left border
+           _gt(4, 1, CYC, (50, 60, 20, 20)),
+           _gt(5, 1, PED, (70, 35, 25, 20), crowd=1)]
+    dets = [_det(7, 1, PED, (51, 10, 20, 20), 0.9),  # gt 2
+            _det(8, 1, PED, (10, 10, 20, 20), 0.8),  # gt 1
+            _det(9, 1, PED, (0, 60, 20, 20), 0.7),  # gt 3, at the border
+            _det(10, 1, PED, (80, 80, 10, 10), 0.6),  # nothing
+            _det(11, 1, PED, (50, 60, 20, 20), 0.5),  # the cyclist's place: nothing
+            _det(12, 1, PED, (75, 38, 10, 10), 0.4)]  # inside the crowd region
+    truth = [_ground(g.id, 100.0 + g.id) for g in gts]
+    return _dataset(gts), dets, truth
+
+
+@pytest.mark.parametrize("iou_mode", ["segm", "bbox"])
+def test_localization_pairs_follow_matching_not_position(iou_mode):
+    ds, dets, truth = _localization_fixture()
+    observations = [_ground(d.id, float(d.id)) for d in reversed(dets)]
+    pairs = localization_pairs(ds, dets, observations, truth, iou_mode=iou_mode)
+    assert [(o.annotation_id, t.annotation_id) for o, t in pairs] == [(8, 1), (7, 2)]
+    assert all(t.x == 100.0 + t.annotation_id for _, t in pairs)
+
+
+def test_localization_pairs_refuse_unjoinable_records():
+    ds, dets, truth = _localization_fixture()
+    with pytest.raises(DataError, match="annotation 99 in image 1 has no detection"):
+        localization_pairs(ds, dets, [_ground(99, 0.0)], truth)
+    with pytest.raises(DataError, match="ground truth 1 in image 1 has no truth"):
+        localization_pairs(ds, dets, [_ground(8, 0.0)], truth[1:])
+    with pytest.raises(DataError, match="unknown image 42"):
+        localization_pairs(ds, [_det(8, 42, PED, (10, 10, 20, 20), 0.8)], [], truth)
+
+
 # -- interpolated AP ------------------------------------------------------------
 
 
@@ -358,7 +402,9 @@ def test_max_dets_cuts_low_scores():
     evaluate_detections,
     lambda gt, dets, **kw: pr_curve(gt, dets, PED, **kw),
     diagnose_errors,
-], ids=["match_detections", "evaluate_detections", "pr_curve", "diagnose_errors"])
+    lambda gt, dets, **kw: localization_pairs(gt, dets, [], [], **kw),
+], ids=["match_detections", "evaluate_detections", "pr_curve", "diagnose_errors",
+        "localization_pairs"])
 def test_entry_points_refuse_an_unknown_iou_mode(entry_point):
     ds, dets = _hand_fixture()
     with pytest.raises(ConfigError, match="iou_mode must be 'segm' or 'bbox', got 'mask'"):

@@ -116,13 +116,11 @@ def test_box_uses_prior_footprint_verbatim(camera):
     assert (obs.box.width, obs.box.length) == (0.41, 0.73)
 
 
-def test_box_center_sits_half_a_length_beyond_contact(camera):
+def test_box_yaw_points_away_from_camera(camera):
     obs = locate(camera, _person_ann(camera, 2.25, 12.0), "pedestrian")
     cam_x, cam_y, _ = camera.pose.camera_center
     away = math.atan2(obs.y - cam_y, obs.x - cam_x)
     assert obs.box.yaw == pytest.approx(away)
-    dist = math.hypot(obs.box.center_x - obs.x, obs.box.center_y - obs.y)
-    assert dist == pytest.approx(obs.box.length / 2.0)
 
 
 def test_estimate_box3d_clamps_height(camera):

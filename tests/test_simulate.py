@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from posmap.errors import ConfigError
-from posmap.mapping import locate
+from posmap.evaluation import localization_pairs
+from posmap.mapping import MapExtent, locate
 from posmap.simulate import SimConfig, default_camera, simulate
 
 
@@ -20,11 +23,17 @@ def _config(extent, **kw):
     return SimConfig(extent=extent, **kw)
 
 
-def _unclipped(ann, image_size) -> bool:
-    w, h = image_size
-    xs = ann.segmentation[0][0::2]
-    ys = ann.segmentation[0][1::2]
-    return min(xs) > 0 and max(xs) < w and min(ys) > 0 and max(ys) < h
+def _located_pairs(camera, result):
+    """(observation, truth) of each located detection that matches a ground truth."""
+    observations = [
+        locate(camera, det, "pedestrian", image_id=det.image_id) for det in result.detections
+    ]
+    truth = [o for frame in result.frames for o in frame.truth_observations]
+    return localization_pairs(result.dataset, result.detections, observations, truth)
+
+
+def _ground_errors(pairs) -> list[float]:
+    return [math.hypot(o.x - t.x, o.y - t.y) for o, t in pairs]
 
 
 # -- determinism --------------------------------------------------------------
@@ -45,6 +54,8 @@ def test_frames_do_not_depend_on_later_frames(extent):
     short = simulate(config, 3)
     long = simulate(config, 8)
     assert short.frames == long.frames[:3]
+    assert short.dataset.annotations == [a for a in long.dataset.annotations if a.image_id <= 3]
+    assert short.detections == [d for d in long.detections if d.image_id <= 3]
 
 
 def test_different_seeds_differ(extent):
@@ -58,14 +69,17 @@ def test_different_seeds_differ(extent):
 
 def test_frame_bookkeeping(sim_noisy):
     n_agents = 10
+    gts = sim_noisy.dataset.anns_by_image()
     for frame in sim_noisy.frames:
+        frame_gts = gts[frame.image.id]
+        frame_dets = [d for d in sim_noisy.detections if d.image_id == frame.image.id]
         assert len(frame.truth) == n_agents
-        assert len(frame.gt_annotations) == len(frame.truth_observations)
-        assert len(frame.detections) <= len(frame.gt_annotations)
-        for det in frame.detections:
+        assert [o.annotation_id for o in frame.truth_observations] == [a.id for a in frame_gts]
+        assert len(frame_dets) <= len(frame_gts)
+        for det in frame_dets:
             assert det.score is not None
             assert 0.05 <= det.score <= 1.0
-        for ann in frame.gt_annotations:
+        for ann in frame_gts:
             assert ann.score is None
         assert frame.image.extra["timestamp"] == frame.image.id - 1  # 1 fps
 
@@ -76,7 +90,6 @@ def test_truth_box_carries_agent_geometry(extent):
     result = simulate(_config(extent, cyclist_fraction=1.0), 1)
     for obs in result.frames[0].truth_observations:
         assert obs.class_name == "cyclist"
-        assert (obs.box.center_x, obs.box.center_y) == (obs.x, obs.y)
         assert obs.box.length > obs.box.width  # bikes are long
         assert 1.45 <= obs.box.height <= 2.0
 
@@ -124,36 +137,40 @@ def test_confusion_rate_only_relabels(extent):
 
 def test_noiseless_detections_locate_exactly(extent, camera):
     config = _config(extent, camera=camera, n_agents=12, seed=3)
-    result = simulate(config, 5)
-    checked = 0
-    for frame in result.frames:
-        truth = {o.annotation_id: o for o in frame.truth_observations}
-        for ann in frame.gt_annotations:
-            if not _unclipped(ann, camera.image_size):
-                continue
-            obs = locate(camera, ann, "pedestrian")
-            t = truth[ann.id]
-            assert math.hypot(obs.x - t.x, obs.y - t.y) < 1e-6
-            assert abs(obs.box.height - t.box.height) < 1e-6
-            checked += 1
-    assert checked > 20
+    pairs = _located_pairs(camera, simulate(config, 5))
+    for obs, t in pairs:
+        assert math.hypot(obs.x - t.x, obs.y - t.y) < 1e-6
+        assert abs(obs.box.height - t.box.height) < 1e-6
+    assert len(pairs) > 20
 
 
 def test_noisy_detections_locate_close(extent, camera):
     config = _config(extent, camera=camera, n_agents=12, seed=3, noise_px=1.0)
-    result = simulate(config, 5)
-    errors = []
-    for frame in result.frames:
-        truth = {o.annotation_id: o for o in frame.truth_observations}
-        # detections keep their own ids; align through polygon-order instead
-        gt_ids = [a.id for a in frame.gt_annotations]
-        for det, gid in zip(frame.detections, gt_ids):
-            if not _unclipped(det, camera.image_size):
-                continue
-            obs = locate(camera, det, "pedestrian")
-            t = truth[gid]
-            errors.append(math.hypot(obs.x - t.x, obs.y - t.y))
+    errors = _ground_errors(_located_pairs(camera, simulate(config, 5)))
     assert len(errors) > 20
+    assert float(np.mean(errors)) < 0.10
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**16), miss_rate=st.floats(0.0, 0.5))
+def test_missed_detections_leave_every_pair_exact(seed, miss_rate):
+    # a missed detection shifts every later detection of its frame against
+    # the ground truths by position; matching pairs each with its own
+    extent = MapExtent(origin=(0.0, 0.0), rotation=0.0, width=4.5, length=32.0)
+    camera = default_camera(extent)
+    config = SimConfig(extent=extent, camera=camera, n_agents=60, cyclist_fraction=0.2,
+                       seed=seed, miss_rate=miss_rate)
+    errors = _ground_errors(_located_pairs(camera, simulate(config, 2)))
+    assert errors
+    assert max(errors) < 1e-6
+
+
+def test_missed_detections_keep_the_mean_within_10cm(extent, camera):
+    # c2's scene at 1 px, with one detection in ten missed
+    config = _config(extent, camera=camera, n_agents=100, cyclist_fraction=0.2,
+                     seed=404, noise_px=1.0, miss_rate=0.1)
+    errors = _ground_errors(_located_pairs(camera, simulate(config, 3)))
+    assert len(errors) > 150
     assert float(np.mean(errors)) < 0.10
 
 
