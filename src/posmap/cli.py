@@ -218,11 +218,15 @@ def _number(name: str, rule: tuple = _FINITE):
 
 
 def _prior(spec: str) -> tuple[str, tuple[float, float]]:
-    """``CLASS:W:L``: a class and its footprint width and length in metres."""
+    """``CLASS:W:L``: a class and its footprint width and length in metres.
+
+    Only the form and finiteness are checked here; ``SizePriors`` refuses a
+    size that is not positive.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"prior {spec!r} must look like class:width:length")
-    size = _number(f"prior {spec!r} size", _POSITIVE)
+    size = _number(f"prior {spec!r} size")
     return parts[0], (size(parts[1]), size(parts[2]))
 
 
@@ -316,11 +320,11 @@ def cmd_project(args: argparse.Namespace) -> list[Path]:
 
 
 def cmd_map(args: argparse.Namespace) -> list[Path]:
+    priors = SizePriors(by_class={**SizePriors().by_class, **dict(args.prior or [])})
     camera = load_camera(args.camera)
     ds = load_dataset(args.annotations)
     treatment = _resolve_treatment(args.treatment, args.taxonomy)
     extent = load_extent(args.extent) if args.extent else None
-    priors = SizePriors(by_class={**SizePriors().by_class, **dict(args.prior or [])})
     class_names = {c.id: c.name for c in ds.categories}
     by_image = ds.anns_by_image()
     images = sorted(ds.images, key=lambda im: im.id)

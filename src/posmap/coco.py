@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import DataError, read_json
+from .errors import ConfigError, DataError, read_json
 from .geometry2d import polygons_area, polygons_bounds
 from .taxonomy import Taxonomy, Treatment
 
@@ -290,11 +290,27 @@ def _dataset_from_doc(doc: dict, path: str | Path) -> Dataset:
     )
 
 
+def _annotation_row(ann: Annotation) -> dict:
+    """The JSON record of an annotation, in both file kinds: known keys, then ``extra``."""
+    row = {
+        "id": ann.id,
+        "image_id": ann.image_id,
+        "category_id": ann.category_id,
+        "segmentation": [list(p) for p in ann.segmentation],
+        "bbox": list(ann.bbox),
+        "area": ann.area,
+        "iscrowd": ann.iscrowd,
+    }
+    if ann.score is not None:
+        row["score"] = ann.score
+    row.update(ann.extra)
+    return row
+
+
 def save_dataset(path: str | Path, ds: Dataset) -> None:
     """Write a dataset back to JSON, restoring preserved unknown keys."""
     image_ids = {im.id for im in ds.images}
     category_ids = {c.id for c in ds.categories}
-    ann_rows = []
     for ann in ds.annotations:
         if ann.image_id not in image_ids:
             raise DataError(f"annotation {ann.id} references missing image {ann.image_id}")
@@ -302,19 +318,6 @@ def save_dataset(path: str | Path, ds: Dataset) -> None:
             raise DataError(
                 f"annotation {ann.id} references missing category {ann.category_id}"
             )
-        row = {
-            "id": ann.id,
-            "image_id": ann.image_id,
-            "category_id": ann.category_id,
-            "segmentation": [list(p) for p in ann.segmentation],
-            "bbox": list(ann.bbox),
-            "area": ann.area,
-            "iscrowd": ann.iscrowd,
-        }
-        if ann.score is not None:
-            row["score"] = ann.score
-        row.update(ann.extra)
-        ann_rows.append(row)
 
     doc = {
         "info": ds.info,
@@ -329,7 +332,7 @@ def save_dataset(path: str | Path, ds: Dataset) -> None:
             }
             for im in ds.images
         ],
-        "annotations": ann_rows,
+        "annotations": [_annotation_row(ann) for ann in ds.annotations],
         "categories": [
             {"id": c.id, "name": c.name, "supercategory": c.supercategory, **c.extra}
             for c in ds.categories
@@ -342,20 +345,27 @@ def save_dataset(path: str | Path, ds: Dataset) -> None:
 def load_detections(path: str | Path) -> list[Annotation]:
     """Load detector output: either a full dataset file or a bare result list.
 
-    A bare list holds ``{image_id, category_id, score, bbox and/or
-    segmentation}`` records; ids are assigned sequentially.
+    A bare list holds :func:`save_detections` records, or COCO result
+    records ``{image_id, category_id, score, bbox and/or segmentation}``.
+    Every record needs a score. A record keeps its ``id``; one without an id
+    takes its 1-based position in the list. A repeated id is a
+    ``DataError``. Unknown keys ride along in ``extra``.
     """
     doc = read_json(path, "detection", (dict, list))
     if isinstance(doc, dict):
         return _dataset_from_doc(doc, path).annotations
     dets = []
+    det_ids: set[int] = set()
     for i, r in enumerate(doc):
         try:
-            det = _parse_annotation(r, i + 1)
+            det = _parse_annotation(r, int(r["id"]) if "id" in r else i + 1)
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise DataError(f"detection record {i} in {path} is malformed: {e}") from e
         if det.score is None:
             raise DataError(f"detection record {i} in {path} is malformed: no score")
+        if det.id in det_ids:
+            raise DataError(f"detection file {path} has duplicate annotation id {det.id}")
+        det_ids.add(det.id)
         dets.append(det)
     return dets
 
@@ -363,23 +373,12 @@ def load_detections(path: str | Path) -> list[Annotation]:
 def save_detections(path: str | Path, detections: list[Annotation]) -> None:
     """Write detections as a compact bare result list.
 
-    Records hold id, image_id, category_id, bbox, area, score (when set) and
-    segmentation; :func:`load_detections` reads them back.
+    Each record is the one a dataset file holds for the annotation (id,
+    image_id, category_id, segmentation, bbox, area, iscrowd, score when
+    set, then ``extra``), so :func:`load_detections` reads back equal
+    annotations when the ids are unique.
     """
-    rows = []
-    for ann in detections:
-        row = {
-            "id": ann.id,
-            "image_id": ann.image_id,
-            "category_id": ann.category_id,
-            "bbox": list(ann.bbox),
-            "area": ann.area,
-        }
-        if ann.score is not None:
-            row["score"] = ann.score
-        row["segmentation"] = [list(p) for p in ann.segmentation]
-        rows.append(row)
-    Path(path).write_text(json.dumps(rows) + "\n")
+    Path(path).write_text(json.dumps([_annotation_row(ann) for ann in detections]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +453,14 @@ def filter_for_annotation(
 
     A detection survives when its score is at least ``score_threshold`` and
     its polygon area (bbox area when it has no polygon) is at least
-    ``min_area_px``. Both thresholds are inclusive; input order is kept.
+    ``min_area_px``. Both thresholds are inclusive; input order is kept. A
+    threshold that is not finite is a ``ConfigError``.
     """
+    if not (math.isfinite(score_threshold) and math.isfinite(min_area_px)):
+        raise ConfigError(
+            f"filter thresholds must be finite, got score {score_threshold} "
+            f"and area {min_area_px}"
+        )
     out = []
     for ann in annotations:
         score = ann.score if ann.score is not None else 1.0

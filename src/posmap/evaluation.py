@@ -459,9 +459,12 @@ def match_detections(
     highest-IoU available ground truth at or above the threshold, lowest
     id on ties. Crowd ground truth can absorb any number of detections,
     which become ignored rather than true positives. ``segm`` mode needs
-    the positive ``image_size`` the masks are rasterized at.
+    the positive ``image_size`` the masks are rasterized at. A threshold
+    outside (0, 1] is a ``ConfigError``.
     """
     _check_mode(iou_mode)
+    if not 0.0 < threshold <= 1.0:
+        raise ConfigError(f"IoU threshold must be within (0, 1], got {threshold}")
     for det in dets:
         if det.score is None:
             raise DataError(f"detection {det.id} has no score")

@@ -63,14 +63,14 @@ def levenberg_marquardt(
     max_iter: int = 100,
     gradient_tol: float = 1e-10,
     step_tol: float = 1e-12,
-    cost_tol: float = 0.0,
 ) -> LMResult:
     """Minimize 0.5*||fun(theta)||^2 from theta0.
 
     The damping parameter multiplies diag(J^T J) (Marquardt scaling); it
     starts at 1e-3, is divided by 10 after an accepted step and multiplied
-    by 10 after a rejected one. The accepted-cost sequence is strictly
-    non-increasing.
+    by 10 after a rejected one. The accepted-cost sequence is
+    non-increasing: an accepted step that leaves the cost unchanged ends
+    the search with ``LMStatus.COST_TOL``.
 
     Raises :class:`SolverError` if the damped normal equations stay singular
     even at very large damping, or if the problem is under-determined
@@ -120,14 +120,14 @@ def levenberg_marquardt(
                 step_small = np.linalg.norm(delta) < step_tol * (
                     np.linalg.norm(theta) + step_tol
                 )
-                cost_drop = cost - cost_trial
+                cost_flat = cost_trial == cost
                 theta, r, cost = trial, r_trial, cost_trial
                 history.append(cost)
                 lam = max(lam / 10.0, 1e-14)
                 accepted = True
                 if step_small:
                     status = LMStatus.STEP_TOL
-                elif cost_drop <= cost_tol * max(cost, 1.0):
+                elif cost_flat:
                     status = LMStatus.COST_TOL
                 break
             lam *= 10.0

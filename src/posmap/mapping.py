@@ -101,7 +101,8 @@ class SizePriors:
     """Class-conditional footprint priors (width, length) in metres.
 
     Classes without an entry fall back to the default (standing-person)
-    footprint.
+    footprint. Every size must be finite and positive; any other is a
+    ``ConfigError`` that names its class.
     """
 
     by_class: dict[str, tuple[float, float]] = field(
@@ -111,6 +112,12 @@ class SizePriors:
         }
     )
     default: tuple[float, float] = (0.50, 0.60)
+
+    def __post_init__(self) -> None:
+        sizes = {f"class {name!r}": size for name, size in self.by_class.items()}
+        for what, size in [*sizes.items(), ("the default", self.default)]:
+            if not all(0.0 < v < math.inf for v in size):
+                raise ConfigError(f"size prior of {what} must be finite and positive, got {size}")
 
     def lookup(self, class_name: str) -> tuple[float, float]:
         return self.by_class.get(class_name, self.default)

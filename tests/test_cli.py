@@ -569,6 +569,21 @@ def test_filter_detections(workspace, tmp_path):
     assert rows and all(r["score"] >= 0.85 for r in rows)
 
 
+def test_filter_keeps_detection_ids_and_unknown_keys(tmp_path):
+    doc = [
+        {"id": 7, "image_id": 1, "category_id": 1, "bbox": [0, 0, 40, 40],
+         "score": 0.9, "track_id": 12},
+        {"id": 3, "image_id": 1, "category_id": 1, "bbox": [50, 0, 40, 40],
+         "score": 0.9, "track_id": 4},
+    ]
+    (tmp_path / "dets.json").write_text(json.dumps(doc))
+    assert main(["filter-annotations", "--detections", str(tmp_path / "dets.json"),
+                 "--out", str(tmp_path / "kept.json")]) == 0
+    rows = json.loads((tmp_path / "kept.json").read_text())
+    assert [(r["id"], r["track_id"]) for r in rows] == [(7, 12), (3, 4)]
+    assert load_detections(tmp_path / "kept.json") == load_detections(tmp_path / "dets.json")
+
+
 def test_split_command(workspace, tmp_path):
     sim = _sim(workspace)
     rc = main(
@@ -845,7 +860,11 @@ CONFIG_ERRORS = {
     "map-nan-prior": (
         lambda ws, tmp: _map_argv(ws, "--prior", "pedestrian:nan:0.6",
                                   "--out", str(tmp / "obs.csv")),
-        "prior 'pedestrian:nan:0.6' size must be finite and positive, got nan"),
+        "prior 'pedestrian:nan:0.6' size must be finite, got nan"),
+    "map-negative-prior": (
+        lambda ws, tmp: _map_argv(ws, "--prior", "pedestrian:-1:0.6",
+                                  "--out", str(tmp / "obs.csv")),
+        "size prior of class 'pedestrian' must be finite and positive, got (-1.0, 0.6)"),
     # every rasterizing flag needs --observations, which needs --extent
     "merge-with-observations": (
         lambda ws, tmp: _merge_argv(tmp, "--observations", str(tmp / "obs.csv")),
@@ -1051,6 +1070,16 @@ def _eval_with_duplicate_annotation_id(ws, tmp):
     return argv, f"duplicate annotation id {doc['annotations'][0]['id']}"
 
 
+def _filter_with_duplicate_detection_id(ws, tmp):
+    """``filter-annotations`` on a bare list whose second detection takes the first one's id."""
+    doc = json.loads((_sim(ws) / "detections.json").read_text())
+    doc[1]["id"] = doc[0]["id"]
+    (tmp / "dets.json").write_text(json.dumps(doc))
+    argv = ["filter-annotations", "--detections", str(tmp / "dets.json"),
+            "--out", str(tmp / "kept.json")]
+    return argv, f"duplicate annotation id {doc[0]['id']}"
+
+
 def _merge_with_header(tmp, field, value):
     """``density --merge a b`` where raster ``b``'s header has ``field`` = ``value``."""
     argv, _ = _merge_with_broken(tmp, "csv", "0")
@@ -1118,6 +1147,7 @@ DATA_ERRORS = {
     "eval-bbox-overflowing-polygon": lambda ws, tmp: _eval_with_overflowing_polygon(ws, tmp, "bbox"),
     "eval-segm-overflowing-polygon": lambda ws, tmp: _eval_with_overflowing_polygon(ws, tmp, "segm"),
     "eval-duplicate-annotation-id": _eval_with_duplicate_annotation_id,
+    "filter-duplicate-detection-id": _filter_with_duplicate_detection_id,
     "eval-image-width-0": lambda ws, tmp: _eval_with_image_size(ws, tmp, 0, 1080),
     "eval-negative-image-height": lambda ws, tmp: _eval_with_image_size(ws, tmp, 1920, -1080),
     "taxonomy-is-a-list": lambda ws, tmp: _stats_with_taxonomy(ws, tmp, []),

@@ -22,9 +22,11 @@ from posmap.coco import (
     remap_annotations,
     remap_categories,
     save_dataset,
+    save_detections,
     split_dataset,
 )
-from posmap.errors import DataError
+from posmap.errors import ConfigError, DataError
+from posmap.geometry2d import polygons_bounds
 from posmap.taxonomy import default_taxonomy, default_treatments
 
 TAX = default_taxonomy()
@@ -316,6 +318,68 @@ def test_load_detections_accepts_dataset_file(tmp_path):
     assert len(dets) == 2
 
 
+def test_load_detections_refuses_a_repeated_id(tmp_path):
+    # a record without an id takes its position, which may repeat an explicit id
+    doc = [
+        {"id": 2, "image_id": 1, "category_id": 1, "score": 0.9, "bbox": [0, 0, 4, 4]},
+        {"image_id": 1, "category_id": 1, "score": 0.9, "bbox": [5, 0, 4, 4]},
+    ]
+    path = tmp_path / "dets.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="duplicate annotation id 2"):
+        load_detections(path)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+_EXTRA_KEYS = st.text(min_size=1, max_size=8).filter(
+    lambda k: k not in {"id", "image_id", "category_id", "segmentation", "bbox", "area",
+                        "iscrowd", "score"}
+)
+_COORD = st.floats(-1e4, 1e4, allow_nan=False)
+
+
+@st.composite
+def _detection(draw):
+    rings = draw(st.lists(
+        st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=5).map(
+            lambda pts: [v for pt in pts for v in pt]),
+        max_size=2,
+    ))
+    # the bbox of a polygon record is its hull, so loading does not warn
+    bbox = polygons_bounds(rings) if rings else draw(
+        st.tuples(_COORD, _COORD, st.floats(0, 1e4), st.floats(0, 1e4)))
+    return Annotation(
+        id=draw(st.integers(-2**40, 2**40)),
+        image_id=draw(st.integers(0, 1000)),
+        category_id=draw(st.integers(1, 15)),
+        segmentation=rings,
+        bbox=bbox,
+        area=draw(st.floats(0, 1e8)),
+        iscrowd=draw(st.sampled_from([0, 1])),
+        score=draw(st.floats(0.0, 1.0)),
+        extra=draw(st.dictionaries(_EXTRA_KEYS, _JSON_VALUES, max_size=3)),
+    )
+
+
+@pytest.fixture(scope="module")
+def det_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("dets")
+
+
+@settings(max_examples=60, deadline=None)
+@given(dets=st.lists(_detection(), max_size=5, unique_by=lambda d: d.id))
+def test_detections_round_trip(det_dir, dets):
+    path = det_dir / "dets.json"
+    save_detections(path, dets)
+    assert load_detections(path) == dets
+
+
 # -- split ----------------------------------------------------------------
 
 
@@ -418,6 +482,19 @@ def test_filter_uses_polygon_area_when_present():
 def test_filter_unscored_annotations_pass_score_gate():
     ann = _det(None, 600.0)
     assert filter_for_annotation([ann]) == [ann]
+
+
+@pytest.mark.parametrize("thresholds", [
+    {"score_threshold": float("nan")},
+    {"min_area_px": float("nan")},
+    {"score_threshold": float("nan"), "min_area_px": float("nan")},
+    {"min_area_px": float("-inf")},
+])
+def test_filter_refuses_a_threshold_that_is_not_finite(thresholds):
+    # NaN thresholds let a 0.1-scored detection through that the defaults drop
+    assert filter_for_annotation([_det(0.1, 700.0)]) == []
+    with pytest.raises(ConfigError, match="filter thresholds must be finite"):
+        filter_for_annotation([_det(0.1, 700.0)], **thresholds)
 
 
 def test_filter_keeps_input_order():

@@ -262,6 +262,16 @@ def test_match_requires_scores():
         match_detections(gts, [_gt(2, 1, PED, (0, 0, 10, 10))], 0.5, iou_mode="bbox")
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), 0.0, -0.5, 1.0000001, 2.0, float("inf")])
+def test_match_refuses_a_threshold_outside_the_unit_interval(threshold):
+    # NaN matched nothing and 2.0 acted as 1.0, both without a word
+    gts = [_gt(1, 1, PED, (0, 0, 10, 10))]
+    dets = [_det(i, 1, PED, (0, 0, 10, 10), 0.9) for i in (1, 2, 3)]
+    with pytest.raises(ConfigError, match=r"IoU threshold must be within \(0, 1\]"):
+        match_detections(gts, dets, threshold, iou_mode="bbox")
+    assert match_detections(gts, dets, 1.0, iou_mode="bbox").matched_gt == (1, None, None)
+
+
 def test_segm_match_needs_a_positive_image_size():
     square = [[0.0, 0.0, 10.0, 0.0, 10.0, 10.0, 0.0, 10.0]]
     gt = Annotation(id=1, image_id=1, category_id=PED, segmentation=square,

@@ -65,12 +65,14 @@ def test_max_iter_status():
 
 
 def test_cost_tol_status():
-    mat = np.eye(2)
-    b = np.array([1.0, 1.0])
+    # a Jacobian that points off a plateau: the first step is accepted and
+    # leaves the cost exactly where it was
     result = levenberg_marquardt(
-        lambda t: mat @ t - b, np.zeros(2), cost_tol=1e-3, gradient_tol=0.0
+        lambda t: np.array([1.0]), np.zeros(1), lambda t: np.array([[1.0]])
     )
     assert result.status == LMStatus.COST_TOL
+    assert result.iterations == 1
+    assert result.cost_history == (0.5, 0.5)
 
 
 def test_under_determined_raises():

@@ -116,6 +116,18 @@ def test_box_uses_prior_footprint_verbatim(camera):
     assert (obs.box.width, obs.box.length) == (0.41, 0.73)
 
 
+@pytest.mark.parametrize("by_class, default, named", [
+    ({"pedestrian": (math.nan, -1.0)}, (0.5, 0.6), "class 'pedestrian'"),
+    ({"cyclist": (0.5, math.inf)}, (0.5, 0.6), "class 'cyclist'"),
+    ({"dog": (0.0, 0.6)}, (0.5, 0.6), "class 'dog'"),
+    ({}, (0.5, -0.6), "the default"),
+])
+def test_size_priors_refuse_a_size_that_is_not_finite_and_positive(by_class, default, named):
+    # such a box would be written to obs.csv and refused when read back
+    with pytest.raises(ConfigError, match=f"size prior of {named} must be finite and positive"):
+        SizePriors(by_class=by_class, default=default)
+
+
 def test_box_yaw_points_away_from_camera(camera):
     obs = locate(camera, _person_ann(camera, 2.25, 12.0), "pedestrian")
     cam_x, cam_y, _ = camera.pose.camera_center
