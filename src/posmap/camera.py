@@ -279,6 +279,10 @@ class Pose:
     rvec: tuple[float, float, float]
     t: tuple[float, float, float]
 
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (*self.rvec, *self.t))):
+            raise ConfigError(f"pose must be finite, got {self}")
+
     @classmethod
     def from_matrix(cls, rot: np.ndarray, t: np.ndarray) -> Pose:
         rvec = matrix_to_axis_angle(rot)
@@ -549,6 +553,8 @@ def load_camera(path: str | Path) -> CameraModel:
         )
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise DataError(f"camera file {path} is malformed: {e}") from e
+    except ConfigError as e:
+        raise ConfigError(f"camera file {path}: {e}") from e
 
 
 def save_intrinsics(

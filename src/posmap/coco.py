@@ -130,8 +130,8 @@ def _parse_segmentation(raw, ann_id: int) -> list[list[float]]:
         coords = list(map(float, part))
         if len(coords) < 6 or len(coords) % 2 != 0:
             raise DataError(
-                f"annotation {ann_id}: degenerate polygon with "
-                f"{len(coords)} coordinates"
+                f"annotation {ann_id}: degenerate polygon with {len(coords)} "
+                "coordinates, not x, y pairs of at least 3 vertices"
             )
         if not all(map(math.isfinite, coords)):
             raise DataError(f"annotation {ann_id}: polygon has a non-finite coordinate")
@@ -146,10 +146,23 @@ def _check_finite_box(box: tuple[float, float, float, float], what: str, ann_id:
         raise DataError(f"annotation {ann_id} has {what} {box}, not finite")
 
 
-def _parse_annotation(r: dict, ann_id: int) -> Annotation:
+def _whole(v, what: str) -> int:
+    """``v`` as an int. A bool, or a float with a fractional part, is a ``DataError``.
+
+    An integral float reads as its int, and a string as ``int()`` reads it.
+    """
+    if type(v) is int:
+        return v
+    if type(v) is bool or (type(v) is float and not v.is_integer()):
+        raise DataError(f"{what} {v!r} is not a whole number")
+    return int(v)
+
+
+def _parse_annotation(r: dict) -> Annotation:
     """Build one annotation from its JSON record.
 
-    Every polygon coordinate must be finite. The bbox must have 4 values;
+    The id, image_id and category_id are whole numbers, and iscrowd is 0 or
+    1. Every polygon coordinate must be finite. The bbox must have 4 values;
     without one it is the polygon hull. A bbox or hull with a corner that is
     not finite (a non-finite value, or a width that overflows) is a
     ``DataError``. A bbox more than 1 px off the hull only warns; this is
@@ -159,6 +172,7 @@ def _parse_annotation(r: dict, ann_id: int) -> Annotation:
     (``KeyError``, ``TypeError``, ``ValueError``, or ``AttributeError``
     when the record is not an object) propagate to the caller.
     """
+    ann_id = _whole(r["id"], "id")
     seg = _parse_segmentation(r.get("segmentation"), ann_id)
     score = r.get("score")
     if score is not None:
@@ -188,7 +202,7 @@ def _parse_annotation(r: dict, ann_id: int) -> Annotation:
         warnings.warn(
             f"annotation {ann_id}: bbox {bbox} deviates more than "
             f"1 px from its polygon hull {hull}",
-            stacklevel=4,
+            stacklevel=5,
         )
     area_raw = r.get("area")
     if area_raw is not None:
@@ -199,17 +213,70 @@ def _parse_annotation(r: dict, ann_id: int) -> Annotation:
         area = bbox[2] * bbox[3]
     if not (math.isfinite(area) and area >= 0.0):
         raise DataError(f"annotation {ann_id} has area {area}, not a finite number >= 0")
+    iscrowd = _whole(r.get("iscrowd", 0), "iscrowd")
+    if iscrowd not in (0, 1):
+        raise DataError(f"annotation {ann_id} has iscrowd {iscrowd}, not 0 or 1")
     return Annotation(
         id=ann_id,
-        image_id=int(r["image_id"]),
-        category_id=int(r["category_id"]),
+        image_id=_whole(r["image_id"], "image_id"),
+        category_id=_whole(r["category_id"], "category_id"),
         segmentation=seg,
         bbox=bbox,
         area=area,
-        iscrowd=int(r.get("iscrowd", 0)),
+        iscrowd=iscrowd,
         score=score,
         extra=_extract_extra(r, _KNOWN_ANN_KEYS),
     )
+
+
+def _parse_image(r: dict) -> ImageRecord:
+    """One image record: whole-number id and size of at least 1 x 1 px, finite timestamp."""
+    im = ImageRecord(
+        id=_whole(r["id"], "id"),
+        file_name=str(r["file_name"]),
+        width=_whole(r["width"], "width"),
+        height=_whole(r["height"], "height"),
+        extra=_extract_extra(r, _KNOWN_IMAGE_KEYS),
+    )
+    if im.width < 1 or im.height < 1:
+        raise DataError(f"image {im.id} is {im.width} x {im.height} px, not at least 1 x 1")
+    ts = im.extra.get("timestamp")
+    if ts is not None and not (type(ts) is int or (type(ts) is float and math.isfinite(ts))):
+        raise DataError(f"image {im.id} has timestamp {ts!r}, not a finite number")
+    return im
+
+
+def _parse_category(r: dict) -> Category:
+    return Category(
+        id=_whole(r["id"], "id"),
+        name=str(r["name"]),
+        supercategory=str(r.get("supercategory", "")),
+        extra=_extract_extra(r, _KNOWN_CAT_KEYS),
+    )
+
+
+def _parse_records(records: list, parse, kind: str, path: str | Path) -> list:
+    """The one record loop: ``parse`` of each ``kind`` record of the file ``path``.
+
+    Every error names the file and the record's index, and a repeated id is
+    a ``DataError``.
+    """
+    if not isinstance(records, list):
+        raise DataError(f"{kind} records in {path} are not a JSON list")
+    out = []
+    ids: set[int] = set()
+    for i, r in enumerate(records):
+        try:
+            item = parse(r)
+        except DataError as e:
+            raise DataError(f"{kind} record {i} in {path}: {e}") from e
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise DataError(f"{kind} record {i} in {path} is malformed: {e}") from e
+        if item.id in ids:
+            raise DataError(f"{kind} record {i} in {path} has duplicate {kind} id {item.id}")
+        ids.add(item.id)
+        out.append(item)
+    return out
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -218,68 +285,18 @@ def load_dataset(path: str | Path) -> Dataset:
 
 
 def _dataset_from_doc(doc: dict, path: str | Path) -> Dataset:
-    try:
-        images = [
-            ImageRecord(
-                id=int(r["id"]),
-                file_name=str(r["file_name"]),
-                width=int(r["width"]),
-                height=int(r["height"]),
-                extra=_extract_extra(r, _KNOWN_IMAGE_KEYS),
-            )
-            for r in doc.get("images", [])
-        ]
-        categories = [
-            Category(
-                id=int(r["id"]),
-                name=str(r["name"]),
-                supercategory=str(r.get("supercategory", "")),
-                extra=_extract_extra(r, _KNOWN_CAT_KEYS),
-            )
-            for r in doc.get("categories", [])
-        ]
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"annotation file {path} is malformed: {e}") from e
-
-    for im in images:
-        if im.width < 1 or im.height < 1:
-            raise DataError(
-                f"annotation file {path}: image {im.id} is {im.width} x {im.height} px, "
-                "not at least 1 x 1"
-            )
-        ts = im.extra.get("timestamp")
-        if ts is not None and not (type(ts) is int or (type(ts) is float and math.isfinite(ts))):
-            raise DataError(
-                f"annotation file {path}: image {im.id} has timestamp {ts!r}, "
-                "not a finite number"
-            )
+    images = _parse_records(doc.get("images", []), _parse_image, "image", path)
+    categories = _parse_records(doc.get("categories", []), _parse_category, "category", path)
+    annotations = _parse_records(doc.get("annotations", []), _parse_annotation, "annotation", path)
     image_ids = {im.id for im in images}
     category_ids = {c.id for c in categories}
-    if len(image_ids) != len(images):
-        raise DataError(f"annotation file {path} has duplicate image ids")
-    if len(category_ids) != len(categories):
-        raise DataError(f"annotation file {path} has duplicate category ids")
-
-    annotations = []
-    ann_ids: set[int] = set()
-    for r in doc.get("annotations", []):
-        try:
-            ann = _parse_annotation(r, int(r["id"]))
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise DataError(f"annotation record is malformed: {e}") from e
+    for i, ann in enumerate(annotations):
         if ann.image_id not in image_ids:
-            raise DataError(
-                f"annotation {ann.id} references missing image {ann.image_id}"
-            )
+            raise DataError(f"annotation record {i} in {path}: annotation {ann.id} "
+                            f"references missing image {ann.image_id}")
         if ann.category_id not in category_ids:
-            raise DataError(
-                f"annotation {ann.id} references missing category {ann.category_id}"
-            )
-        if ann.id in ann_ids:
-            raise DataError(f"annotation file {path} has duplicate annotation id {ann.id}")
-        ann_ids.add(ann.id)
-        annotations.append(ann)
-
+            raise DataError(f"annotation record {i} in {path}: annotation {ann.id} "
+                            f"references missing category {ann.category_id}")
     return Dataset(
         images=images,
         annotations=annotations,
@@ -346,27 +363,25 @@ def load_detections(path: str | Path) -> list[Annotation]:
     """Load detector output: either a full dataset file or a bare result list.
 
     A bare list holds :func:`save_detections` records, or COCO result
-    records ``{image_id, category_id, score, bbox and/or segmentation}``.
-    Every record needs a score. A record keeps its ``id``; one without an id
-    takes its 1-based position in the list. A repeated id is a
-    ``DataError``. Unknown keys ride along in ``extra``.
+    records ``{image_id, category_id, score, bbox and/or segmentation}``; a
+    record without an ``id`` takes its 1-based position in the list. Both
+    forms are read by the dataset file's record loop, so a repeated id is a
+    ``DataError``. Every record needs a score, in either form. Unknown keys
+    ride along in ``extra``.
     """
     doc = read_json(path, "detection", (dict, list))
     if isinstance(doc, dict):
-        return _dataset_from_doc(doc, path).annotations
-    dets = []
-    det_ids: set[int] = set()
-    for i, r in enumerate(doc):
-        try:
-            det = _parse_annotation(r, int(r["id"]) if "id" in r else i + 1)
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise DataError(f"detection record {i} in {path} is malformed: {e}") from e
+        dets = _dataset_from_doc(doc, path).annotations
+    else:
+        for i, r in enumerate(doc, start=1):
+            if isinstance(r, dict):
+                r.setdefault("id", i)
+        dets = _parse_records(doc, _parse_annotation, "annotation", path)
+    for i, det in enumerate(dets):
         if det.score is None:
-            raise DataError(f"detection record {i} in {path} is malformed: no score")
-        if det.id in det_ids:
-            raise DataError(f"detection file {path} has duplicate annotation id {det.id}")
-        det_ids.add(det.id)
-        dets.append(det)
+            raise DataError(
+                f"annotation record {i} in {path} is malformed: a detection needs a score"
+            )
     return dets
 
 
@@ -620,65 +635,48 @@ def import_labelme(
 ) -> Dataset:
     """Rebuild a dataset from polygon-editor JSON files.
 
-    Shapes sharing (label, group_id) become one multi-part annotation.
-    Class names must exist in ``taxonomy``; categories are emitted for the
-    full taxonomy so ids stay stable across partial exports.
+    Each file becomes a one-image dataset document, with one annotation
+    record per (label, group_id) (shapes sharing both become one multi-part
+    annotation) and the categories of the full ``taxonomy``, so ids stay
+    stable across partial exports. The document is read as a dataset file is,
+    so every error names the polygon file. Class names must exist in
+    ``taxonomy``.
     """
-    images: list[ImageRecord] = []
-    annotations: list[Annotation] = []
-    next_ann_id = 1
-    for image_id, p in enumerate(sorted(Path(q) for q in paths), start=1):
-        doc = read_json(p, "polygon")
-        try:
-            images.append(
-                ImageRecord(
-                    id=image_id,
-                    file_name=str(doc["imagePath"]),
-                    width=int(doc["imageWidth"]),
-                    height=int(doc["imageHeight"]),
-                )
-            )
-            shapes = doc["shapes"]
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"polygon file {p} is malformed: {e}") from e
-
-        grouped: dict[tuple[str, object], list[list[float]]] = {}
-        order: list[tuple[str, object]] = []
-        for shape_no, shape in enumerate(shapes):
-            if shape.get("shape_type") != "polygon":
-                raise DataError(
-                    f"{p}: shape {shape_no} has unsupported type "
-                    f"{shape.get('shape_type')!r}"
-                )
-            label = str(shape["label"])
-            gid = shape.get("group_id")
-            key = (label, gid if gid is not None else ("solo", shape_no))
-            flat = [float(v) for pt in shape["points"] for v in pt]
-            if len(flat) < 6:
-                raise DataError(f"{p}: shape {shape_no} has fewer than 3 vertices")
-            grouped.setdefault(key, []).append(flat)
-            if key not in order:
-                order.append(key)
-
-        for key in order:
-            label, _ = key
-            _, name = _parse_instance_label(label)
-            cls = taxonomy.by_name(name)
-            polys = grouped[key]
-            annotations.append(
-                Annotation(
-                    id=next_ann_id,
-                    image_id=image_id,
-                    category_id=cls.class_id,
-                    segmentation=polys,
-                    bbox=polygons_bounds(polys),
-                    area=polygons_area(polys),
-                )
-            )
-            next_ann_id += 1
-
-    categories = [
-        Category(id=c.class_id, name=c.name, supercategory=c.supercategory)
+    cat_records = [
+        {"id": c.class_id, "name": c.name, "supercategory": c.supercategory}
         for c in taxonomy.classes
     ]
-    return Dataset(images=images, annotations=annotations, categories=categories)
+    ds = Dataset(categories=[Category(**r) for r in cat_records])
+    for image_id, p in enumerate(sorted(Path(q) for q in paths), start=1):
+        doc = read_json(p, "polygon")
+        grouped: dict[tuple[str, object], dict] = {}
+        try:
+            image = {"id": image_id, "file_name": doc["imagePath"],
+                     "width": doc["imageWidth"], "height": doc["imageHeight"]}
+            for shape_no, shape in enumerate(doc["shapes"]):
+                if shape.get("shape_type") != "polygon":
+                    raise DataError(
+                        f"shape {shape_no} has unsupported type {shape.get('shape_type')!r}"
+                    )
+                label = str(shape["label"])
+                gid = shape.get("group_id")
+                key = (label, gid if gid is not None else ("solo", shape_no))
+                if key not in grouped:
+                    cls = taxonomy.by_name(_parse_instance_label(label)[1])
+                    grouped[key] = {"id": len(ds.annotations) + len(grouped) + 1,
+                                    "image_id": image_id, "category_id": cls.class_id,
+                                    "segmentation": []}
+                grouped[key]["segmentation"].append(
+                    [v for x, y in shape["points"] for v in (x, y)]
+                )
+        except DataError as e:
+            raise DataError(f"polygon file {p}: {e}") from e
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise DataError(f"polygon file {p} is malformed: {e}") from e
+        one = _dataset_from_doc(
+            {"images": [image], "annotations": list(grouped.values()), "categories": cat_records},
+            p,
+        )
+        ds.images += one.images
+        ds.annotations += one.annotations
+    return ds

@@ -49,6 +49,8 @@ _BODY_Z = (0.45, 0.80)  # body box, as a fraction of agent height
 _BODY_HALF_WIDTH = {"pedestrian": 0.25, "cyclist": 0.25}
 _BODY_HALF_LENGTH = {"pedestrian": 0.30, "cyclist": 0.80}
 _DWELL_FRACTION = 0.7  # share of agents that dwell when there is an attractor
+_CAMERA_HEIGHT = 6.0  # metres above the ground, of default_camera's pole
+_CAMERA_SETBACK = 8.0  # metres behind the extent's y=0 edge, of default_camera's pole
 
 
 @dataclass(frozen=True)
@@ -132,19 +134,17 @@ class SimResult:
 def default_camera(
     extent: MapExtent,
     image_size: tuple[int, int] = (1920, 1080),
-    height: float = 6.0,
-    setback: float = 8.0,
 ) -> CameraModel:
     """A plausible pole-mounted camera overlooking the extent.
 
-    Mounted ``setback`` metres behind the middle of the extent's local y=0
-    edge, looking at the extent center. The setback keeps every point of
-    the extent several metres from the camera, where the body-box
-    approximation of a person stays well-behaved.
+    Mounted ``_CAMERA_HEIGHT`` metres up, ``_CAMERA_SETBACK`` metres behind
+    the middle of the extent's local y=0 edge, looking at the extent center.
+    The setback keeps every point of the extent several metres from the
+    camera, where the body-box approximation of a person stays well-behaved.
     """
-    cam_xy = extent.to_world(extent.width / 2.0, -setback)
+    cam_xy = extent.to_world(extent.width / 2.0, -_CAMERA_SETBACK)
     target_xy = extent.to_world(extent.width / 2.0, extent.length / 2.0)
-    center = np.array([cam_xy[0], cam_xy[1], height])
+    center = np.array([cam_xy[0], cam_xy[1], _CAMERA_HEIGHT])
     target = np.array([target_xy[0], target_xy[1], 0.0])
 
     z_axis = target - center

@@ -378,6 +378,15 @@ def test_intrinsics_reject_non_finite_values(field, bad):
         Intrinsics(**{**values, field: bad})
 
 
+@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pose_rejects_non_finite_values(index, bad):
+    values = [0.1, -0.2, 0.3, 1.0, 2.0, 8.0]
+    values[index] = bad
+    with pytest.raises(ConfigError, match="pose must be finite"):
+        Pose(tuple(values[:3]), tuple(values[3:]))
+
+
 def test_intrinsics_reject_nonpositive_focal():
     with pytest.raises(ConfigError):
         Intrinsics(fx=-1.0, fy=1000.0, cx=0.0, cy=0.0)

@@ -174,6 +174,22 @@ def test_map_then_density(workspace, capsys):
     assert abs(grid.mass() - grid.total_count) < 1e-6
 
 
+def test_map_names_each_geometry_failure_on_stderr(workspace, tmp_path, capsys):
+    # a footpoint near the top of the default camera's image is above its horizon
+    doc = json.loads((_sim(workspace) / "gt.json").read_text())
+    ann = doc["annotations"][0]
+    del ann["segmentation"]
+    ann.update(bbox=[950.0, 20.0, 20.0, 30.0], area=600.0)
+    (tmp_path / "gt.json").write_text(json.dumps(doc))
+    assert main(["map", "--camera", str(_sim(workspace) / "camera.json"),
+                 "--annotations", str(tmp_path / "gt.json"),
+                 "--out", str(tmp_path / "obs.csv")]) == 0
+    out, err = capsys.readouterr()
+    assert "(0 outside extent, 1 geometry failures)" in out
+    assert err == f"  annotation {ann['id']}: pixel (960.0, 50.0) is at or above the horizon\n"
+    assert len(load_observations(tmp_path / "obs.csv")) == len(doc["annotations"]) - 1
+
+
 def test_map_timestamps_from_image_or_fps(workspace, tmp_path):
     """An image's own ``timestamp`` wins; otherwise it is index / fps."""
     sim = _sim(workspace)
@@ -554,6 +570,33 @@ def test_stats_report(workspace, capsys):
     assert counts["pedestrian"] + counts["cyclist"] == len(gt.annotations)
 
 
+def test_stats_with_a_treatment_counts_the_remapped_classes(workspace, tmp_path, capsys):
+    sim = _sim(workspace)
+    gt = load_dataset(sim / "gt.json")
+    out = tmp_path / "stats.json"
+    assert main(["stats", "--annotations", str(sim / "gt.json"), "--treatment", "merging",
+                 "--out", str(out)]) == 0
+    assert f"{'total':>14s}  {len(gt.annotations):>7d}  (images: 6)" in capsys.readouterr().out
+    rows = json.loads(out.read_text())["per_class"]
+    merging = default_treatments(default_taxonomy())["merging"]
+    assert [r["class"] for r in rows] == list(merging.effective_classes())
+    assert sum(r["count"] for r in rows) == len(gt.annotations)
+
+
+def test_stats_prints_the_weather_and_evening_tallies(workspace, tmp_path, capsys):
+    doc = json.loads((_sim(workspace) / "gt.json").read_text())
+    for image in doc["images"]:
+        image.update(weather="sunny", evening=False)
+    doc["images"][0].update(weather="rainy", evening=True)
+    (tmp_path / "gt.json").write_text(json.dumps(doc))
+    assert main(["stats", "--annotations", str(tmp_path / "gt.json")]) == 0
+    first = sum(a["image_id"] == doc["images"][0]["id"] for a in doc["annotations"])
+    rest = len(doc["annotations"]) - first
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [f"{'evening':>14s}  False: {rest}, True: {first}",
+                          f"{'weather':>14s}  rainy: {first}, sunny: {rest}"]
+
+
 # -- filter / split / labelme -----------------------------------------------------
 
 
@@ -818,6 +861,18 @@ def _merge_argv(tmp, *extra):
 
 _BAD_SIZE = "extent width and length must be finite and positive"
 
+
+def _camera(ws, tmp, **pose) -> str:
+    """The scene's camera JSON with ``pose`` fields replaced, written under ``tmp``."""
+    doc = json.loads((_sim(ws) / "camera.json").read_text())
+    doc["pose"].update(pose)
+    (tmp / "camera.json").write_text(json.dumps(doc))
+    return str(tmp / "camera.json")
+
+
+_NAN_T = {"t": [math.nan, 0.0, 8.0]}
+_BAD_POSE = "camera file {tmp}/camera.json: pose must be finite"
+
 # argv, and the message expected on stderr: {tmp} is the test's directory
 CONFIG_ERRORS = {
     "unknown-treatment": (
@@ -884,6 +939,24 @@ CONFIG_ERRORS = {
     "density-without-inputs": (
         lambda ws, tmp: ["density", "--out", str(tmp / "d")],
         "density needs --observations and --extent, or --merge"),
+    # a NaN pose maps every observation to NaN, or outside any extent
+    "map-nan-pose": (
+        lambda ws, tmp: ["map", "--camera", _camera(ws, tmp, **_NAN_T), "--annotations",
+                         str(_sim(ws) / "gt.json"), "--out", str(tmp / "obs.csv")],
+        _BAD_POSE),
+    "map-extent-nan-pose": (
+        lambda ws, tmp: ["map", "--camera", _camera(ws, tmp, **_NAN_T), "--annotations",
+                         str(_sim(ws) / "gt.json"), "--extent", str(_sim(ws) / "extent.json"),
+                         "--out", str(tmp / "obs.csv")],
+        _BAD_POSE),
+    "project-nan-pose": (
+        lambda ws, tmp: ["project", "--camera", _camera(ws, tmp, **_NAN_T),
+                         "--pixel", "960", "700"],
+        _BAD_POSE),
+    "project-infinite-axis-angle": (
+        lambda ws, tmp: ["project", "--camera", _camera(ws, tmp, axis_angle=[math.inf, 0, 0]),
+                         "--world", "1", "10", "0"],
+        _BAD_POSE),
     "eval-taxonomy-without-treatment": (
         lambda ws, tmp: ["eval", "--gt", str(_sim(ws) / "gt.json"),
                          "--detections", str(_sim(ws) / "detections.json"),
@@ -1080,6 +1153,50 @@ def _filter_with_duplicate_detection_id(ws, tmp):
     return argv, f"duplicate annotation id {doc[0]['id']}"
 
 
+def _without_a_score(ws, tmp, command, form):
+    """``command`` on the scene's detections as ``form``, one record without a score.
+
+    The dataset form is the scene's ``gt.json``, whose records carry no score.
+    """
+    if form == "dataset":
+        dets, index = _sim(ws) / "gt.json", 0
+    else:
+        doc = json.loads((_sim(ws) / "detections.json").read_text())
+        index = 2
+        del doc[index]["score"]
+        dets = tmp / "dets.json"
+        dets.write_text(json.dumps(doc))
+    if command == "eval":
+        argv = ["eval", "--gt", str(_sim(ws) / "gt.json"), "--detections", str(dets),
+                "--iou-mode", "bbox"]
+    else:
+        argv = ["filter-annotations", "--detections", str(dets),
+                "--out", str(tmp / "kept.json")]
+    return argv, f"annotation record {index} in {dets} is malformed: a detection needs a score"
+
+
+def _map_with_unknown_class(ws, tmp):
+    """``map`` where the first annotation's category is named ``unicorn``."""
+    doc = json.loads((_sim(ws) / "gt.json").read_text())
+    cat_id = doc["annotations"][0]["category_id"]
+    next(c for c in doc["categories"] if c["id"] == cat_id)["name"] = "unicorn"
+    (tmp / "gt.json").write_text(json.dumps(doc))
+    argv = ["map", "--camera", str(_sim(ws) / "camera.json"),
+            "--annotations", str(tmp / "gt.json"), "--out", str(tmp / "obs.csv")]
+    return argv, "'unicorn'"
+
+
+def _segm_eval_of_bbox_only_detections(ws, tmp):
+    """``eval --iou-mode segm`` on the scene's detections with their polygons dropped."""
+    doc = json.loads((_sim(ws) / "detections.json").read_text())
+    for det in doc:
+        det.pop("segmentation", None)
+    (tmp / "dets.json").write_text(json.dumps(doc))
+    argv = ["eval", "--gt", str(_sim(ws) / "gt.json"), "--detections", str(tmp / "dets.json"),
+            "--iou-mode", "segm"]
+    return argv, "has no polygon; use bbox IoU mode"
+
+
 def _merge_with_header(tmp, field, value):
     """``density --merge a b`` where raster ``b``'s header has ``field`` = ``value``."""
     argv, _ = _merge_with_broken(tmp, "csv", "0")
@@ -1148,6 +1265,16 @@ DATA_ERRORS = {
     "eval-segm-overflowing-polygon": lambda ws, tmp: _eval_with_overflowing_polygon(ws, tmp, "segm"),
     "eval-duplicate-annotation-id": _eval_with_duplicate_annotation_id,
     "filter-duplicate-detection-id": _filter_with_duplicate_detection_id,
+    "eval-dataset-detection-without-score": lambda ws, tmp: _without_a_score(
+        ws, tmp, "eval", "dataset"),
+    "eval-list-detection-without-score": lambda ws, tmp: _without_a_score(
+        ws, tmp, "eval", "list"),
+    "filter-dataset-detection-without-score": lambda ws, tmp: _without_a_score(
+        ws, tmp, "filter", "dataset"),
+    "filter-list-detection-without-score": lambda ws, tmp: _without_a_score(
+        ws, tmp, "filter", "list"),
+    "map-unknown-class": _map_with_unknown_class,
+    "eval-segm-bbox-only-detections": _segm_eval_of_bbox_only_detections,
     "eval-image-width-0": lambda ws, tmp: _eval_with_image_size(ws, tmp, 0, 1080),
     "eval-negative-image-height": lambda ws, tmp: _eval_with_image_size(ws, tmp, 1920, -1080),
     "taxonomy-is-a-list": lambda ws, tmp: _stats_with_taxonomy(ws, tmp, []),

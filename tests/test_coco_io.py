@@ -246,6 +246,88 @@ def test_load_rejects_an_image_smaller_than_one_pixel(tmp_path, width, height):
     assert load_dataset(path).images[0].width == 1
 
 
+def _one_annotation_doc(image=None, category=None, annotation=None) -> dict:
+    """A dataset document of one image, one category and one annotation, fields updated."""
+    return {
+        "images": [{"id": 1, "file_name": "a.jpg", "width": 64, "height": 48, **(image or {})}],
+        "categories": [{"id": 1, "name": "pedestrian", **(category or {})}],
+        "annotations": [{"id": 4, "image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5],
+                         "score": 0.5, **(annotation or {})}],
+    }
+
+
+@pytest.mark.parametrize("value", [7.9, True, float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["id", "image_id", "category_id"])
+def test_load_refuses_an_annotation_id_that_is_not_a_whole_number(
+        tmp_path, field, value):
+    # read with int(), image 1.5 would join image 1, and ids 7.9 and 7.2 would clash as 7
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(_one_annotation_doc(annotation={field: value})))
+    named = f"annotation record 0 in {path}: {field} {value!r} is not a whole number"
+    with pytest.raises(DataError, match=re.escape(named)):
+        load_dataset(path)
+    bare = tmp_path / "dets.json"
+    bare.write_text(json.dumps(_one_annotation_doc(annotation={field: value})["annotations"]))
+    with pytest.raises(DataError, match=re.escape(f"record 0 in {bare}: {field} {value!r}")):
+        load_detections(bare)
+
+
+@pytest.mark.parametrize("value", [640.7, True])
+@pytest.mark.parametrize("field", ["id", "width", "height"])
+def test_load_refuses_an_image_id_or_size_that_is_not_a_whole_number(tmp_path, field, value):
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(_one_annotation_doc(image={field: value})))
+    named = f"image record 0 in {path}: {field} {value!r} is not a whole number"
+    with pytest.raises(DataError, match=re.escape(named)):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("value", [1.5, False])
+def test_load_refuses_a_category_id_that_is_not_a_whole_number(tmp_path, value):
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(_one_annotation_doc(category={"id": value})))
+    named = f"category record 0 in {path}: id {value!r} is not a whole number"
+    with pytest.raises(DataError, match=re.escape(named)):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("value, named", [
+    (-3, "iscrowd -3, not 0 or 1"),  # read as crowd by evaluation
+    (5, "iscrowd 5, not 0 or 1"),
+    (0.5, "iscrowd 0.5 is not a whole number"),
+    (True, "iscrowd True is not a whole number"),
+])
+def test_load_refuses_an_iscrowd_other_than_0_or_1(tmp_path, value, named):
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(_one_annotation_doc(annotation={"iscrowd": value})))
+    with pytest.raises(DataError, match=re.escape(f"annotation record 0 in {path}: ")
+                       + ".*" + re.escape(named)):
+        load_dataset(path)
+
+
+def test_load_reads_integral_floats_and_numeric_strings_as_whole_numbers(tmp_path):
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(_one_annotation_doc(
+        image={"id": 1.0, "width": 640.0, "height": "480"},
+        category={"id": "1"},
+        annotation={"id": 4.0, "image_id": 1.0, "category_id": 1, "iscrowd": 1.0},
+    )))
+    ds = load_dataset(path)
+    assert (ds.images[0].id, ds.images[0].width, ds.images[0].height) == (1, 640, 480)
+    assert ds.categories[0].id == 1
+    ann = ds.annotations[0]
+    assert (ann.id, ann.image_id, ann.category_id, ann.iscrowd) == (4, 1, 1, 1)
+    assert all(type(v) is int for v in (ds.images[0].width, ann.id, ann.iscrowd))
+
+
+@pytest.mark.parametrize("key", ["images", "categories", "annotations"])
+def test_load_refuses_records_that_are_not_a_list(tmp_path, key):
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps({**_one_annotation_doc(), key: 5}))
+    with pytest.raises(DataError, match=re.escape(f"records in {path} are not a JSON list")):
+        load_dataset(path)
+
+
 def test_load_warns_on_bbox_hull_mismatch(tmp_path):
     doc = {
         "images": [{"id": 1, "file_name": "a.jpg", "width": 640, "height": 480}],
@@ -312,10 +394,20 @@ def test_load_detections_rejects_bbox_without_4_values(tmp_path, bbox):
 
 def test_load_detections_accepts_dataset_file(tmp_path):
     ds = _toy_dataset()
+    ds.annotations[0].score = 0.5  # every detection needs a score
     path = tmp_path / "full.json"
     save_dataset(path, ds)
     dets = load_detections(path)
-    assert len(dets) == 2
+    assert dets == ds.annotations
+
+
+def test_load_detections_requires_a_score_in_a_dataset_file(tmp_path):
+    # the toy dataset's first annotation has no score
+    path = tmp_path / "full.json"
+    save_dataset(path, _toy_dataset())
+    with pytest.raises(DataError, match=re.escape(
+            f"annotation record 0 in {path} is malformed: a detection needs a score")):
+        load_detections(path)
 
 
 def test_load_detections_refuses_a_repeated_id(tmp_path):
@@ -621,3 +713,60 @@ def test_labelme_import_errors(tmp_path):
     p.write_text(json.dumps(bad_label))
     with pytest.raises(DataError, match="vertices"):
         import_labelme([p], TAX)
+
+
+def _labelme_doc(**fields) -> dict:
+    doc = {
+        "version": "5.2.1", "flags": {}, "imagePath": "x.jpg",
+        "imageData": None, "imageHeight": 480, "imageWidth": 640,
+        "shapes": [{"label": "person_pedestrian_1", "points": [[0, 0], [9, 0], [9, 9]],
+                    "group_id": None, "shape_type": "polygon", "flags": {}}],
+    }
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"imageHeight": 0}, "image 1 is 640 x 0 px"),
+    ({"imageWidth": 640.5}, "width 640.5 is not a whole number"),
+    ({"shapes": [{"label": "person_pedestrian_1", "shape_type": "polygon",
+                  "points": [[0, 0], [5, float("nan")], [9, 9]]}]},
+     "polygon has a non-finite coordinate"),
+    # flattened, points of three values would make a ring of other vertices
+    ({"shapes": [{"label": "person_pedestrian_1", "shape_type": "polygon",
+                  "points": [[0, 0, 9], [5, 0, 9]]}]},
+     "is malformed: too many values to unpack"),
+    ({"shapes": [{"label": "person_pedestrian_1", "shape_type": "polygon"}]},
+     "is malformed: 'points'"),
+    ({"shapes": [{"label": "person_unicorn_1", "shape_type": "polygon",
+                  "points": [[0, 0], [9, 0], [9, 9]]}]},
+     "unknown class name 'unicorn'"),
+])
+def test_labelme_import_names_the_polygon_file(tmp_path, fields, named):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(_labelme_doc(**fields)))
+    with pytest.raises(DataError, match=re.escape(str(p))):
+        import_labelme([p], TAX)
+    with pytest.raises(DataError, match=re.escape(named)):
+        import_labelme([p], TAX)
+
+
+def test_labelme_import_numbers_images_and_annotations_across_files(tmp_path):
+    two_rings = [
+        {"label": "person_cyclist_1", "points": [[0, 0], [9, 0], [9, 9]], "group_id": 3,
+         "shape_type": "polygon"},
+        {"label": "person_pedestrian_1", "points": [[20, 0], [29, 0], [29, 9]],
+         "group_id": None, "shape_type": "polygon"},
+        {"label": "person_cyclist_1", "points": [[40, 0], [49, 0], [49, 9]], "group_id": 3,
+         "shape_type": "polygon"},
+    ]
+    (tmp_path / "b.json").write_text(json.dumps(_labelme_doc(imagePath="b.jpg")))
+    (tmp_path / "a.json").write_text(json.dumps(_labelme_doc(imagePath="a.jpg",
+                                                             shapes=two_rings)))
+    ds = import_labelme([tmp_path / "b.json", tmp_path / "a.json"], TAX)
+    assert [(im.id, im.file_name) for im in ds.images] == [(1, "a.jpg"), (2, "b.jpg")]
+    assert [(a.id, a.image_id, a.category_id, len(a.segmentation)) for a in ds.annotations] \
+        == [(1, 1, CYC_ID, 2), (2, 1, PED_ID, 1), (3, 2, PED_ID, 1)]
+    assert ds.annotations[0].bbox == (0.0, 0.0, 49.0, 9.0)
+    assert ds.annotations[0].area == 81.0
+    assert ds.categories == CATS

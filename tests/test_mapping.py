@@ -74,6 +74,19 @@ def test_polygon_band_anchors(camera):
     assert top_point(ann) == pytest.approx((hu, hv), abs=1e-9)
 
 
+def test_polygon_band_anchors_of_a_multi_part_polygon():
+    # an object split by occlusion: the bands span the vertices of both rings
+    legs = [110.0, 60.0, 130.0, 60.0, 130.0, 100.0, 110.0, 100.0]
+    torso = [100.0, 0.0, 140.0, 0.0, 150.0, 96.0, 100.0, 40.0]
+    for rings in ([legs, torso], [torso, legs]):
+        ann = Annotation(id=1, image_id=1, category_id=PED_ID, segmentation=rings,
+                         bbox=(100.0, 0.0, 50.0, 100.0), area=1.0)
+        # bottom band y >= 95: x 110..150 (the torso's corner at y 96 included)
+        assert footpoint(ann) == (130.0, 98.0)
+        # top band y <= 5: the torso's top edge
+        assert top_point(ann) == (120.0, 0.0)
+
+
 # -- locate -----------------------------------------------------------------
 
 
