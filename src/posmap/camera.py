@@ -577,3 +577,5 @@ def load_intrinsics(path: str | Path) -> tuple[Intrinsics, Distortion, tuple[int
         return _lens_from_dict(doc)
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise DataError(f"intrinsics file {path} is malformed: {e}") from e
+    except ConfigError as e:
+        raise ConfigError(f"intrinsics file {path}: {e}") from e

@@ -13,12 +13,18 @@ mishandled.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
 import warnings
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, DataError, read_json
 from .geometry2d import polygons_area, polygons_bounds
@@ -114,6 +120,8 @@ class Dataset:
 
 
 def _extract_extra(raw: dict, known: set[str]) -> dict:
+    if raw.keys() <= known:
+        return {}
     return {k: v for k, v in raw.items() if k not in known}
 
 
@@ -133,8 +141,6 @@ def _parse_segmentation(raw, ann_id: int) -> list[list[float]]:
                 f"annotation {ann_id}: degenerate polygon with {len(coords)} "
                 "coordinates, not x, y pairs of at least 3 vertices"
             )
-        if not all(map(math.isfinite, coords)):
-            raise DataError(f"annotation {ann_id}: polygon has a non-finite coordinate")
         polys.append(coords)
     return polys
 
@@ -144,6 +150,11 @@ def _check_finite_box(box: tuple[float, float, float, float], what: str, ann_id:
     x, y, w, h = box
     if not (math.isfinite(x + w) and math.isfinite(y + h)):
         raise DataError(f"annotation {ann_id} has {what} {box}, not finite")
+
+
+def _check_area(area: float, ann_id: int) -> None:
+    if not (math.isfinite(area) and area >= 0.0):
+        raise DataError(f"annotation {ann_id} has area {area}, not a finite number >= 0")
 
 
 def _whole(v, what: str) -> int:
@@ -159,18 +170,19 @@ def _whole(v, what: str) -> int:
 
 
 def _parse_annotation(r: dict) -> Annotation:
-    """Build one annotation from its JSON record.
+    """Read the fields of one annotation's JSON record.
 
     The id, image_id and category_id are whole numbers, and iscrowd is 0 or
-    1. Every polygon coordinate must be finite. The bbox must have 4 values;
-    without one it is the polygon hull. A bbox or hull with a corner that is
-    not finite (a non-finite value, or a width that overflows) is a
-    ``DataError``. A bbox more than 1 px off the hull only warns; this is
-    the one place bbox and hull are compared. Without an area, the polygon
-    area (else the bbox area) is used; a non-finite or negative area is a
-    ``DataError``. Errors from malformed fields
-    (``KeyError``, ``TypeError``, ``ValueError``, or ``AttributeError``
-    when the record is not an object) propagate to the caller.
+    1. Each polygon part holds x, y pairs of at least 3 vertices, read as
+    floats. A bbox must have 4 values and finite corners (a width that
+    overflows is not finite); a record needs a bbox or a polygon. A given
+    area, or the bbox area of a record without polygon, must be a finite
+    number >= 0. The checks on polygon coordinates wait for
+    :func:`_check_polygons`, which runs once per file: until then a polygon
+    record without a bbox has bbox ``None``, and one without an area has
+    area ``None``. Errors from malformed fields (``KeyError``,
+    ``TypeError``, ``ValueError``, or ``AttributeError`` when the record is
+    not an object) propagate to the caller.
     """
     ann_id = _whole(r["id"], "id")
     seg = _parse_segmentation(r.get("segmentation"), ann_id)
@@ -179,54 +191,100 @@ def _parse_annotation(r: dict) -> Annotation:
         score = float(score)
         if not 0.0 <= score <= 1.0:
             raise DataError(f"annotation {ann_id} has score {score} outside [0, 1]")
-    hull = polygons_bounds(seg) if seg else None
     bbox_raw = r.get("bbox")
+    bbox = None
     if bbox_raw is not None:
         if len(bbox_raw) != 4:
             raise DataError(f"annotation {ann_id} has a bbox with {len(bbox_raw)} values")
         x, y, w, h = bbox_raw
         bbox = (float(x), float(y), float(w), float(h))
-    elif hull is not None:
-        bbox = hull
-    else:
+        _check_finite_box(bbox, "bbox", ann_id)
+    elif not seg:
         raise DataError(f"annotation {ann_id} has neither bbox nor segmentation")
-    _check_finite_box(bbox, "bbox", ann_id)
-    # a hull that is not finite is more than 1 px off the finite bbox
-    if bbox_raw is not None and hull is not None and max(
-        abs(hull[0] - bbox[0]),
-        abs(hull[1] - bbox[1]),
-        abs(hull[2] - bbox[2]),
-        abs(hull[3] - bbox[3]),
-    ) > 1.0:
-        _check_finite_box(hull, "polygon hull", ann_id)
-        warnings.warn(
-            f"annotation {ann_id}: bbox {bbox} deviates more than "
-            f"1 px from its polygon hull {hull}",
-            stacklevel=5,
-        )
     area_raw = r.get("area")
+    area = None
     if area_raw is not None:
         area = float(area_raw)
-    elif seg:
-        area = polygons_area(seg)
-    else:
+    elif not seg:
         area = bbox[2] * bbox[3]
-    if not (math.isfinite(area) and area >= 0.0):
-        raise DataError(f"annotation {ann_id} has area {area}, not a finite number >= 0")
+    if area is not None:
+        _check_area(area, ann_id)
     iscrowd = _whole(r.get("iscrowd", 0), "iscrowd")
     if iscrowd not in (0, 1):
         raise DataError(f"annotation {ann_id} has iscrowd {iscrowd}, not 0 or 1")
+    # positional, in field order: a dataclass binds keywords at twice the cost
     return Annotation(
-        id=ann_id,
-        image_id=_whole(r["image_id"], "image_id"),
-        category_id=_whole(r["category_id"], "category_id"),
-        segmentation=seg,
-        bbox=bbox,
-        area=area,
-        iscrowd=iscrowd,
-        score=score,
-        extra=_extract_extra(r, _KNOWN_ANN_KEYS),
+        ann_id,
+        _whole(r["image_id"], "image_id"),
+        _whole(r["category_id"], "category_id"),
+        seg,
+        bbox,
+        area,
+        iscrowd,
+        score,
+        _extract_extra(r, _KNOWN_ANN_KEYS),
     )
+
+
+def _check_polygons(anns: list[Annotation], path: str | Path) -> None:
+    """The float checks of a file's polygons, on one flat array of all their coordinates.
+
+    Record by record, in file order: every coordinate must be finite; a
+    record without a bbox takes its polygon hull, whose corners must be
+    finite; a bbox more than 1 px off the hull warns, unless the hull is not
+    finite, which is a ``DataError``; a record without an area takes its
+    polygon area, which must be finite. The first bad record raises, after
+    the warnings of the records before it. This is the one place bbox and
+    hull are compared.
+    """
+    segs = [ann.segmentation for ann in anns]
+    parts = list(chain.from_iterable(segs))
+    if not parts:
+        return
+    part_lens = np.fromiter(map(len, parts), np.intp, len(parts))
+    n_parts = np.fromiter(map(len, segs), np.intp, len(segs))
+    rows = np.flatnonzero(n_parts)
+    flat = np.fromiter(chain.from_iterable(parts), float, int(part_lens.sum()))
+    starts = (np.cumsum(part_lens) - part_lens)[(np.cumsum(n_parts) - n_parts)[rows]]
+    bboxes = [ann.bbox for ann in anns]
+    given = np.fromiter((b is not None for b in bboxes), bool, len(anns))[rows]
+    boxes = np.fromiter(
+        chain.from_iterable(b or (0.0, 0.0, 0.0, 0.0) for b in bboxes), float, 4 * len(anns)
+    ).reshape(-1, 4)[rows]
+    no_area = np.fromiter((ann.area is None for ann in anns), bool, len(anns))[rows]
+    # every part has an even length, so the whole array pairs up as x, y
+    points, first_point = flat.reshape(-1, 2), starts // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = np.minimum.reduceat(points, first_point)
+        hulls = np.hstack([low, np.maximum.reduceat(points, first_point) - low])
+        off = given & (np.abs(hulls - boxes).max(axis=1) > 1.0)
+    coords_ok = np.logical_and.reduceat(np.isfinite(flat), starts)
+    for j in np.flatnonzero(~coords_ok | ~given | off | no_area).tolist():
+        k = int(rows[j])
+        ann = anns[k]
+        try:
+            if not coords_ok[j]:
+                raise DataError(f"annotation {ann.id}: polygon has a non-finite coordinate")
+            hull = tuple(hulls[j].tolist())
+            if 0.0 in hull:
+                # Python's min and max keep the first of 0.0 and -0.0, numpy's the last
+                hull = polygons_bounds(ann.segmentation)
+            if not given[j]:
+                ann.bbox = hull
+                _check_finite_box(hull, "bbox", ann.id)
+            elif off[j]:
+                # a hull that is not finite is more than 1 px off the finite bbox
+                _check_finite_box(hull, "polygon hull", ann.id)
+                warnings.warn(
+                    f"annotation {ann.id}: bbox {ann.bbox} deviates more than "
+                    f"1 px from its polygon hull {hull}",
+                    stacklevel=5,
+                )
+            if ann.area is None:
+                ann.area = polygons_area(ann.segmentation)
+                _check_area(ann.area, ann.id)
+        except DataError as e:
+            raise DataError(f"annotation record {k} in {path}: {e}") from e
 
 
 def _parse_image(r: dict) -> ImageRecord:
@@ -255,39 +313,71 @@ def _parse_category(r: dict) -> Category:
     )
 
 
-def _parse_records(records: list, parse, kind: str, path: str | Path) -> list:
+def _parse_records(records: list, parse, kind: str, path: str | Path, check=None) -> list:
     """The one record loop: ``parse`` of each ``kind`` record of the file ``path``.
 
     Every error names the file and the record's index, and a repeated id is
-    a ``DataError``.
+    a ``DataError``. ``check(items, path)`` runs the file-wide checks on the
+    records read: at the end, and before an error in a record is raised, so
+    that an error in an earlier record is the one raised.
     """
     if not isinstance(records, list):
         raise DataError(f"{kind} records in {path} are not a JSON list")
     out = []
     ids: set[int] = set()
-    for i, r in enumerate(records):
-        try:
-            item = parse(r)
-        except DataError as e:
-            raise DataError(f"{kind} record {i} in {path}: {e}") from e
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{kind} record {i} in {path} is malformed: {e}") from e
-        if item.id in ids:
-            raise DataError(f"{kind} record {i} in {path} has duplicate {kind} id {item.id}")
-        ids.add(item.id)
-        out.append(item)
+    try:
+        for i, r in enumerate(records):
+            try:
+                item = parse(r)
+            except DataError as e:
+                raise DataError(f"{kind} record {i} in {path}: {e}") from e
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
+                raise DataError(f"{kind} record {i} in {path} is malformed: {e}") from e
+            if item.id in ids:
+                raise DataError(f"{kind} record {i} in {path} has duplicate {kind} id {item.id}")
+            ids.add(item.id)
+            out.append(item)
+    finally:
+        if check is not None:
+            check(out, path)
     return out
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore its previous state.
+
+    A decoded annotation file and the records built from it are many small
+    containers without a reference cycle among them, so the collections
+    their allocation sets off free nothing, yet each scans the young
+    containers and, now and then, every older one.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_dataset(path: str | Path) -> Dataset:
-    """Load an annotation JSON file, validating referential integrity."""
-    return _dataset_from_doc(read_json(path, "annotation"), path)
+    """Load an annotation JSON file, validating referential integrity.
+
+    Each record's fields are read and checked by the one record loop; the
+    float checks of the polygons run once for the file, on one array of
+    every coordinate (:func:`_check_polygons`).
+    """
+    with _gc_paused():
+        return _dataset_from_doc(read_json(path, "annotation"), path)
 
 
 def _dataset_from_doc(doc: dict, path: str | Path) -> Dataset:
     images = _parse_records(doc.get("images", []), _parse_image, "image", path)
     categories = _parse_records(doc.get("categories", []), _parse_category, "category", path)
-    annotations = _parse_records(doc.get("annotations", []), _parse_annotation, "annotation", path)
+    annotations = _parse_records(
+        doc.get("annotations", []), _parse_annotation, "annotation", path, _check_polygons
+    )
     image_ids = {im.id for im in images}
     category_ids = {c.id for c in categories}
     for i, ann in enumerate(annotations):
@@ -367,16 +457,18 @@ def load_detections(path: str | Path) -> list[Annotation]:
     record without an ``id`` takes its 1-based position in the list. Both
     forms are read by the dataset file's record loop, so a repeated id is a
     ``DataError``. Every record needs a score, in either form. Unknown keys
-    ride along in ``extra``.
+    ride along in ``extra``. Records are checked as :func:`load_dataset`
+    checks them.
     """
-    doc = read_json(path, "detection", (dict, list))
-    if isinstance(doc, dict):
-        dets = _dataset_from_doc(doc, path).annotations
-    else:
-        for i, r in enumerate(doc, start=1):
-            if isinstance(r, dict):
-                r.setdefault("id", i)
-        dets = _parse_records(doc, _parse_annotation, "annotation", path)
+    with _gc_paused():
+        doc = read_json(path, "detection", (dict, list))
+        if isinstance(doc, dict):
+            dets = _dataset_from_doc(doc, path).annotations
+        else:
+            for i, r in enumerate(doc, start=1):
+                if isinstance(r, dict):
+                    r.setdefault("id", i)
+            dets = _parse_records(doc, _parse_annotation, "annotation", path, _check_polygons)
     for i, det in enumerate(dets):
         if det.score is None:
             raise DataError(

@@ -56,9 +56,12 @@ def polygons_area(polys: Sequence[Sequence[float]]) -> float:
 def polygons_bounds(polys: Sequence[Sequence[float]]) -> tuple[float, float, float, float]:
     """Axis-aligned hull (x, y, w, h) of a multi-part polygon set.
 
-    Plain ``min``/``max`` rather than numpy: annotation loading calls this
-    once per record, and on coordinate lists this short numpy's array
-    set-up costs more than the scan itself.
+    Plain ``min``/``max`` rather than numpy: the simulator calls this once
+    per polygon, and on coordinate lists this short numpy's array set-up
+    costs more than the scan itself. Of equal values the first is kept, so
+    the hull of ``[0.0, ..., -0.0, ...]`` starts at ``0.0``; annotation
+    loading takes every hull of a file at once with numpy, and falls back
+    to this for a hull with a zero.
     """
     xs: list[float] = []
     ys: list[float] = []

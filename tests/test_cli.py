@@ -873,6 +873,16 @@ def _camera(ws, tmp, **pose) -> str:
 _NAN_T = {"t": [math.nan, 0.0, 8.0]}
 _BAD_POSE = "camera file {tmp}/camera.json: pose must be finite"
 
+
+def _pose_less_camera(ws, tmp, **intrinsics) -> str:
+    """The scene's camera JSON without its pose and with ``intrinsics`` fields replaced."""
+    doc = json.loads((_sim(ws) / "camera.json").read_text())
+    del doc["pose"]
+    doc["intrinsics"].update(intrinsics)
+    (tmp / "intr.json").write_text(json.dumps(doc))
+    return str(tmp / "intr.json")
+
+
 # argv, and the message expected on stderr: {tmp} is the test's directory
 CONFIG_ERRORS = {
     "unknown-treatment": (
@@ -957,6 +967,11 @@ CONFIG_ERRORS = {
         lambda ws, tmp: ["project", "--camera", _camera(ws, tmp, axis_angle=[math.inf, 0, 0]),
                          "--world", "1", "10", "0"],
         _BAD_POSE),
+    "extrinsics-nan-fx": (
+        lambda ws, tmp: ["calibrate", "extrinsics",
+                         "--intrinsics", _pose_less_camera(ws, tmp, fx=math.nan),
+                         "--points", str(tmp / "points.csv"), "--out", str(tmp / "cam.json")],
+        "intrinsics file {tmp}/intr.json: intrinsics must be finite"),
     "eval-taxonomy-without-treatment": (
         lambda ws, tmp: ["eval", "--gt", str(_sim(ws) / "gt.json"),
                          "--detections", str(_sim(ws) / "detections.json"),

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from posmap.coco import (
@@ -343,6 +344,52 @@ def test_load_warns_on_bbox_hull_mismatch(tmp_path):
         load_dataset(path)
 
 
+# every record warns: its bbox is 40 px wider than its polygon's hull
+_DRIFTING = {"image_id": 1, "category_id": 1, "segmentation": [SQUARE],
+             "bbox": [10, 10, 80, 30], "area": 100, "score": 0.5}
+_OVERFLOWING = [[-1e308, 0, 1e308, 10, 0, 20]]  # finite, but the hull's width is inf
+# faults the record loop finds, each read from one record's fields
+_FIELD_FAULTS = [
+    ({"score": 1.5}, "annotation {id} has score 1.5 outside [0, 1]"),
+    ({"iscrowd": 2}, "annotation {id} has iscrowd 2, not 0 or 1"),
+    ({"bbox": [0, 0, 5]}, "annotation {id} has a bbox with 3 values"),
+]
+# faults the float checks find, once per file
+_FLOAT_FAULTS = [
+    ({"segmentation": [[float("nan"), *SQUARE[1:]]]},
+     "annotation {id}: polygon has a non-finite coordinate"),
+    ({"segmentation": _OVERFLOWING, "bbox": None},
+     "annotation {id} has bbox (-1e+308, 0.0, inf, 20.0), not finite"),
+    ({"segmentation": _OVERFLOWING},
+     "annotation {id} has polygon hull (-1e+308, 0.0, inf, 20.0), not finite"),
+]
+
+
+@pytest.mark.parametrize("field_first", [True, False])
+@pytest.mark.parametrize("float_fault", _FLOAT_FAULTS)
+@pytest.mark.parametrize("field_fault", _FIELD_FAULTS)
+def test_load_names_the_first_bad_record_after_the_warnings_before_it(
+        tmp_path, field_fault, float_fault, field_first):
+    first, second = (field_fault, float_fault) if field_first else (float_fault, field_fault)
+    records = [{"id": 10 + i, **_DRIFTING} for i in range(5)]
+    records[2].update(first[0])
+    records[4].update(second[0])
+    doc = {"images": [{"id": 1, "file_name": "a.jpg", "width": 640, "height": 480}],
+           "categories": [{"id": 1, "name": "pedestrian"}], "annotations": records}
+    drift = ("annotation {}: bbox (10.0, 10.0, 80.0, 30.0) deviates more than 1 px "
+             "from its polygon hull (10.0, 10.0, 40.0, 30.0)")
+    for load, content in ((load_dataset, doc), (load_detections, records)):
+        path = tmp_path / "anns.json"
+        path.write_text(json.dumps(content))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError) as raised:
+                load(path)
+        assert str(raised.value) == f"annotation record 2 in {path}: " + first[1].format(id=12)
+        # the records before the bad one warn, once each and in order; it and those after do not
+        assert [str(w.message) for w in caught] == [drift.format(10), drift.format(11)]
+
+
 def test_bbox_and_area_derived_from_polygon(tmp_path):
     doc = {
         "images": [{"id": 1, "file_name": "a.jpg", "width": 640, "height": 480}],
@@ -470,6 +517,57 @@ def test_detections_round_trip(det_dir, dets):
     path = det_dir / "dets.json"
     save_detections(path, dets)
     assert load_detections(path) == dets
+
+
+_COORD_VALUE = st.one_of(st.integers(-5000, 5000), st.floats(-1e4, 1e4, allow_nan=False),
+                         st.sampled_from([0, 0.0, -0.0]))
+
+
+@st.composite
+def _annotation_record(draw):
+    """A JSON annotation record without an id: any of bbox, area and polygon may be missing."""
+    record = {"image_id": 1, "category_id": 1}
+    if draw(st.booleans()):
+        record["segmentation"] = draw(st.lists(
+            st.lists(st.tuples(_COORD_VALUE, _COORD_VALUE), min_size=3, max_size=5).map(
+                lambda pts: [v for pt in pts for v in pt]),
+            min_size=1, max_size=5,
+        ))
+        if draw(st.booleans()):
+            record["bbox"] = list(polygons_bounds(record["segmentation"]))
+    else:
+        record["bbox"] = list(draw(
+            st.tuples(_COORD, _COORD, st.floats(0, 1e4), st.floats(0, 1e4))))
+    if draw(st.booleans()):
+        record["area"] = draw(st.floats(0, 1e8))
+    if draw(st.booleans()):
+        record["iscrowd"] = draw(st.sampled_from([0, 1]))
+    return {**record, **draw(st.dictionaries(_EXTRA_KEYS, _JSON_VALUES, max_size=2))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=st.lists(_annotation_record(), max_size=6))
+# numpy's min of 0.0 and -0.0 is -0.0, Python's the first of them
+@example(records=[{"image_id": 1, "category_id": 1,
+                   "segmentation": [[0.0, 5, 3, 0.0, 1, 1], [-0.0, 2.5, 4, -0.0, 2, 2]]}])
+def test_dataset_round_trip_through_save_dataset(det_dir, records):
+    records = [{"id": i, **r} for i, r in enumerate(records, start=1)]
+    doc = {"images": [{"id": 1, "file_name": "a.jpg", "width": 640, "height": 480}],
+           "categories": [{"id": 1, "name": "pedestrian"}], "annotations": records}
+    path = det_dir / "gt.json"
+    path.write_text(json.dumps(doc))
+    ds = load_dataset(path)
+    for record, ann in zip(records, ds.annotations, strict=True):
+        assert ann.segmentation == record.get("segmentation", [])
+        if "bbox" not in record:  # the hull, down to the sign of a zero
+            hull = polygons_bounds(record["segmentation"])
+            assert [v.hex() for v in ann.bbox] == [v.hex() for v in hull]
+    saved = det_dir / "saved.json"
+    save_dataset(saved, ds)
+    again = load_dataset(saved)
+    assert again == ds
+    save_dataset(det_dir / "again.json", again)
+    assert (det_dir / "again.json").read_bytes() == saved.read_bytes()
 
 
 # -- split ----------------------------------------------------------------
