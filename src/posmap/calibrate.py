@@ -30,7 +30,7 @@ from .camera import (
     project_points,
     undistort_pixel,
 )
-from .errors import DataError, DegenerateGeometryError, UndistortionError, read_json
+from .errors import DataError, DegenerateGeometryError, UndistortionError, read_json, read_number
 from .lm import levenberg_marquardt
 
 __all__ = [
@@ -436,14 +436,12 @@ def load_correspondences(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                 f"(got {reader.fieldnames})"
             )
         world, pixels = [], []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
-                world.append([float(row["X"]), float(row["Y"]), float(row["Z"])])
-                pixels.append([float(row["u"]), float(row["v"])])
-            except (TypeError, ValueError) as e:
-                raise DataError(f"{path}:{lineno}: bad number: {e}") from e
-            if not np.isfinite(world[-1] + pixels[-1]).all():
-                raise DataError(f"{path}:{lineno}: non-finite number in {world[-1] + pixels[-1]}")
+                world.append([read_number(row[k], k) for k in ("X", "Y", "Z")])
+                pixels.append([read_number(row[k], k) for k in ("u", "v")])
+            except DataError as e:
+                raise DataError(f"{path}:{reader.line_num}: bad number: {e}") from e
     if not world:
         raise DataError(f"correspondence file {path} has no data rows")
     return np.asarray(world), np.asarray(pixels)
@@ -457,11 +455,12 @@ def load_planar_views(path: str | Path) -> list[tuple[np.ndarray, np.ndarray]]:
     views = []
     for i, entry in enumerate(doc):
         try:
-            views.append(
-                (np.asarray(entry["plane"], dtype=float), np.asarray(entry["pixels"], dtype=float))
-            )
-        except (KeyError, TypeError, ValueError) as e:
+            view = []
+            for key in ("plane", "pixels"):
+                points = np.asarray(entry[key], dtype=object)
+                coords = [read_number(v, key) for v in points.flat]
+                view.append(np.array(coords, dtype=float).reshape(points.shape))
+            views.append(tuple(view))
+        except (DataError, KeyError, TypeError, ValueError) as e:
             raise DataError(f"view {i} in {path} is malformed: {e}") from e
-        if not all(np.isfinite(points).all() for points in views[-1]):
-            raise DataError(f"view {i} in {path} has a non-finite coordinate")
     return views

@@ -29,12 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    POSITIVE_WHOLE,
     BehindCameraError,
     ConfigError,
     DataError,
     NoGroundIntersectionError,
     UndistortionError,
     read_json,
+    read_number,
 )
 
 __all__ = [
@@ -500,20 +502,16 @@ def _lens_from_dict(doc: dict) -> tuple[Intrinsics, Distortion, tuple[int, int]]
     intr = doc["intrinsics"]
     dist = doc.get("distortion", {})
     intrinsics = Intrinsics(
-        fx=float(intr["fx"]),
-        fy=float(intr["fy"]),
-        cx=float(intr["cx"]),
-        cy=float(intr["cy"]),
-        skew=float(intr.get("skew", 0.0)),
+        *(read_number(intr[k], k, error=ConfigError) for k in ("fx", "fy", "cx", "cy")),
+        skew=read_number(intr.get("skew", 0.0), "skew", error=ConfigError),
     )
-    distortion = Distortion(
-        k1=float(dist.get("k1", 0.0)),
-        k2=float(dist.get("k2", 0.0)),
-        k3=float(dist.get("k3", 0.0)),
-        p1=float(dist.get("p1", 0.0)),
-        p2=float(dist.get("p2", 0.0)),
-    )
-    return intrinsics, distortion, (int(doc["image_size"][0]), int(doc["image_size"][1]))
+    distortion = Distortion(*(
+        read_number(dist.get(k, 0.0), k, error=ConfigError) for k in ("k1", "k2", "k3", "p1", "p2")
+    ))
+    size = doc["image_size"]
+    image_size = tuple(read_number(size[i], "image_size", POSITIVE_WHOLE, ConfigError)
+                       for i in (0, 1))
+    return intrinsics, distortion, image_size
 
 
 def _read_json(path: str | Path, kind: str) -> dict:
@@ -546,8 +544,9 @@ def load_camera(path: str | Path) -> CameraModel:
             intrinsics=intrinsics,
             distortion=distortion,
             pose=Pose(
-                rvec=tuple(float(v) for v in pose["axis_angle"]),
-                t=tuple(float(v) for v in pose["t"]),
+                rvec=tuple(read_number(v, "axis_angle", error=ConfigError)
+                           for v in pose["axis_angle"]),
+                t=tuple(read_number(v, "t", error=ConfigError) for v in pose["t"]),
             ),
             image_size=image_size,
         )

@@ -8,7 +8,7 @@ the exact argument vector, resolved options, SHA-256 of each input, the
 paths written, library versions, and wall time — enough to reproduce or
 audit a run. Each ``cmd_*`` only reads, computes, writes and returns the
 paths it wrote. ``main`` refuses an output that would overwrite a declared
-input, another output or the manifest; every float flag must be finite.
+input, another output or the manifest; number flags obey ``read_number``.
 Exit codes: 2 for configuration problems, 3 for bad data, 4 for
 numeric/geometry failures.
 """
@@ -20,7 +20,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -45,7 +44,8 @@ from .coco import (
     split_dataset,
 )
 from .density import density_paths, kde_raster, load_density, merge_rasters, save_density
-from .errors import ConfigError, PosmapError
+from .errors import (FINITE, NON_NEGATIVE, NON_NEGATIVE_WHOLE, OPEN_UNIT, POSITIVE,
+                     POSITIVE_WHOLE, UNIT, WHOLE, ConfigError, PosmapError, Rule, read_number)
 from .evaluation import (
     Scores,
     dataset_stats,
@@ -190,31 +190,12 @@ def _write_manifest(
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-# what a float flag must be: its description and its test
-_FINITE = ("finite", math.isfinite)
-_POSITIVE = ("finite and positive", lambda v: 0.0 < v < math.inf)
-_NON_NEGATIVE = ("finite and non-negative", lambda v: 0.0 <= v < math.inf)
-_UNIT = ("within [0, 1]", lambda v: 0.0 <= v <= 1.0)
-_OPEN_UNIT = ("within (0, 1)", lambda v: 0.0 < v < 1.0)
-
-
-def _number(name: str, rule: tuple = _FINITE):
-    """The argparse type of a float flag: a number that passes ``rule``.
+def _number(name: str, rule: Rule = FINITE):
+    """The argparse type of a number flag: its text read under ``rule``.
 
     A refusal is a ``ConfigError`` (exit 2), which argparse lets through.
     """
-    what, ok = rule
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not ok(value):
-            raise ConfigError(f"{name} must be {what}, got {text}")
-        return value
-
-    return parse
+    return lambda text: read_number(text, name, rule, ConfigError)
 
 
 def _prior(spec: str) -> tuple[str, tuple[float, float]]:
@@ -331,7 +312,7 @@ def cmd_map(args: argparse.Namespace) -> list[Path]:
     timestamps = []
     for index, image in enumerate(images):
         raw_ts = image.extra.get("timestamp")
-        timestamps.append(float(raw_ts) if raw_ts is not None else index / args.fps)
+        timestamps.append(index / args.fps if raw_ts is None else read_number(raw_ts, "timestamp"))
     kept = (
         range(len(images)) if args.sample_rate is None
         else sample_frames(timestamps, args.sample_rate)
@@ -626,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci = cal_sub.add_parser("intrinsics", help="intrinsics from planar pattern views")
     p_ci.add_argument("--views", type=_Input, required=True,
                       help="JSON list of plane/pixel views")
-    p_ci.add_argument("--image-size", nargs=2, type=int, required=True, metavar=("W", "H"))
+    p_ci.add_argument("--image-size", nargs=2, type=_number("image size", POSITIVE_WHOLE),
+                      required=True, metavar=("W", "H"))
     p_ci.add_argument("--no-distortion", action="store_true")
     p_ci.add_argument("--fix-skew", action="store_true")
     p_ci.add_argument("--out", type=_Output, required=True)
@@ -655,8 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--taxonomy", type=_Input, default=None)
     p_map.add_argument("--extent", type=_Input, default=None)
     p_map.add_argument("--prior", type=_prior, action="append", metavar="CLASS:W:L")
-    p_map.add_argument("--fps", type=_number("fps", _POSITIVE), default=1.0)
-    p_map.add_argument("--sample-rate", type=_number("sample rate", _POSITIVE), default=None,
+    p_map.add_argument("--fps", type=_number("fps", POSITIVE), default=1.0)
+    p_map.add_argument("--sample-rate", type=_number("sample rate", POSITIVE), default=None,
                        help="map only the first frame of each 1/RATE s window")
     p_map.add_argument("--source", default="")
     p_map.add_argument("--out", type=_Output, required=True)
@@ -665,8 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_den = sub.add_parser("density", help="rasterize observations and merge rasters")
     p_den.add_argument("--observations", type=_Input)
     p_den.add_argument("--extent", type=_Input)
-    p_den.add_argument("--cell", type=_number("cell size", _POSITIVE), help="default 0.25 m")
-    p_den.add_argument("--bandwidth", type=_number("bandwidth", _NON_NEGATIVE),
+    p_den.add_argument("--cell", type=_number("cell size", POSITIVE), help="default 0.25 m")
+    p_den.add_argument("--bandwidth", type=_number("bandwidth", NON_NEGATIVE),
                        help="default: Silverman's rule")
     p_den.add_argument("--classes", default=None, help="comma-separated filter")
     p_den.add_argument("--merge", type=_RasterInput, nargs="+", default=None, metavar="BASE")
@@ -715,16 +697,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic scene")
     p_sim.add_argument("--out-dir", type=_DirOutput, required=True)
-    p_sim.add_argument("--frames", type=int, default=60)
-    p_sim.add_argument("--agents", type=int, default=12)
-    p_sim.add_argument("--cyclists", type=_number("cyclist fraction", _UNIT), default=0.0)
-    p_sim.add_argument("--fps", type=_number("fps", _POSITIVE), default=1.0)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--noise", type=_number("noise", _NON_NEGATIVE), default=0.0,
+    p_sim.add_argument("--frames", type=_number("frames", WHOLE), default=60)
+    p_sim.add_argument("--agents", type=_number("agents", WHOLE), default=12)
+    p_sim.add_argument("--cyclists", type=_number("cyclist fraction", UNIT), default=0.0)
+    p_sim.add_argument("--fps", type=_number("fps", POSITIVE), default=1.0)
+    p_sim.add_argument("--seed", type=_number("seed", NON_NEGATIVE_WHOLE), default=0)
+    p_sim.add_argument("--noise", type=_number("noise", NON_NEGATIVE), default=0.0,
                        help="vertex noise in px")
-    p_sim.add_argument("--miss", type=_number("miss rate", _UNIT), default=0.0,
+    p_sim.add_argument("--miss", type=_number("miss rate", UNIT), default=0.0,
                        help="miss rate in [0,1]")
-    p_sim.add_argument("--confusion", type=_number("confusion rate", _UNIT), default=0.0,
+    p_sim.add_argument("--confusion", type=_number("confusion rate", UNIT), default=0.0,
                        help="class confusion rate in [0,1]")
     p_sim.add_argument("--extent", type=_Input, default=None,
                        help="extent JSON (default 4.5x32 m)")
@@ -734,8 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_split = sub.add_parser("split", help="train/test split by image")
     p_split.add_argument("--annotations", type=_Input, required=True)
-    p_split.add_argument("--fraction", type=_number("train fraction", _OPEN_UNIT), default=0.9)
-    p_split.add_argument("--seed", type=int, default=0)
+    p_split.add_argument("--fraction", type=_number("train fraction", OPEN_UNIT), default=0.9)
+    p_split.add_argument("--seed", type=_number("seed", WHOLE), default=0)
     p_split.add_argument("--stratify", default=None)
     p_split.add_argument("--out-train", type=_Output, required=True)
     p_split.add_argument("--out-test", type=_Output, required=True)

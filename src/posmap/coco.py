@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_json
+from .errors import (NON_NEGATIVE, OPEN_UNIT, UNIT, WHOLE, ConfigError, DataError, read_json,
+                     read_number)
 from .geometry2d import polygons_area, polygons_bounds
 from .taxonomy import Taxonomy, Treatment
 
@@ -120,7 +121,7 @@ class Dataset:
 
 
 def _extract_extra(raw: dict, known: set[str]) -> dict:
-    if raw.keys() <= known:
+    if known.issuperset(raw):  # faster than raw.keys() <= known
         return {}
     return {k: v for k, v in raw.items() if k not in known}
 
@@ -152,71 +153,49 @@ def _check_finite_box(box: tuple[float, float, float, float], what: str, ann_id:
         raise DataError(f"annotation {ann_id} has {what} {box}, not finite")
 
 
-def _check_area(area: float, ann_id: int) -> None:
-    if not (math.isfinite(area) and area >= 0.0):
-        raise DataError(f"annotation {ann_id} has area {area}, not a finite number >= 0")
-
-
-def _whole(v, what: str) -> int:
-    """``v`` as an int. A bool, or a float with a fractional part, is a ``DataError``.
-
-    An integral float reads as its int, and a string as ``int()`` reads it.
-    """
-    if type(v) is int:
-        return v
-    if type(v) is bool or (type(v) is float and not v.is_integer()):
-        raise DataError(f"{what} {v!r} is not a whole number")
-    return int(v)
-
-
 def _parse_annotation(r: dict) -> Annotation:
     """Read the fields of one annotation's JSON record.
 
-    The id, image_id and category_id are whole numbers, and iscrowd is 0 or
-    1. Each polygon part holds x, y pairs of at least 3 vertices, read as
-    floats. A bbox must have 4 values and finite corners (a width that
-    overflows is not finite); a record needs a bbox or a polygon. A given
-    area, or the bbox area of a record without polygon, must be a finite
-    number >= 0. The checks on polygon coordinates wait for
-    :func:`_check_polygons`, which runs once per file: until then a polygon
-    record without a bbox has bbox ``None``, and one without an area has
-    area ``None``. Errors from malformed fields (``KeyError``,
-    ``TypeError``, ``ValueError``, or ``AttributeError`` when the record is
-    not an object) propagate to the caller.
+    The ids are whole numbers, iscrowd 0 or 1 and a score in [0, 1]. Each
+    polygon part holds x, y pairs of at least 3 vertices, read as floats. A
+    bbox must have 4 finite values and finite corners (a width that overflows
+    is not finite); a record needs a bbox or a polygon. A given area, or the
+    bbox area of a record without polygon, must be a finite number >= 0. The
+    checks on polygon coordinates wait for :func:`_check_polygons`, which
+    runs once per file: until then a polygon record without a bbox has bbox
+    ``None``, and one without an area has area ``None``. Errors from
+    malformed fields (``KeyError``, ``OverflowError``, ``TypeError``,
+    ``ValueError``, or ``AttributeError`` when the record is not an object)
+    propagate to the caller.
     """
-    ann_id = _whole(r["id"], "id")
+    ann_id = read_number(r["id"], "id", WHOLE)
     seg = _parse_segmentation(r.get("segmentation"), ann_id)
     score = r.get("score")
     if score is not None:
-        score = float(score)
-        if not 0.0 <= score <= 1.0:
-            raise DataError(f"annotation {ann_id} has score {score} outside [0, 1]")
-    bbox_raw = r.get("bbox")
-    bbox = None
-    if bbox_raw is not None:
-        if len(bbox_raw) != 4:
-            raise DataError(f"annotation {ann_id} has a bbox with {len(bbox_raw)} values")
-        x, y, w, h = bbox_raw
-        bbox = (float(x), float(y), float(w), float(h))
+        score = read_number(score, "score", UNIT)
+    bbox = r.get("bbox")
+    if bbox is not None:
+        if len(bbox) != 4:
+            raise DataError(f"annotation {ann_id} has a bbox with {len(bbox)} values")
+        x, y, w, h = bbox
+        bbox = (read_number(x, "bbox"), read_number(y, "bbox"),
+                read_number(w, "bbox"), read_number(h, "bbox"))
         _check_finite_box(bbox, "bbox", ann_id)
     elif not seg:
         raise DataError(f"annotation {ann_id} has neither bbox nor segmentation")
-    area_raw = r.get("area")
-    area = None
-    if area_raw is not None:
-        area = float(area_raw)
-    elif not seg:
+    area = r.get("area")
+    if area is None and not seg:
         area = bbox[2] * bbox[3]
     if area is not None:
-        _check_area(area, ann_id)
-    iscrowd = _whole(r.get("iscrowd", 0), "iscrowd")
+        area = read_number(area, "area", NON_NEGATIVE)
+    iscrowd = read_number(r.get("iscrowd", 0), "iscrowd", WHOLE)
     if iscrowd not in (0, 1):
         raise DataError(f"annotation {ann_id} has iscrowd {iscrowd}, not 0 or 1")
     # positional, in field order: a dataclass binds keywords at twice the cost
     return Annotation(
         ann_id,
-        _whole(r["image_id"], "image_id"),
-        _whole(r["category_id"], "category_id"),
+        read_number(r["image_id"], "image_id", WHOLE),
+        read_number(r["category_id"], "category_id", WHOLE),
         seg,
         bbox,
         area,
@@ -281,8 +260,7 @@ def _check_polygons(anns: list[Annotation], path: str | Path) -> None:
                     stacklevel=5,
                 )
             if ann.area is None:
-                ann.area = polygons_area(ann.segmentation)
-                _check_area(ann.area, ann.id)
+                ann.area = read_number(polygons_area(ann.segmentation), "area", NON_NEGATIVE)
         except DataError as e:
             raise DataError(f"annotation record {k} in {path}: {e}") from e
 
@@ -290,23 +268,23 @@ def _check_polygons(anns: list[Annotation], path: str | Path) -> None:
 def _parse_image(r: dict) -> ImageRecord:
     """One image record: whole-number id and size of at least 1 x 1 px, finite timestamp."""
     im = ImageRecord(
-        id=_whole(r["id"], "id"),
+        id=read_number(r["id"], "id", WHOLE),
         file_name=str(r["file_name"]),
-        width=_whole(r["width"], "width"),
-        height=_whole(r["height"], "height"),
+        width=read_number(r["width"], "width", WHOLE),
+        height=read_number(r["height"], "height", WHOLE),
         extra=_extract_extra(r, _KNOWN_IMAGE_KEYS),
     )
     if im.width < 1 or im.height < 1:
         raise DataError(f"image {im.id} is {im.width} x {im.height} px, not at least 1 x 1")
     ts = im.extra.get("timestamp")
-    if ts is not None and not (type(ts) is int or (type(ts) is float and math.isfinite(ts))):
-        raise DataError(f"image {im.id} has timestamp {ts!r}, not a finite number")
+    if ts is not None:
+        read_number(ts, "timestamp", quoted=False)
     return im
 
 
 def _parse_category(r: dict) -> Category:
     return Category(
-        id=_whole(r["id"], "id"),
+        id=read_number(r["id"], "id", WHOLE),
         name=str(r["name"]),
         supercategory=str(r.get("supercategory", "")),
         extra=_extract_extra(r, _KNOWN_CAT_KEYS),
@@ -331,7 +309,7 @@ def _parse_records(records: list, parse, kind: str, path: str | Path, check=None
                 item = parse(r)
             except DataError as e:
                 raise DataError(f"{kind} record {i} in {path}: {e}") from e
-            except (AttributeError, KeyError, TypeError, ValueError) as e:
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
                 raise DataError(f"{kind} record {i} in {path} is malformed: {e}") from e
             if item.id in ids:
                 raise DataError(f"{kind} record {i} in {path} has duplicate {kind} id {item.id}")
@@ -508,8 +486,7 @@ def split_dataset(
     """
     if not ds.images:
         raise DataError("cannot split a dataset with no images")
-    if not 0.0 < train_fraction < 1.0:
-        raise DataError(f"train fraction must be in (0, 1), got {train_fraction}")
+    read_number(train_fraction, "train fraction", OPEN_UNIT)
 
     rng = random.Random(seed)
     buckets: dict[object, list[ImageRecord]]
@@ -563,11 +540,8 @@ def filter_for_annotation(
     ``min_area_px``. Both thresholds are inclusive; input order is kept. A
     threshold that is not finite is a ``ConfigError``.
     """
-    if not (math.isfinite(score_threshold) and math.isfinite(min_area_px)):
-        raise ConfigError(
-            f"filter thresholds must be finite, got score {score_threshold} "
-            f"and area {min_area_px}"
-        )
+    read_number(score_threshold, "score threshold", error=ConfigError)
+    read_number(min_area_px, "minimum area", error=ConfigError)
     out = []
     for ann in annotations:
         score = ann.score if ann.score is not None else 1.0

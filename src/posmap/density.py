@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, read_json
+from .errors import (NON_NEGATIVE, NON_NEGATIVE_WHOLE, POSITIVE, ConfigError, DataError,
+                     NumericError, read_json, read_number)
 from .mapping import GroundObservation, MapExtent, extent_from_dict, extent_to_dict
 
 __all__ = [
@@ -90,8 +91,7 @@ class DensityGrid:
 
 
 def grid_shape(extent: MapExtent, cell_size: float) -> tuple[int, int]:
-    if not 0.0 < cell_size < math.inf:
-        raise ConfigError(f"cell size must be finite and positive, got {cell_size}")
+    read_number(cell_size, "cell size", POSITIVE, ConfigError)
     return (
         int(math.ceil(extent.length / cell_size - 1e-12)),
         int(math.ceil(extent.width / cell_size - 1e-12)),
@@ -153,8 +153,7 @@ def kde_raster(
 
     if bandwidth is None:
         bandwidth = silverman_bandwidth(np.column_stack([lx, ly]))
-    if not 0.0 <= bandwidth < math.inf:
-        raise ConfigError(f"bandwidth must be finite and non-negative, got {bandwidth}")
+    read_number(bandwidth, "bandwidth", NON_NEGATIVE, ConfigError)
     h = max(float(bandwidth), cell_size / 2.0)
 
     # each point's window of cells within 5 bandwidths, clipped to the grid
@@ -359,8 +358,8 @@ def load_density(base: str | Path) -> DensityGrid:
     without it has the earlier float cells, each a finite, non-negative
     multiple of :data:`QUANTUM` below 2**23, converted to quanta exactly.
     Any other cell is refused: the exact merge law holds only for these.
-    The header's ``cell_size`` must be a finite positive number,
-    ``bandwidth`` one or null, ``total_count`` a non-negative integer and
+    The header's ``cell_size`` must be a finite number > 0, ``bandwidth``
+    one or null, ``total_count`` a whole number >= 0 (none in quotes) and
     ``classes`` a list of names; the CSV must have the grid's shape.
     """
     paths = density_paths(base)
@@ -372,24 +371,15 @@ def load_density(base: str | Path) -> DensityGrid:
             f"density header {json_path}: quantum {header['quantum']!r} is not 2**-40"
         )
     try:
-        _check_header(header, json_path)
+        fields = _read_header(header, json_path)
         quanta = _read_quanta(csv_path) if integer_cells else _read_float_cells(csv_path)
-        tw = header.get("time_window")
-        grid = DensityGrid(
-            extent=extent_from_dict(header["extent"]),
-            cell_size=float(header["cell_size"]),
-            quanta=quanta,
-            bandwidth=header.get("bandwidth"),
-            total_count=header["total_count"],
-            time_window=(float(tw[0]), float(tw[1])) if tw else None,
-            classes=tuple(header.get("classes", [])),
-        )
     except FileNotFoundError:
         raise DataError(f"density values file {csv_path} not found") from None
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise DataError(f"density raster {base} is malformed: {e}") from e
     except ConfigError as e:
         raise ConfigError(f"density header {json_path}: {e}") from e
+    grid = DensityGrid(quanta=quanta, **fields)
     expected = grid_shape(grid.extent, grid.cell_size)
     if quanta.shape != expected:
         raise DataError(
@@ -404,24 +394,28 @@ def load_density(base: str | Path) -> DensityGrid:
     return grid
 
 
-def _check_header(header: dict, json_path: Path) -> None:
-    """Refuse a header field that would load as some other value."""
-
-    def positive(value) -> bool:
-        return type(value) in (int, float) and 0 < value < math.inf
-
-    def refuse(field: str, want: str) -> DataError:
-        return DataError(f"density header {json_path}: {field} {header[field]!r} is not {want}")
-
-    if not positive(header["cell_size"]):
-        raise refuse("cell_size", "a finite positive number")
-    if header.get("bandwidth") is not None and not positive(header["bandwidth"]):
-        raise refuse("bandwidth", "a finite positive number or null")
-    if not (type(header["total_count"]) is int and header["total_count"] >= 0):
-        raise refuse("total_count", "a non-negative integer")
+def _read_header(header: dict, json_path: Path) -> dict:
+    """The :class:`DensityGrid` fields of a header, each refused where it would load wrong."""
+    bandwidth = header.get("bandwidth")
+    tw = header.get("time_window")
     classes = header.get("classes", [])
-    if not (type(classes) is list and all(type(c) is str for c in classes)):
-        raise refuse("classes", "a list of class names")
+    try:
+        if not (type(classes) is list and all(type(c) is str for c in classes)):
+            raise DataError(f"classes {classes!r} is not a list of class names")
+        return {
+            "extent": extent_from_dict(header["extent"]),
+            "cell_size": read_number(header["cell_size"], "cell_size", POSITIVE, quoted=False),
+            "bandwidth": None if bandwidth is None
+            else read_number(bandwidth, "bandwidth", POSITIVE, quoted=False),
+            "total_count": read_number(
+                header["total_count"], "total_count", NON_NEGATIVE_WHOLE, quoted=False
+            ),
+            "time_window": (read_number(tw[0], "time_window"), read_number(tw[1], "time_window"))
+            if tw else None,
+            "classes": tuple(classes),
+        }
+    except DataError as e:
+        raise DataError(f"density header {json_path}: {e}") from e
 
 
 def _read_quanta(csv_path: Path) -> np.ndarray:

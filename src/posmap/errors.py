@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit, and the one JSON file reader.
+"""Exception hierarchy shared across the toolkit, the one JSON file reader
+and the one number rule.
 
 The three error families map onto the CLI's exit codes: configuration
 problems (bad flags, missing files) exit 2, data problems (malformed or
@@ -9,6 +10,9 @@ failures) exit 4.
 from __future__ import annotations
 
 import json
+import math
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -65,13 +69,63 @@ def read_json(path: str | Path, kind: str, top: type | tuple[type, ...] = dict):
     :class:`DataError` that names the ``kind`` of file and its path.
     """
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_bytes())
     except FileNotFoundError:
         raise DataError(f"{kind} file {path} not found") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or encoding, or an integer of over 4300 digits
         raise DataError(f"{kind} file {path} is not valid JSON: {e}") from e
     if not isinstance(doc, top):
         names = {dict: "object", list: "list"}
         wanted = " or ".join(names[t] for t in (top if isinstance(top, tuple) else (top,)))
         raise DataError(f"{kind} file {path} must be a JSON {wanted}")
     return doc
+
+
+@dataclass(frozen=True, slots=True)
+class Rule:
+    """A ``kind`` (``float`` or ``int``) within ``[low, high]``, as ``text`` states it."""
+
+    text: str
+    kind: type
+    low: float
+    high: float
+
+
+_MAX = sys.float_info.max
+
+FINITE = Rule("a finite number", float, -_MAX, _MAX)
+POSITIVE = Rule("a finite number > 0", float, math.ulp(0.0), _MAX)
+NON_NEGATIVE = Rule("a finite number >= 0", float, 0.0, _MAX)
+UNIT = Rule("a number in [0, 1]", float, 0.0, 1.0)
+OPEN_UNIT = Rule("a number in (0, 1)", float, math.ulp(0.0), math.nextafter(1.0, 0.0))
+WHOLE = Rule("a whole number in [-2**63, 2**63)", int, -(2**63), 2**63 - 1)
+NON_NEGATIVE_WHOLE = Rule("a whole number in [0, 2**63)", int, 0, 2**63 - 1)
+POSITIVE_WHOLE = Rule("a whole number in [1, 2**63)", int, 1, 2**63 - 1)
+
+
+def read_number(value, field: str, rule: Rule = FINITE,
+                error: type[PosmapError] = DataError, quoted: bool = True):
+    """``value``, a decoded JSON value, CSV cell or flag text, as a number under ``rule``.
+
+    A float rule reads an int or a float as a float; a whole rule reads an
+    int, or a float without a fraction, as an int; a string reads as the
+    number it spells unless ``quoted`` is false. Any other value is an
+    ``error`` (``ConfigError`` or ``DataError``) naming ``field``.
+    """
+    if type(value) is rule.kind and rule.low <= value <= rule.high:
+        return value
+    try:
+        if type(value) is str:
+            parsed = rule.kind(value) if quoted else math.nan
+        elif type(value) is bool:
+            parsed = math.nan
+        else:
+            parsed = rule.kind(value)
+            if rule.kind is int and parsed != value:  # int() drops a fraction
+                parsed = math.nan
+    except (OverflowError, TypeError, ValueError):
+        parsed = math.nan
+    # NaN fails both comparisons
+    if rule.low <= parsed <= rule.high:
+        return parsed
+    raise error(f"{field} {value!r} is not {rule.text}")

@@ -19,7 +19,8 @@ from pathlib import Path
 
 from .camera import CameraModel
 from .coco import Annotation
-from .errors import ConfigError, DataError, DegenerateGeometryError, GeometryError, read_json
+from .errors import (POSITIVE, WHOLE, ConfigError, DataError, DegenerateGeometryError,
+                     GeometryError, read_json, read_number)
 from .taxonomy import Treatment
 
 __all__ = [
@@ -219,15 +220,17 @@ def extent_to_dict(extent: MapExtent) -> dict:
 def extent_from_dict(doc: dict) -> MapExtent:
     """Inverse of :func:`extent_to_dict`.
 
-    A missing or non-numeric field raises ``KeyError``, ``IndexError``,
-    ``TypeError`` or ``ValueError``; callers name the file in the error.
-    Values :class:`MapExtent` refuses raise its ``ConfigError``.
+    A missing field raises ``KeyError``, ``IndexError`` or ``TypeError``; a
+    value that is not a finite number, or one :class:`MapExtent` refuses,
+    raises ``ConfigError``. Callers name the file in the error.
     """
+    origin = doc["origin"]
     return MapExtent(
-        origin=(float(doc["origin"][0]), float(doc["origin"][1])),
-        rotation=float(doc["rotation"]),
-        width=float(doc["width"]),
-        length=float(doc["length"]),
+        origin=(read_number(origin[0], "origin", error=ConfigError),
+                read_number(origin[1], "origin", error=ConfigError)),
+        rotation=read_number(doc["rotation"], "rotation", error=ConfigError),
+        width=read_number(doc["width"], "width", error=ConfigError),
+        length=read_number(doc["length"], "length", error=ConfigError),
     )
 
 
@@ -366,8 +369,7 @@ def sample_frames(timestamps: Sequence[float], rate_hz: float) -> list[int]:
     so a later frame cannot take its place. Indices come out in window
     order. A rate that is not finite and positive is a :class:`ConfigError`.
     """
-    if not 0.0 < rate_hz < math.inf:
-        raise ConfigError(f"sample rate must be finite and positive, got {rate_hz}")
+    read_number(rate_hz, "sample rate", POSITIVE, ConfigError)
     first: dict[int, int] = {}
     for index, ts in enumerate(timestamps):
         first.setdefault(math.floor(ts * rate_hz + 1e-9), index)
@@ -421,18 +423,11 @@ def save_observations(path: str | Path, observations: list[GroundObservation]) -
     return len(observations)
 
 
-def _finite(text: str, column: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{column} is {text}, not a finite number")
-    return value
-
-
 def load_observations(path: str | Path) -> list[GroundObservation]:
     """Read observations written by :func:`save_observations`.
 
-    Columns may come in any order; every row must have all of them, and
-    every number must be finite.
+    Columns may come in any order; every row must have all of them. The
+    ids are whole numbers, and every other number must be finite.
     """
     path = Path(path)
     if not path.exists():
@@ -453,28 +448,26 @@ def load_observations(path: str | Path) -> list[GroundObservation]:
             if not row:
                 continue
             try:
-                x = _finite(row[i_x], "x")
-                y = _finite(row[i_y], "y")
-                box = Box3D(
-                    yaw=_finite(row[i_yaw], "yaw"),
-                    width=_finite(row[i_width], "width"),
-                    length=_finite(row[i_length], "length"),
-                    height=_finite(row[i_height], "height"),
-                )
+                # positional, in field order: a dataclass binds keywords at twice the cost
                 out.append(
                     GroundObservation(
-                        class_name=row[i_class],
-                        x=x,
-                        y=y,
-                        box=box,
-                        annotation_id=int(row[i_ann]),
-                        image_id=int(row[i_image]),
-                        timestamp=_finite(row[i_ts], "timestamp") if row[i_ts] else None,
-                        source=row[i_source],
-                        score=_finite(row[i_score], "score") if row[i_score] else None,
+                        row[i_class],
+                        read_number(row[i_x], "x"),
+                        read_number(row[i_y], "y"),
+                        Box3D(
+                            read_number(row[i_yaw], "yaw"),
+                            read_number(row[i_width], "width"),
+                            read_number(row[i_length], "length"),
+                            read_number(row[i_height], "height"),
+                        ),
+                        read_number(row[i_ann], "annotation_id", WHOLE),
+                        read_number(row[i_image], "image_id", WHOLE),
+                        read_number(row[i_ts], "timestamp") if row[i_ts] else None,
+                        row[i_source],
+                        read_number(row[i_score], "score") if row[i_score] else None,
                     )
                 )
-            except (IndexError, ValueError) as e:
+            except (DataError, IndexError) as e:
                 raise DataError(
                     f"{path}:{reader.line_num}: bad observation row: {e}"
                 ) from e

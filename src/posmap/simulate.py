@@ -31,7 +31,8 @@ import numpy as np
 
 from .camera import CameraModel, Distortion, Intrinsics, Pose, matrix_to_axis_angle
 from .coco import Annotation, Category, Dataset, ImageRecord
-from .errors import BehindCameraError, ConfigError
+from .errors import (FINITE, NON_NEGATIVE, NON_NEGATIVE_WHOLE, POSITIVE, POSITIVE_WHOLE, UNIT,
+                     BehindCameraError, ConfigError, read_number)
 from .geometry2d import as_flat, clip_to_rect, convex_hull, polygon_area, polygons_bounds
 from .mapping import Box3D, GroundObservation, MapExtent
 from .taxonomy import default_taxonomy
@@ -76,20 +77,17 @@ class SimConfig:
     attractor: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_agents < 1:
-            raise ConfigError("need at least one agent")
-        if not 0.0 <= self.cyclist_fraction <= 1.0:
-            raise ConfigError("cyclist fraction must be within [0, 1]")
-        if self.fps <= 0:
-            raise ConfigError("fps must be positive")
-        if self.noise_px < 0 or not 0.0 <= self.miss_rate <= 1.0:
-            raise ConfigError("invalid noise configuration")
-        if not 0.0 <= self.confusion_rate <= 1.0:
-            raise ConfigError("confusion rate must be within [0, 1]")
-        if not (math.isfinite(self.fps) and math.isfinite(self.noise_px)):
-            raise ConfigError("fps and noise must be finite")
-        if self.attractor is not None and not all(map(math.isfinite, self.attractor)):
-            raise ConfigError("attractor must be finite")
+        for value, name, rule in (
+            (self.n_agents, "n_agents", POSITIVE_WHOLE),
+            (self.seed, "seed", NON_NEGATIVE_WHOLE),
+            (self.cyclist_fraction, "cyclist_fraction", UNIT),
+            (self.fps, "fps", POSITIVE),
+            (self.noise_px, "noise_px", NON_NEGATIVE),
+            (self.miss_rate, "miss_rate", UNIT),
+            (self.confusion_rate, "confusion_rate", UNIT),
+            *((v, "attractor", FINITE) for v in self.attractor or ()),
+        ):
+            read_number(value, name, rule, ConfigError)
 
 
 @dataclass(frozen=True)

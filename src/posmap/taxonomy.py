@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, DataError, read_json
+from .errors import WHOLE, ConfigError, DataError, read_json, read_number
 
 __all__ = [
     "ClassDef",
@@ -195,7 +195,8 @@ def load_taxonomy(path: str | Path) -> tuple[Taxonomy, dict[str, Treatment]]:
     try:
         tax = Taxonomy(
             tuple(
-                ClassDef(int(c["id"]), str(c["name"]), str(c["supercategory"]))
+                ClassDef(read_number(c["id"], "id", WHOLE), str(c["name"]),
+                         str(c["supercategory"]))
                 for c in doc["classes"]
             )
         )
@@ -205,6 +206,6 @@ def load_taxonomy(path: str | Path) -> tuple[Taxonomy, dict[str, Treatment]]:
         }
     except KeyError as e:
         raise DataError(f"taxonomy file {path} is missing field {e}") from e
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, DataError, TypeError, ValueError) as e:
         raise DataError(f"taxonomy file {path} is malformed: {e}") from e
     return tax, treatments

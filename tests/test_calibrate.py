@@ -255,6 +255,12 @@ def test_load_correspondences_errors(tmp_path):
     with pytest.raises(DataError, match=":3"):
         load_correspondences(bad_num)
 
+    # the reader skips line 3, which is blank: the bad cell is on line 4
+    after_blank = tmp_path / "d.csv"
+    after_blank.write_text("X,Y,Z,u,v\n1,2,0,3,4\n\n1,2,0,nan,4\n")
+    with pytest.raises(DataError, match=f"{after_blank}:4: bad number: u 'nan'"):
+        load_correspondences(after_blank)
+
     empty = tmp_path / "c.csv"
     empty.write_text("X,Y,Z,u,v\n")
     with pytest.raises(DataError, match="no data"):
@@ -284,6 +290,13 @@ def test_load_planar_views_errors(tmp_path):
     malformed.write_text('[{"plane": [[0,0]]}]')
     with pytest.raises(DataError, match="view 0"):
         load_planar_views(malformed)
+
+    # read with np.asarray(..., dtype=float), true was the coordinate 1.0
+    for bad, named in ((True, "True"), (10**400, str(10**400)), (float("nan"), "nan")):
+        coords = tmp_path / "b.json"
+        coords.write_text(json.dumps([{"plane": [[0, bad]], "pixels": [[1, 2]]}]))
+        with pytest.raises(DataError, match=f"view 0 in {coords} is malformed: plane {named} is"):
+            load_planar_views(coords)
 
     not_json = tmp_path / "n.json"
     not_json.write_text("outdoor scenes")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from posmap.camera import (
     Pose,
     axis_angle_to_matrix,
     load_camera,
+    load_intrinsics,
     matrix_to_axis_angle,
     rotate_point_jacobian,
     save_camera,
+    save_intrinsics,
     undistort_pixel,
 )
 from posmap.errors import (
@@ -425,6 +429,35 @@ def test_load_rejects_non_object_json(tmp_path):
     path = tmp_path / "cam.json"
     path.write_text("[]")
     with pytest.raises(DataError, match="JSON object"):
+        load_camera(path)
+
+
+@pytest.mark.parametrize("size", [[0, 1080], [1920, -5], [1920.5, 1080], [True, 1080],
+                                  pytest.param([10**400, 1080], id="10**400")])
+def test_load_intrinsics_refuses_an_image_size_that_is_not_a_whole_number_above_0(
+        camera, tmp_path, size):
+    # read with int(), these loaded as (0, 1080), (1920, -5), (1920, 1080), ...
+    path = tmp_path / "intr.json"
+    save_intrinsics(path, camera.intrinsics, camera.distortion, camera.image_size, 0.1)
+    doc = json.loads(path.read_text())
+    doc["image_size"] = size
+    path.write_text(json.dumps(doc))
+    bad = next(v for v in size if not (type(v) is int and 0 < v < 2**63))
+    named = f"intrinsics file {path}: image_size {bad!r} is not a whole number in [1, 2**63)"
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_intrinsics(path)
+
+
+@pytest.mark.parametrize("section, key", [("intrinsics", "fx"), ("distortion", "k1"),
+                                          ("pose", "t")])
+def test_load_camera_refuses_a_bool_where_a_number_belongs(camera, tmp_path, section, key):
+    # read with float(), true loaded as 1.0: a 1 px focal length, or a lens or pose term of 1
+    path = tmp_path / "cam.json"
+    save_camera(path, camera)
+    doc = json.loads(path.read_text())
+    doc[section][key] = [True, 0.0, 8.0] if key == "t" else True
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"camera file {path}: {key} True is not a finite"):
         load_camera(path)
 
 

@@ -785,6 +785,17 @@ MANIFEST_CASES = {
 }
 
 
+@pytest.mark.parametrize("size", [["0", "-5"], ["1920.5", "1080"], ["1920", str(2**63)]])
+def test_calibrate_intrinsics_refuses_an_image_size_that_is_not_a_whole_number_above_0(
+        inputs, tmp_path, capsys, size):
+    # read with type=int, 0 x -5 was written to the intrinsics file and read back
+    out = tmp_path / "intr.json"
+    assert main(["calibrate", "intrinsics", "--views", str(inputs / "views.json"),
+                 "--image-size", *size, "--out", str(out)]) == 2
+    assert "is not a whole number in [1, 2**63)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -871,7 +882,7 @@ def _camera(ws, tmp, **pose) -> str:
 
 
 _NAN_T = {"t": [math.nan, 0.0, 8.0]}
-_BAD_POSE = "camera file {tmp}/camera.json: pose must be finite"
+_BAD_POSE = "camera file {tmp}/camera.json: t nan is not a finite number"
 
 
 def _pose_less_camera(ws, tmp, **intrinsics) -> str:
@@ -893,7 +904,7 @@ CONFIG_ERRORS = {
         "extent file {tmp}/extent.json: " + _BAD_SIZE),
     "density-nan-width": (
         lambda ws, tmp: _density_argv(tmp, "--extent", _extent(ws, tmp, width=math.nan)),
-        "extent file {tmp}/extent.json: " + _BAD_SIZE),
+        "extent file {tmp}/extent.json: width nan is not a finite number"),
     "map-negative-width": (
         lambda ws, tmp: _map_argv(ws, "--extent", _extent(ws, tmp, width=-4.5),
                                   "--out", str(tmp / "obs.csv")),
@@ -901,31 +912,31 @@ CONFIG_ERRORS = {
     "map-infinite-rotation": (
         lambda ws, tmp: _map_argv(ws, "--extent", _extent(ws, tmp, rotation=math.inf),
                                   "--out", str(tmp / "obs.csv")),
-        "extent file {tmp}/extent.json: extent origin and rotation must be finite"),
+        "extent file {tmp}/extent.json: rotation inf is not a finite number"),
     "merge-header-negative-width": (
         lambda ws, tmp: _merge_with_header_extent(tmp, width=-4.5),
         "density header {tmp}/b.json: " + _BAD_SIZE),
     "map-nan-sample-rate": (
         lambda ws, tmp: _map_argv(ws, "--sample-rate", "nan", "--out", str(tmp / "obs.csv")),
-        "sample rate must be finite and positive, got nan"),
+        "sample rate 'nan' is not a finite number > 0"),
     "map-infinite-sample-rate": (
         lambda ws, tmp: _map_argv(ws, "--sample-rate", "inf", "--out", str(tmp / "obs.csv")),
-        "sample rate must be finite and positive, got inf"),
+        "sample rate 'inf' is not a finite number > 0"),
     "map-nan-fps": (
         lambda ws, tmp: _map_argv(ws, "--fps", "nan", "--out", str(tmp / "obs.csv")),
-        "fps must be finite and positive, got nan"),
+        "fps 'nan' is not a finite number > 0"),
     "density-nan-cell": (
         lambda ws, tmp: _density_argv(tmp, "--extent", str(_sim(ws) / "extent.json"),
                                       "--cell", "nan"),
-        "cell size must be finite and positive, got nan"),
+        "cell size 'nan' is not a finite number > 0"),
     "density-infinite-cell": (
         lambda ws, tmp: _density_argv(tmp, "--extent", str(_sim(ws) / "extent.json"),
                                       "--cell", "inf"),
-        "cell size must be finite and positive, got inf"),
+        "cell size 'inf' is not a finite number > 0"),
     "map-nan-prior": (
         lambda ws, tmp: _map_argv(ws, "--prior", "pedestrian:nan:0.6",
                                   "--out", str(tmp / "obs.csv")),
-        "prior 'pedestrian:nan:0.6' size must be finite, got nan"),
+        "prior 'pedestrian:nan:0.6' size 'nan' is not a finite number"),
     "map-negative-prior": (
         lambda ws, tmp: _map_argv(ws, "--prior", "pedestrian:-1:0.6",
                                   "--out", str(tmp / "obs.csv")),
@@ -966,12 +977,32 @@ CONFIG_ERRORS = {
     "project-infinite-axis-angle": (
         lambda ws, tmp: ["project", "--camera", _camera(ws, tmp, axis_angle=[math.inf, 0, 0]),
                          "--world", "1", "10", "0"],
-        _BAD_POSE),
+        "camera file {tmp}/camera.json: axis_angle inf is not a finite number"),
     "extrinsics-nan-fx": (
         lambda ws, tmp: ["calibrate", "extrinsics",
                          "--intrinsics", _pose_less_camera(ws, tmp, fx=math.nan),
                          "--points", str(tmp / "points.csv"), "--out", str(tmp / "cam.json")],
-        "intrinsics file {tmp}/intr.json: intrinsics must be finite"),
+        "intrinsics file {tmp}/intr.json: fx nan is not a finite number"),
+    # a number too large for a float is refused as a non-finite one is
+    "density-overflowing-width": (
+        lambda ws, tmp: _density_argv(tmp, "--extent", _extent(ws, tmp, width=10**400)),
+        f"extent file {{tmp}}/extent.json: width {10**400} is not a finite number"),
+    "project-overflowing-pose": (
+        lambda ws, tmp: ["project", "--camera", _camera(ws, tmp, t=[10**400, 0.0, 8.0]),
+                         "--pixel", "960", "700"],
+        f"camera file {{tmp}}/camera.json: t {10**400} is not a finite number"),
+    "extrinsics-overflowing-fx": (
+        lambda ws, tmp: ["calibrate", "extrinsics",
+                         "--intrinsics", _pose_less_camera(ws, tmp, fx=10**400),
+                         "--points", str(tmp / "points.csv"), "--out", str(tmp / "cam.json")],
+        f"intrinsics file {{tmp}}/intr.json: fx {10**400} is not a finite number"),
+    # numpy's seed sequence takes no negative seed: a traceback before
+    "simulate-negative-seed": (
+        lambda ws, tmp: ["simulate", "--seed", "-1", "--out-dir", str(tmp / "sim")],
+        "seed '-1' is not a whole number in [0, 2**63)"),
+    "simulate-fractional-frames": (
+        lambda ws, tmp: ["simulate", "--frames", "2.5", "--out-dir", str(tmp / "sim")],
+        "frames '2.5' is not a whole number"),
     "eval-taxonomy-without-treatment": (
         lambda ws, tmp: ["eval", "--gt", str(_sim(ws) / "gt.json"),
                          "--detections", str(_sim(ws) / "detections.json"),
@@ -1008,7 +1039,7 @@ def test_bad_fps_exits_2(workspace, tmp_path, capsys, fps):
          "--annotations", str(sim / "gt.json"), f"--fps={fps}", "--out", str(out)]
     )
     assert rc == 2
-    assert "fps must be finite and positive" in capsys.readouterr().err
+    assert f"fps '{fps}' is not a finite number > 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1048,7 +1079,7 @@ def test_float_flags_are_found():
     ids=[f"{'-'.join(c)}{a.option_strings[0]}" for c, a in FLOAT_FLAGS],
 )
 def test_non_finite_float_flag_exits_2(tmp_path, capsys, command, action, value):
-    with pytest.raises(ConfigError, match="must be"):
+    with pytest.raises(ConfigError, match=f"'{value}' is not a"):
         action.type(value)
     sub = build_parser()
     for name in command:

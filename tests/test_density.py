@@ -358,7 +358,7 @@ def test_grid_shape(extent):
     assert grid_shape(extent, 0.5) == (64, 9)
     assert grid_shape(extent, 1.0) == (32, 5)  # width 4.5 rounds up
     for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="finite and positive"):
+        with pytest.raises(ConfigError, match="is not a finite number > 0"):
             grid_shape(extent, bad)
 
 
@@ -418,7 +418,9 @@ def test_density_load_errors(extent, tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("total_count", 3.7), ("total_count", -5), ("total_count", "3"),
+    pytest.param("total_count", 10**400, id="total_count-10**400"),
     ("bandwidth", "abc"), ("bandwidth", -1.0), ("bandwidth", math.inf),
+    pytest.param("bandwidth", 10**400, id="bandwidth-10**400"),
     ("classes", "ped"), ("classes", [1]),
     ("cell_size", math.nan), ("cell_size", -0.5), ("cell_size", True),
 ])
@@ -430,6 +432,18 @@ def test_header_fields_that_would_load_as_other_values_are_refused(
     header[field] = value
     paths["json"].write_text(json.dumps(header))  # json writes and reads NaN
     with pytest.raises(DataError, match=re.escape(f"{paths['json']}: {field} {value!r}")):
+        load_density(tmp_path / "r")
+
+
+@pytest.mark.parametrize("bad", [math.nan, True, pytest.param(10**400, id="10**400")])
+def test_a_time_window_that_is_not_two_finite_numbers_is_refused(extent, tmp_path, bad):
+    # read with float(), NaN loaded and spread to every merge, and true was the time 1.0
+    paths = save_density(tmp_path / "r", kde_raster(_scatter(extent, 5), extent, 0.5))
+    header = json.loads(paths["json"].read_text())
+    header["time_window"] = [0.0, bad]
+    paths["json"].write_text(json.dumps(header))
+    named = f"density header {paths['json']}: time_window {bad!r} is not a finite number"
+    with pytest.raises(DataError, match=re.escape(named)):
         load_density(tmp_path / "r")
 
 

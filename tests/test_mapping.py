@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -289,7 +290,7 @@ def test_sample_frames_returns_window_order():
 
 def test_sample_frames_refuses_bad_rates():
     for rate in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="sample rate must be finite and positive"):
+        with pytest.raises(ConfigError, match=r"sample rate .* is not a finite number > 0"):
             sample_frames([0.0, 1.0], rate)
 
 
@@ -366,7 +367,22 @@ def test_observation_csv_refuses_non_finite_numbers(tmp_path, column, value):
     row[header.index(column)] = value
     path = tmp_path / "obs.csv"
     path.write_text(_OBS_HEADER + _OBS_ROW + ",".join(row) + "\n")
-    with pytest.raises(DataError, match=rf"obs\.csv:3: bad observation row: {column} is {value}"):
+    named = f"obs.csv:3: bad observation row: {column} '{value}' is not a finite number"
+    with pytest.raises(DataError, match=re.escape(named)):
+        load_observations(path)
+
+
+@pytest.mark.parametrize("value", ["7.5", pytest.param(str(10**400), id="10**400")])
+@pytest.mark.parametrize("column", ["image_id", "annotation_id"])
+def test_observation_csv_refuses_an_id_that_is_not_a_whole_number_in_int64(
+        tmp_path, column, value):
+    header = _OBS_HEADER.strip().split(",")
+    row = _OBS_ROW.strip().split(",")
+    row[header.index(column)] = value
+    path = tmp_path / "obs.csv"
+    path.write_text(_OBS_HEADER + ",".join(row) + "\n")
+    named = f"obs.csv:2: bad observation row: {column} '{value}' is not a whole number"
+    with pytest.raises(DataError, match=re.escape(named)):
         load_observations(path)
 
 

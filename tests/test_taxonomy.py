@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -127,6 +129,19 @@ def test_taxonomy_round_trip(tmp_path):
     assert set(treatments2) == set(TREATMENTS)
     for name in TREATMENTS:
         assert treatments2[name].mapping == TREATMENTS[name].mapping
+
+
+@pytest.mark.parametrize("value", [1.9, True, pytest.param(10**400, id="10**400"), "x"])
+def test_load_taxonomy_refuses_a_class_id_that_is_not_a_whole_number(tmp_path, value):
+    # read with int(), id 1.9 loaded as class 1 and true as class 1
+    path = tmp_path / "taxonomy.json"
+    save_taxonomy(path, TAX)
+    doc = json.loads(path.read_text())
+    doc["classes"][1]["id"] = value
+    path.write_text(json.dumps(doc))
+    named = f"taxonomy file {path} is malformed: id {value!r} is not a whole number"
+    with pytest.raises(DataError, match=named):
+        load_taxonomy(path)
 
 
 def test_load_taxonomy_rejects_bad_json(tmp_path):
