@@ -30,7 +30,8 @@ from .camera import (
     project_points,
     undistort_pixel,
 )
-from .errors import DataError, DegenerateGeometryError, UndistortionError, read_json, read_number
+from .errors import (DataError, DegenerateGeometryError, UndistortionError, read_json, read_number,
+                     reading)
 from .lm import levenberg_marquardt
 
 __all__ = [
@@ -425,9 +426,7 @@ def _zhang_closed_form(homographies: list[np.ndarray]) -> Intrinsics:
 def load_correspondences(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a reference-point CSV with header X,Y,Z,u,v (metres / pixels)."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"correspondence file {path} not found")
-    with path.open(newline="") as fh:
+    with reading("correspondence", path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"X", "Y", "Z", "u", "v"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):

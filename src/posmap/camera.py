@@ -32,11 +32,11 @@ from .errors import (
     POSITIVE_WHOLE,
     BehindCameraError,
     ConfigError,
-    DataError,
     NoGroundIntersectionError,
     UndistortionError,
     read_json,
     read_number,
+    reading,
 )
 
 __all__ = [
@@ -532,12 +532,12 @@ def save_camera(path: str | Path, camera: CameraModel) -> None:
         "axis_angle": [float(v) for v in camera.pose.rvec],
         "t": [float(v) for v in camera.pose.t],
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_camera(path: str | Path) -> CameraModel:
     doc = _read_json(path, "camera")
-    try:
+    with reading("camera", path, ConfigError):
         intrinsics, distortion, image_size = _lens_from_dict(doc)
         pose = doc["pose"]
         return CameraModel(
@@ -550,10 +550,6 @@ def load_camera(path: str | Path) -> CameraModel:
             ),
             image_size=image_size,
         )
-    except (KeyError, IndexError, TypeError, ValueError) as e:
-        raise DataError(f"camera file {path} is malformed: {e}") from e
-    except ConfigError as e:
-        raise ConfigError(f"camera file {path}: {e}") from e
 
 
 def save_intrinsics(
@@ -566,15 +562,10 @@ def save_intrinsics(
     """Write a camera file without a pose, as ``calibrate intrinsics`` produces."""
     doc = _lens_to_dict(intrinsics, distortion, image_size)
     doc["rms_px"] = rms_px
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_intrinsics(path: str | Path) -> tuple[Intrinsics, Distortion, tuple[int, int]]:
     """Read the lens part of a camera file, which may or may not have a pose yet."""
-    doc = _read_json(path, "intrinsics")
-    try:
-        return _lens_from_dict(doc)
-    except (KeyError, IndexError, TypeError, ValueError) as e:
-        raise DataError(f"intrinsics file {path} is malformed: {e}") from e
-    except ConfigError as e:
-        raise ConfigError(f"intrinsics file {path}: {e}") from e
+    with reading("intrinsics", path, ConfigError):
+        return _lens_from_dict(_read_json(path, "intrinsics"))

@@ -9,8 +9,8 @@ paths written, library versions, and wall time — enough to reproduce or
 audit a run. Each ``cmd_*`` only reads, computes, writes and returns the
 paths it wrote. ``main`` refuses an output that would overwrite a declared
 input, another output or the manifest; number flags obey ``read_number``.
-Exit codes: 2 for configuration problems, 3 for bad data, 4 for
-numeric/geometry failures.
+Exit codes: 2 for configuration problems and unwritable outputs, 3 for bad
+data, 4 for numeric/geometry failures.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from .coco import (
 )
 from .density import density_paths, kde_raster, load_density, merge_rasters, save_density
 from .errors import (FINITE, NON_NEGATIVE, NON_NEGATIVE_WHOLE, OPEN_UNIT, POSITIVE,
-                     POSITIVE_WHOLE, UNIT, WHOLE, ConfigError, PosmapError, Rule, read_number)
+                     POSITIVE_WHOLE, UNIT, WHOLE, ConfigError, PosmapError, Rule, read_number,
+                     reading)
 from .evaluation import (
     Scores,
     dataset_stats,
@@ -158,7 +159,7 @@ def _refuse_overwrites(inputs: list[_Input], outputs: list[_Output]) -> None:
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
-    with path.open("rb") as fh:
+    with reading("input", path), path.open("rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
@@ -187,7 +188,7 @@ def _write_manifest(
     }
     if "seed" in resolved:
         manifest["seed"] = resolved["seed"]
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def _number(name: str, rule: Rule = FINITE):
@@ -363,9 +364,11 @@ def cmd_density(args: argparse.Namespace) -> list[Path]:
             raise ConfigError("density needs --observations and --extent, or --merge")
     elif args.extent is None:
         raise ConfigError("--observations needs --extent")
+    classes = None if args.classes is None else tuple(args.classes.split(","))
+    if classes is not None and "" in classes:
+        raise ConfigError(f"--classes {args.classes!r} names an empty class")
     grids = [load_density(base) for base in args.merge or []]
     if args.observations is not None:
-        classes = tuple(args.classes.split(",")) if args.classes else None
         grid = kde_raster(load_observations(args.observations), load_extent(args.extent),
                           args.cell or 0.25, bandwidth=args.bandwidth, classes=classes)
         grids.append(grid)
@@ -418,7 +421,7 @@ def cmd_eval(args: argparse.Namespace) -> list[Path]:
                 continue
             for r, p in zip(curve.recall, curve.precision):
                 lines.append(f"{names[cat_id]},{r!r},{p!r}")
-        pr_path.write_text("\n".join(lines) + "\n")
+        pr_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         outputs.append(pr_path)
     if args.out:
         out = Path(args.out)
@@ -431,7 +434,7 @@ def cmd_eval(args: argparse.Namespace) -> list[Path]:
             "map_overall": result.mean.ap,
             "iou_mode": args.iou_mode,
         }
-        out.write_text(json.dumps(doc, indent=2) + "\n")
+        out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         outputs.append(out)
     return outputs
 
@@ -460,7 +463,7 @@ def cmd_diagnose(args: argparse.Namespace) -> list[Path]:
             "mean": dataclasses.asdict(result.mean) if result.mean else None,
             "iou_mode": args.iou_mode,
         }
-        out.write_text(json.dumps(doc, indent=2) + "\n")
+        out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         return [out]
     return []
 
@@ -502,7 +505,7 @@ def cmd_stats(args: argparse.Namespace) -> list[Path]:
         print(f"{tag:>14s}  {counts}")
     if args.out:
         doc = {"per_class": rows, "conditions": stats.condition_tallies}
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         return [Path(args.out)]
     return []
 
@@ -731,9 +734,10 @@ def main(argv: list[str] | None = None) -> int:
 
     Inputs are hashed before the command runs, since an output may replace
     one (``density --merge A B --out A``); any other output that would
-    overwrite an input is refused. A declared input that does not exist is
-    left to its loader, whose ``DataError`` names it. A refused command
-    leaves behind no directory this run created, unless it wrote there.
+    overwrite an input is refused. A declared input that is not a file is left
+    to its loader, whose ``DataError`` names it; an unwritable output is a
+    ``ConfigError``. A refused command leaves behind no directory this run
+    created, unless it wrote there.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -752,16 +756,18 @@ def main(argv: list[str] | None = None) -> int:
             if p.is_file()
         }
         made = {d for out in outputs for d in out.manifest().parents if not d.exists()}
-        for out in outputs:
-            out.manifest().parent.mkdir(parents=True, exist_ok=True)
         try:
+            for out in outputs:
+                out.manifest().parent.mkdir(parents=True, exist_ok=True)
             written = args.func(args)
-        except PosmapError:
+            _write_manifest(outputs[0].manifest(), list(argv), args, inputs, written, t0)
+        except (OSError, PosmapError) as e:
             for directory in sorted(made, key=lambda d: len(d.parts), reverse=True):
-                if not any(directory.iterdir()):
+                if directory.is_dir() and not any(directory.iterdir()):
                     directory.rmdir()
+            if isinstance(e, OSError):  # every read fault is a DataError by now
+                raise ConfigError(f"cannot write {e.filename or 'an output'}: {e.strerror}") from e
             raise
-        _write_manifest(outputs[0].manifest(), list(argv), args, inputs, written, t0)
         return 0
     except PosmapError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (NON_NEGATIVE, OPEN_UNIT, UNIT, WHOLE, ConfigError, DataError, read_json,
-                     read_number)
+                     read_number, reading)
 from .geometry2d import polygons_area, polygons_bounds
 from .taxonomy import Taxonomy, Treatment
 
@@ -137,6 +137,9 @@ def _parse_segmentation(raw, ann_id: int) -> list[list[float]]:
     polys: list[list[float]] = []
     for part in raw:
         coords = list(map(float, part))
+        if bool in map(type, part):  # float() reads true and false as 1.0 and 0.0
+            raise DataError(f"annotation {ann_id}: polygon has a coordinate true or false, "
+                            "not a number")
         if len(coords) < 6 or len(coords) % 2 != 0:
             raise DataError(
                 f"annotation {ann_id}: degenerate polygon with {len(coords)} "
@@ -346,7 +349,7 @@ def load_dataset(path: str | Path) -> Dataset:
     float checks of the polygons run once for the file, on one array of
     every coordinate (:func:`_check_polygons`).
     """
-    with _gc_paused():
+    with _gc_paused(), reading("annotation", path):
         return _dataset_from_doc(read_json(path, "annotation"), path)
 
 
@@ -424,7 +427,7 @@ def save_dataset(path: str | Path, ds: Dataset) -> None:
         ],
         **ds.extra,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_detections(path: str | Path) -> list[Annotation]:
@@ -438,7 +441,7 @@ def load_detections(path: str | Path) -> list[Annotation]:
     ride along in ``extra``. Records are checked as :func:`load_dataset`
     checks them.
     """
-    with _gc_paused():
+    with _gc_paused(), reading("detection", path):
         doc = read_json(path, "detection", (dict, list))
         if isinstance(doc, dict):
             dets = _dataset_from_doc(doc, path).annotations
@@ -463,7 +466,8 @@ def save_detections(path: str | Path, detections: list[Annotation]) -> None:
     set, then ``extra``), so :func:`load_detections` reads back equal
     annotations when the ids are unique.
     """
-    Path(path).write_text(json.dumps([_annotation_row(ann) for ann in detections]) + "\n")
+    rows = [_annotation_row(ann) for ann in detections]
+    Path(path).write_text(json.dumps(rows) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +685,7 @@ def export_labelme(ds: Dataset, out_dir: str | Path) -> list[Path]:
             "imageWidth": image.width,
         }
         out_path = out_dir / (Path(image.file_name).stem + ".json")
-        out_path.write_text(json.dumps(doc, indent=2) + "\n")
+        out_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         written.append(out_path)
     return written
 
@@ -716,7 +720,7 @@ def import_labelme(
     for image_id, p in enumerate(sorted(Path(q) for q in paths), start=1):
         doc = read_json(p, "polygon")
         grouped: dict[tuple[str, object], dict] = {}
-        try:
+        with reading("polygon", p):
             image = {"id": image_id, "file_name": doc["imagePath"],
                      "width": doc["imageWidth"], "height": doc["imageHeight"]}
             for shape_no, shape in enumerate(doc["shapes"]):
@@ -735,10 +739,6 @@ def import_labelme(
                 grouped[key]["segmentation"].append(
                     [v for x, y in shape["points"] for v in (x, y)]
                 )
-        except DataError as e:
-            raise DataError(f"polygon file {p}: {e}") from e
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise DataError(f"polygon file {p} is malformed: {e}") from e
         one = _dataset_from_doc(
             {"images": [image], "annotations": list(grouped.values()), "categories": cat_records},
             p,

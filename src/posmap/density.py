@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (NON_NEGATIVE, NON_NEGATIVE_WHOLE, POSITIVE, ConfigError, DataError,
-                     NumericError, read_json, read_number)
+                     NumericError, read_json, read_number, reading)
 from .mapping import GroundObservation, MapExtent, extent_from_dict, extent_to_dict
 
 __all__ = [
@@ -323,7 +323,7 @@ def save_density(base: str | Path, grid: DensityGrid) -> dict[str, Path]:
     csv_path.parent.mkdir(parents=True, exist_ok=True)
 
     lines = [",".join(map(str, row)) for row in grid.quanta.tolist()]
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     header = {
         "extent": extent_to_dict(grid.extent),
@@ -335,7 +335,7 @@ def save_density(base: str | Path, grid: DensityGrid) -> dict[str, Path]:
         "shape": list(grid.shape),
         "quantum": QUANTUM,
     }
-    json_path.write_text(json.dumps(header, indent=2) + "\n")
+    json_path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
 
     values = grid.values
     vmax = float(values.max()) if values.size else 0.0
@@ -346,7 +346,7 @@ def save_density(base: str | Path, grid: DensityGrid) -> dict[str, Path]:
     ny, nx = values.shape
     pgm_lines = ["P2", f"{nx} {ny}", "255"]
     pgm_lines += [" ".join([_GRAY_LEVELS[v] for v in row]) for row in img.tolist()]
-    pgm_path.write_text("\n".join(pgm_lines) + "\n")
+    pgm_path.write_text("\n".join(pgm_lines) + "\n", encoding="utf-8")
     return paths
 
 
@@ -365,21 +365,17 @@ def load_density(base: str | Path) -> DensityGrid:
     paths = density_paths(base)
     json_path, csv_path = paths["json"], paths["csv"]
     header = read_json(json_path, "density header")
-    integer_cells = "quantum" in header
-    if integer_cells and header["quantum"] != QUANTUM:
-        raise DataError(
-            f"density header {json_path}: quantum {header['quantum']!r} is not 2**-40"
-        )
-    try:
-        fields = _read_header(header, json_path)
+    # a raster header's extent is configuration, as an extent file is
+    with reading("density header", json_path, ConfigError):
+        extent = extent_from_dict(header["extent"])
+    with reading("density header", json_path):
+        integer_cells = "quantum" in header
+        if integer_cells and header["quantum"] != QUANTUM:
+            raise DataError(f"quantum {header['quantum']!r} is not 2**-40")
+        fields = _read_header(header)
+    with reading("density values", csv_path):
         quanta = _read_quanta(csv_path) if integer_cells else _read_float_cells(csv_path)
-    except FileNotFoundError:
-        raise DataError(f"density values file {csv_path} not found") from None
-    except (KeyError, IndexError, TypeError, ValueError) as e:
-        raise DataError(f"density raster {base} is malformed: {e}") from e
-    except ConfigError as e:
-        raise ConfigError(f"density header {json_path}: {e}") from e
-    grid = DensityGrid(quanta=quanta, **fields)
+    grid = DensityGrid(quanta=quanta, extent=extent, **fields)
     expected = grid_shape(grid.extent, grid.cell_size)
     if quanta.shape != expected:
         raise DataError(
@@ -394,42 +390,34 @@ def load_density(base: str | Path) -> DensityGrid:
     return grid
 
 
-def _read_header(header: dict, json_path: Path) -> dict:
-    """The :class:`DensityGrid` fields of a header, each refused where it would load wrong."""
+def _read_header(header: dict) -> dict:
+    """The :class:`DensityGrid` fields of a header but its extent, each refused where wrong."""
     bandwidth = header.get("bandwidth")
     tw = header.get("time_window")
     classes = header.get("classes", [])
-    try:
-        if not (type(classes) is list and all(type(c) is str for c in classes)):
-            raise DataError(f"classes {classes!r} is not a list of class names")
-        return {
-            "extent": extent_from_dict(header["extent"]),
-            "cell_size": read_number(header["cell_size"], "cell_size", POSITIVE, quoted=False),
-            "bandwidth": None if bandwidth is None
-            else read_number(bandwidth, "bandwidth", POSITIVE, quoted=False),
-            "total_count": read_number(
-                header["total_count"], "total_count", NON_NEGATIVE_WHOLE, quoted=False
-            ),
-            "time_window": (read_number(tw[0], "time_window"), read_number(tw[1], "time_window"))
-            if tw else None,
-            "classes": tuple(classes),
-        }
-    except DataError as e:
-        raise DataError(f"density header {json_path}: {e}") from e
+    if not (type(classes) is list and all(type(c) is str for c in classes)):
+        raise DataError(f"classes {classes!r} is not a list of class names")
+    return {
+        "cell_size": read_number(header["cell_size"], "cell_size", POSITIVE, quoted=False),
+        "bandwidth": None if bandwidth is None
+        else read_number(bandwidth, "bandwidth", POSITIVE, quoted=False),
+        "total_count": read_number(
+            header["total_count"], "total_count", NON_NEGATIVE_WHOLE, quoted=False
+        ),
+        "time_window": (read_number(tw[0], "time_window"), read_number(tw[1], "time_window"))
+        if tw else None,
+        "classes": tuple(classes),
+    }
 
 
 def _read_quanta(csv_path: Path) -> np.ndarray:
     """Integer cells, refused unless each is a non-negative int64."""
-    try:
-        quanta = np.loadtxt(csv_path, delimiter=",", dtype=np.int64, ndmin=2)
-    except ValueError as e:
-        raise DataError(f"density values file {csv_path}: {e}") from None
+    quanta = np.loadtxt(csv_path, delimiter=",", dtype=np.int64, ndmin=2, encoding="utf-8")
     negative = quanta < 0
     if negative.any():
         row, col = np.argwhere(negative)[0]
         raise DataError(
-            f"density values file {csv_path}: cell ({row}, {col}) = "
-            f"{int(quanta[row, col])} is not a non-negative integer"
+            f"cell ({row}, {col}) = {int(quanta[row, col])} is not a non-negative integer"
         )
     return quanta
 
@@ -438,7 +426,7 @@ def _read_float_cells(csv_path: Path) -> np.ndarray:
     """Float cells as quanta, refused unless each is a multiple of QUANTUM in [0, 2**23)."""
     rows = [
         [float(v) for v in line.split(",")]
-        for line in csv_path.read_text().strip().splitlines()
+        for line in csv_path.read_text(encoding="utf-8").strip().splitlines()
     ]
     values = np.asarray(rows, dtype=float)
     # a multiple of QUANTUM scales exactly to a whole number; every float >= 2**12 is one
@@ -447,8 +435,7 @@ def _read_float_cells(csv_path: Path) -> np.ndarray:
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise DataError(
-            f"density values file {csv_path}: cell ({row}, {col}) = "
-            f"{float(values[row, col])!r} is not a non-negative multiple of 2**-40 "
-            "below 2**23"
+            f"cell ({row}, {col}) = {float(values[row, col])!r} is not a non-negative "
+            "multiple of 2**-40 below 2**23"
         )
     return (values * (1.0 / QUANTUM)).astype(np.int64)

@@ -1,17 +1,20 @@
-"""Exception hierarchy shared across the toolkit, the one JSON file reader
-and the one number rule.
+"""Exception hierarchy shared across the toolkit, the one file rule, the one
+JSON file reader and the one number rule.
 
 The three error families map onto the CLI's exit codes: configuration
-problems (bad flags, missing files) exit 2, data problems (malformed or
-inconsistent input files) exit 3, numeric problems (geometry or solver
-failures) exit 4.
+problems (bad flags and configuration files, unwritable outputs) exit 2,
+data problems (unreadable, malformed or inconsistent input files) exit 3,
+numeric problems (geometry or solver failures) exit 4.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +24,7 @@ class PosmapError(Exception):
 
 
 class ConfigError(PosmapError):
-    """Invalid run configuration: unknown options, missing files, bad values."""
+    """Invalid run configuration: bad flags, refused configuration files, unwritable outputs."""
 
     exit_code = 2
 
@@ -62,18 +65,48 @@ class SolverError(NumericError):
     """Least-squares solver failed (non-finite residuals, singular system)."""
 
 
+@contextmanager
+def reading(kind: str, path: str | Path, error: type[PosmapError] = DataError) -> Iterator[None]:
+    """The file rule: a fault met reading the ``kind`` file ``path`` is an error naming it.
+
+    A path missing, a directory or unreadable, bytes that are not UTF-8 and a
+    malformed document (``AttributeError``, ``IndexError``, ``KeyError``,
+    ``OverflowError``, ``TypeError``, ``ValueError``, ``csv.Error``) are a
+    ``DataError``. A refused value (a ``ConfigError`` or ``DataError`` raised
+    inside) is an ``error``: ``ConfigError`` for camera, intrinsics and extent
+    files. One whose message names the file already passes unchanged, so the
+    file is named once. Wrap each file once, not each record.
+    """
+    try:
+        yield
+    except FileNotFoundError:
+        raise DataError(f"{kind} file {path} not found") from None
+    except OSError as e:  # a directory, a path under a regular file, no permission
+        raise DataError(f"{kind} file {path} cannot be read: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{kind} file {path} is not UTF-8: {e}") from e
+    except (ConfigError, DataError) as e:
+        if str(path) in str(e):
+            raise
+        raise error(f"{kind} file {path}: {e}") from e
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError,
+            csv.Error) as e:
+        raise DataError(f"{kind} file {path} is malformed: {e}") from e
+
+
 def read_json(path: str | Path, kind: str, top: type | tuple[type, ...] = dict):
     """The parsed JSON of ``path``, whose top level must be a ``top`` (dict or list).
 
-    A missing file, invalid JSON or a top level of another type is a
-    :class:`DataError` that names the ``kind`` of file and its path.
+    A file :func:`reading` refuses, invalid JSON or a top level of another
+    type is a :class:`DataError` that names the ``kind`` of file and its path.
     """
-    try:
-        doc = json.loads(Path(path).read_bytes())
-    except FileNotFoundError:
-        raise DataError(f"{kind} file {path} not found") from None
-    except ValueError as e:  # bad JSON or encoding, or an integer of over 4300 digits
-        raise DataError(f"{kind} file {path} is not valid JSON: {e}") from e
+    with reading(kind, path):
+        try:
+            doc = json.loads(Path(path).read_bytes())
+        # bad JSON or encoding, an integer of over 4300 digits, or lists or
+        # objects nested deeper than the decoder recurses
+        except (RecursionError, ValueError) as e:
+            raise DataError(f"{kind} file {path} is not valid JSON: {e}") from e
     if not isinstance(doc, top):
         names = {dict: "object", list: "list"}
         wanted = " or ".join(names[t] for t in (top if isinstance(top, tuple) else (top,)))

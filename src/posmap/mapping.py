@@ -20,7 +20,7 @@ from pathlib import Path
 from .camera import CameraModel
 from .coco import Annotation
 from .errors import (POSITIVE, WHOLE, ConfigError, DataError, DegenerateGeometryError,
-                     GeometryError, read_json, read_number)
+                     GeometryError, read_json, read_number, reading)
 from .taxonomy import Treatment
 
 __all__ = [
@@ -235,17 +235,12 @@ def extent_from_dict(doc: dict) -> MapExtent:
 
 
 def save_extent(path: str | Path, extent: MapExtent) -> None:
-    Path(path).write_text(json.dumps(extent_to_dict(extent), indent=2) + "\n")
+    Path(path).write_text(json.dumps(extent_to_dict(extent), indent=2) + "\n", encoding="utf-8")
 
 
 def load_extent(path: str | Path) -> MapExtent:
-    doc = read_json(path, "extent")
-    try:
-        return extent_from_dict(doc)
-    except (KeyError, IndexError, TypeError, ValueError) as e:
-        raise DataError(f"extent file {path} is malformed: {e}") from e
-    except ConfigError as e:
-        raise ConfigError(f"extent file {path}: {e}") from e
+    with reading("extent", path, ConfigError):
+        return extent_from_dict(read_json(path, "extent"))
 
 
 @dataclass(frozen=True)
@@ -400,7 +395,7 @@ def save_observations(path: str | Path, observations: list[GroundObservation]) -
     """Write observations to CSV. Floats use shortest round-trip formatting."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_OBS_FIELDS)
         for o in observations:
@@ -430,10 +425,8 @@ def load_observations(path: str | Path) -> list[GroundObservation]:
     ids are whole numbers, and every other number must be finite.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"observation file {path} not found")
     out: list[GroundObservation] = []
-    with path.open(newline="") as fh:
+    with reading("observation", path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or set(_OBS_FIELDS) - set(header):

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import WHOLE, ConfigError, DataError, read_json, read_number
+from .errors import WHOLE, ConfigError, DataError, read_json, read_number, reading
 
 __all__ = [
     "ClassDef",
@@ -181,18 +181,18 @@ def save_taxonomy(
             name: dict(t.mapping) for name, t in (treatments or {}).items()
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_taxonomy(path: str | Path) -> tuple[Taxonomy, dict[str, Treatment]]:
-    doc = read_json(path, "taxonomy")
-    version = doc.get("version")
-    if version != TAXONOMY_SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported taxonomy schema version {version!r} "
-            f"(expected {TAXONOMY_SCHEMA_VERSION})"
-        )
-    try:
+    with reading("taxonomy", path):
+        doc = read_json(path, "taxonomy")
+        version = doc.get("version")
+        if version != TAXONOMY_SCHEMA_VERSION:
+            raise DataError(
+                f"unsupported taxonomy schema version {version!r} "
+                f"(expected {TAXONOMY_SCHEMA_VERSION})"
+            )
         tax = Taxonomy(
             tuple(
                 ClassDef(read_number(c["id"], "id", WHOLE), str(c["name"]),
@@ -204,8 +204,4 @@ def load_taxonomy(path: str | Path) -> tuple[Taxonomy, dict[str, Treatment]]:
             name: Treatment(name, {str(k): str(v) for k, v in m.items()}, tax)
             for name, m in doc.get("treatments", {}).items()
         }
-    except KeyError as e:
-        raise DataError(f"taxonomy file {path} is missing field {e}") from e
-    except (AttributeError, DataError, TypeError, ValueError) as e:
-        raise DataError(f"taxonomy file {path} is malformed: {e}") from e
     return tax, treatments

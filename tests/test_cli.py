@@ -915,7 +915,7 @@ CONFIG_ERRORS = {
         "extent file {tmp}/extent.json: rotation inf is not a finite number"),
     "merge-header-negative-width": (
         lambda ws, tmp: _merge_with_header_extent(tmp, width=-4.5),
-        "density header {tmp}/b.json: " + _BAD_SIZE),
+        "density header file {tmp}/b.json: " + _BAD_SIZE),
     "map-nan-sample-rate": (
         lambda ws, tmp: _map_argv(ws, "--sample-rate", "nan", "--out", str(tmp / "obs.csv")),
         "sample rate 'nan' is not a finite number > 0"),
@@ -951,6 +951,15 @@ CONFIG_ERRORS = {
     "merge-with-classes": (
         lambda ws, tmp: _merge_argv(tmp, "--classes", "dog"),
         "--classes applies only with --observations"),
+    # an empty name kept no class, or (alone) every class
+    "density-empty-classes": (
+        lambda ws, tmp: _density_argv(tmp, "--extent", str(_sim(ws) / "extent.json"),
+                                      "--classes", ""),
+        "--classes '' names an empty class"),
+    "density-classes-ending-in-a-comma": (
+        lambda ws, tmp: _density_argv(tmp, "--extent", str(_sim(ws) / "extent.json"),
+                                      "--classes", "pedestrian,"),
+        "--classes 'pedestrian,' names an empty class"),
     "merge-with-cell": (
         lambda ws, tmp: _merge_argv(tmp, "--cell", "7"),
         "--cell applies only with --observations"),
@@ -1327,6 +1336,18 @@ DATA_ERRORS = {
     "taxonomy-id-not-a-number": lambda ws, tmp: _stats_with_taxonomy(ws, tmp, {
         "version": 1, "classes": [{"id": "x", "name": "pedestrian", "supercategory": "people"}],
     }),
+    # a taxonomy is a data file: these exited 2 without naming it
+    "taxonomy-duplicate-class-names": lambda ws, tmp: _stats_with_taxonomy(ws, tmp, {
+        "version": 1, "classes": [{"id": 1, "name": "pedestrian", "supercategory": "people"},
+                                  {"id": 2, "name": "pedestrian", "supercategory": "people"}],
+    }),
+    "taxonomy-treatment-not-idempotent": lambda ws, tmp: _stats_with_taxonomy(ws, tmp, {
+        "version": 1, "classes": [{"id": i, "name": n, "supercategory": "people"}
+                                  for i, n in enumerate(("a", "b", "c"), start=1)],
+        "treatments": {"chained": {"a": "b", "b": "c"}},
+    }),
+    "taxonomy-other-version": lambda ws, tmp: _stats_with_taxonomy(ws, tmp, {
+        "version": 2, "classes": []}),
 }
 
 

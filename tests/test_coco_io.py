@@ -194,6 +194,14 @@ def test_load_refuses_an_integer_longer_than_the_json_decoder_reads(tmp_path):
         load_dataset(path)
 
 
+def test_load_refuses_lists_nested_deeper_than_the_json_decoder_recurses(tmp_path):
+    # the decoder raises RecursionError, which left as a traceback
+    path = tmp_path / "gt.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(DataError, match=re.escape(f"annotation file {path} is not valid JSON")):
+        load_dataset(path)
+
+
 def test_load_refuses_a_polygon_coordinate_too_large_for_a_float(tmp_path):
     # float() raised OverflowError, which left the loader as a traceback
     record = {"image_id": 1, "category_id": 1, "segmentation": [[10**400, *SQUARE[1:]]],
@@ -201,6 +209,19 @@ def test_load_refuses_a_polygon_coordinate_too_large_for_a_float(tmp_path):
     path = tmp_path / "gt.json"
     path.write_text(json.dumps(_one_annotation_doc(annotation=record)))
     named = f"annotation record 0 in {path} is malformed: int too large to convert to float"
+    with pytest.raises(DataError, match=re.escape(named)):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_load_refuses_a_bool_polygon_coordinate(tmp_path, value):
+    # float() read true as a coordinate of 1.0 and false as 0.0
+    record = {"image_id": 1, "category_id": 1, "segmentation": [[value, *SQUARE[1:]]],
+              "bbox": [10, 10, 40, 30], "area": 100}
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(_one_annotation_doc(annotation=record)))
+    named = (f"annotation record 0 in {path}: annotation 4: polygon has a coordinate "
+             "true or false, not a number")
     with pytest.raises(DataError, match=re.escape(named)):
         load_dataset(path)
 

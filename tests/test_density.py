@@ -442,7 +442,7 @@ def test_a_time_window_that_is_not_two_finite_numbers_is_refused(extent, tmp_pat
     header = json.loads(paths["json"].read_text())
     header["time_window"] = [0.0, bad]
     paths["json"].write_text(json.dumps(header))
-    named = f"density header {paths['json']}: time_window {bad!r} is not a finite number"
+    named = f"density header file {paths['json']}: time_window {bad!r} is not a finite number"
     with pytest.raises(DataError, match=re.escape(named)):
         load_density(tmp_path / "r")
 

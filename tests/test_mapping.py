@@ -357,6 +357,14 @@ def test_observation_csv_short_row_names_its_line(tmp_path, bad_row):
         load_observations(path)
 
 
+def test_observation_csv_field_longer_than_the_csv_reader_takes_is_malformed(tmp_path):
+    # the reader raises csv.Error past 131072 characters, which left as a traceback
+    path = tmp_path / "obs.csv"
+    path.write_text(_OBS_HEADER + _OBS_ROW.replace("pedestrian", "p" * 200_000))
+    with pytest.raises(DataError, match=f"observation file {path} is malformed: field larger"):
+        load_observations(path)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize(
     "column", ["timestamp", "x", "y", "yaw", "width", "length", "height", "score"]

@@ -3,8 +3,8 @@
 Each field of each input file (the camera, intrinsics and extent files, the
 dataset file, both detection forms, obs.csv, a raster's header and cells,
 survey points, calibration views and the taxonomy) gets, in turn, NaN,
-+-Infinity, a 401-digit integer, a list and an object (in a CSV file, their
-text forms). The command that reads the file must refuse it with exit 2 or 3
++-Infinity, a 401-digit integer, a list, an object and ``true`` (in a CSV
+file, their text forms). The command that reads the file must refuse it with exit 2 or 3
 and name the file on stderr: accepting the value (exit 0) or a traceback
 (exit 1) fails. The runs are in-process, through ``posmap.cli.main``.
 """
@@ -16,19 +16,16 @@ import json
 import math
 import shutil
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from posmap.camera import load_camera
 from posmap.cli import main
-from posmap.taxonomy import default_taxonomy, save_taxonomy
 
 BAD_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "overflow": 10**400,
-              "list": [1.0], "object": {"a": 1}}
+              "list": [1.0], "object": {"a": 1}, "bool": True}
 BAD_TEXT = {"nan": "nan", "inf": "inf", "-inf": "-inf", "overflow": str(10**400),
-            "list": "[1.0]", "object": '{"a": 1}'}
+            "list": "[1.0]", "object": '{"a": 1}', "bool": "true"}
 
 
 def _items(container) -> list:
@@ -106,34 +103,6 @@ FIELDS = {
                       "--out {o}/cam.json"),
     "raster-cells": ("r.csv", None, ("r.json",), _MERGE),
 }
-
-
-@pytest.fixture(scope="module")
-def scene(tmp_path_factory):
-    """A two-frame scene and one valid file of every kind a command reads."""
-    s = tmp_path_factory.mktemp("numbers")
-    assert main(["simulate", "--out-dir", str(s), "--frames", "2", "--agents", "3",
-                 "--cyclists", "0.5", "--seed", "3"]) == 0
-    camera = json.loads((s / "camera.json").read_text())
-    del camera["pose"]
-    (s / "intr.json").write_text(json.dumps(camera))
-    gt = json.loads((s / "gt.json").read_text())
-    for ann in gt["annotations"]:
-        ann["score"] = 0.9
-    (s / "scored.json").write_text(json.dumps(gt))
-    save_taxonomy(s / "tax.json", default_taxonomy())
-    ground = np.array([[x, y, 0.0] for x in (0.5, 2.0, 4.0) for y in (4.0, 12.0, 24.0)])
-    pixels = load_camera(s / "camera.json").project(ground)
-    (s / "points.csv").write_text("X,Y,Z,u,v\n" + "".join(
-        f"{x},{y},{z},{u},{v}\n" for (x, y, z), (u, v) in zip(ground, pixels)))
-    plane = [[0.12 * i, 0.12 * j] for i in range(7) for j in range(5)]
-    (s / "views.json").write_text(json.dumps(
-        [{"plane": plane, "pixels": [[100.0 + 50 * x, 80.0 + 40 * y] for x, y in plane]}] * 3))
-    assert main(["map", "--camera", str(s / "camera.json"), "--annotations",
-                 str(s / "gt.json"), "--out", str(s / "obs.csv")]) == 0
-    assert main(["density", "--observations", str(s / "obs.csv"), "--extent",
-                 str(s / "extent.json"), "--out", str(s / "r")]) == 0
-    return s
 
 
 def _write_with(scene, out, name, slots, index, bad):

@@ -139,7 +139,7 @@ def test_load_taxonomy_refuses_a_class_id_that_is_not_a_whole_number(tmp_path, v
     doc = json.loads(path.read_text())
     doc["classes"][1]["id"] = value
     path.write_text(json.dumps(doc))
-    named = f"taxonomy file {path} is malformed: id {value!r} is not a whole number"
+    named = f"taxonomy file {path}: id {value!r} is not a whole number"
     with pytest.raises(DataError, match=named):
         load_taxonomy(path)
 
