@@ -150,7 +150,7 @@ def _refine_pose(
 
     theta0 = np.array([*pose0.rvec, *pose0.t])
     res = levenberg_marquardt(residuals, theta0, jac=jac, max_iter=200)
-    pose = Pose(tuple(float(v) for v in res.params[:3]), tuple(float(v) for v in res.params[3:]))
+    pose = Pose(tuple(res.params[:3]), tuple(res.params[3:]))
     return pose, _rms_px(residuals(res.params), len(world))
 
 
@@ -363,7 +363,7 @@ def calibrate_intrinsics_planar(
     )
     intr, dist, pose_vecs = unpack(res.params)
     view_poses = tuple(
-        Pose(tuple(float(v) for v in pv[:3]), tuple(float(v) for v in pv[3:]))
+        Pose(tuple(pv[:3]), tuple(pv[3:]))
         for pv in pose_vecs
     )
     n_points = sum(len(p) for p, _ in prepared)

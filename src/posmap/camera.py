@@ -29,13 +29,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    FINITE,
+    POSITIVE,
     POSITIVE_WHOLE,
     BehindCameraError,
     ConfigError,
     NoGroundIntersectionError,
     UndistortionError,
+    read_fields,
     read_json,
-    read_number,
+    read_numbers,
     reading,
 )
 
@@ -61,11 +64,14 @@ CAMERA_SCHEMA_UNITS = "m-px"
 _MIN_DEPTH = 1e-9
 
 # Undistortion accepts a solution that re-distorts to its input within
-# _UNDISTORT_TOL (normalized units). Newton converges quadratically, so after
-# a step below _NEWTON_STEP_TOL the iterate is at machine precision.
+# _UNDISTORT_TOL (normalized units). Newton stops at the first such iterate
+# once a step is below _NEWTON_STEP_TOL or _NEWTON_SETTLE_ITER steps are
+# taken. A far start on a steep lens shrinks by about 1/7 a step before it
+# converges, so it may take up to _NEWTON_MAX_ITER.
 _UNDISTORT_TOL = 1e-9
 _NEWTON_STEP_TOL = 1e-8
-_NEWTON_MAX_ITER = 30
+_NEWTON_SETTLE_ITER = 30
+_NEWTON_MAX_ITER = 100
 
 
 def axis_angle_to_matrix(rvec: np.ndarray) -> np.ndarray:
@@ -160,10 +166,7 @@ class Intrinsics:
     skew: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy, self.skew))):
-            raise ConfigError(f"intrinsics must be finite, got {self}")
-        if self.fx <= 0 or self.fy <= 0:
-            raise ConfigError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
+        read_fields(self, fx=POSITIVE, fy=POSITIVE, cx=FINITE, cy=FINITE, skew=FINITE)
 
     def matrix(self) -> np.ndarray:
         return np.array(
@@ -186,8 +189,7 @@ class Distortion:
     p2: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.k1, self.k2, self.k3, self.p1, self.p2))):
-            raise ConfigError(f"distortion coefficients must be finite, got {self}")
+        read_fields(self, k1=FINITE, k2=FINITE, k3=FINITE, p1=FINITE, p2=FINITE)
 
     def is_zero(self) -> bool:
         return self.k1 == self.k2 == self.k3 == self.p1 == self.p2 == 0.0
@@ -230,25 +232,28 @@ class Distortion:
         r = math.hypot(x, y)
         if r > 0.5 * radius:
             x, y = x * 0.5 * radius / r, y * 0.5 * radius / r
-        for _ in range(_NEWTON_MAX_ITER):
+        settled = False
+        for k in range(_NEWTON_MAX_ITER):
             fx, fy = self.distort(x, y)
+            ex, ey = fx - xd, fy - yd
+            if settled and abs(ex) <= _UNDISTORT_TOL and abs(ey) <= _UNDISTORT_TOL:
+                break
             jxx, jxy, jyy = self._jacobian_entries(x, y)
             det = jxx * jyy - jxy * jxy
             if det == 0.0:
                 break
-            ex, ey = fx - xd, fy - yd
             sx = (jyy * ex - jxy * ey) / det
             sy = (jxx * ey - jxy * ex) / det
             if not (math.isfinite(sx) and math.isfinite(sy)):
                 break  # an infinite step never halves into the radius
-            converged = abs(sx) <= _NEWTON_STEP_TOL and abs(sy) <= _NEWTON_STEP_TOL
+            settled = settled or k + 1 == _NEWTON_SETTLE_ITER or (
+                abs(sx) <= _NEWTON_STEP_TOL and abs(sy) <= _NEWTON_STEP_TOL)
             while math.hypot(x - sx, y - sy) >= radius:
                 sx, sy = 0.5 * sx, 0.5 * sy
             x -= sx
             y -= sy
-            if converged:
-                break
-        fx, fy = self.distort(x, y)
+        else:
+            fx, fy = self.distort(x, y)
         valid = (
             math.hypot(x, y) < radius
             and abs(fx - xd) <= _UNDISTORT_TOL
@@ -282,14 +287,11 @@ class Pose:
     t: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (*self.rvec, *self.t))):
-            raise ConfigError(f"pose must be finite, got {self}")
+        read_fields(self, names={"rvec": "axis_angle"}, rvec=(3, FINITE), t=(3, FINITE))
 
     @classmethod
     def from_matrix(cls, rot: np.ndarray, t: np.ndarray) -> Pose:
-        rvec = matrix_to_axis_angle(rot)
-        t = np.asarray(t, dtype=float).reshape(3)
-        return cls(tuple(float(v) for v in rvec), tuple(float(v) for v in t))
+        return cls(tuple(matrix_to_axis_angle(rot)), tuple(np.asarray(t, dtype=float).reshape(3)))
 
     @cached_property
     def rotation(self) -> np.ndarray:
@@ -370,6 +372,10 @@ def undistort_pixel(
     return xn, yn
 
 
+# CameraModel's rule for its image size; load_intrinsics reads a pose-less file's under it
+_IMAGE_SIZE = (2, POSITIVE_WHOLE)
+
+
 @dataclass(frozen=True)
 class CameraModel:
     """A fully calibrated camera over the Z=0 ground plane."""
@@ -380,9 +386,7 @@ class CameraModel:
     image_size: tuple[int, int]
 
     def __post_init__(self) -> None:
-        w, h = self.image_size
-        if w <= 0 or h <= 0:
-            raise ConfigError(f"image size must be positive, got {self.image_size}")
+        read_fields(self, image_size=_IMAGE_SIZE)
         if self.pose.camera_center[2] <= 0.0:
             raise ConfigError(
                 "camera center must be above the ground plane "
@@ -497,21 +501,13 @@ def _lens_to_dict(
     }
 
 
-def _lens_from_dict(doc: dict) -> tuple[Intrinsics, Distortion, tuple[int, int]]:
-    """Inverse of :func:`_lens_to_dict`; distortion and skew default to zero."""
+def _lens_from_dict(doc: dict) -> tuple[Intrinsics, Distortion, list]:
+    """Inverse of :func:`_lens_to_dict`, but the image size is as the file has it."""
     intr = doc["intrinsics"]
     dist = doc.get("distortion", {})
-    intrinsics = Intrinsics(
-        *(read_number(intr[k], k, error=ConfigError) for k in ("fx", "fy", "cx", "cy")),
-        skew=read_number(intr.get("skew", 0.0), "skew", error=ConfigError),
-    )
-    distortion = Distortion(*(
-        read_number(dist.get(k, 0.0), k, error=ConfigError) for k in ("k1", "k2", "k3", "p1", "p2")
-    ))
-    size = doc["image_size"]
-    image_size = tuple(read_number(size[i], "image_size", POSITIVE_WHOLE, ConfigError)
-                       for i in (0, 1))
-    return intrinsics, distortion, image_size
+    intrinsics = Intrinsics(intr["fx"], intr["fy"], intr["cx"], intr["cy"], intr.get("skew", 0.0))
+    distortion = Distortion(*(dist.get(k, 0.0) for k in ("k1", "k2", "k3", "p1", "p2")))
+    return intrinsics, distortion, doc["image_size"]
 
 
 def _read_json(path: str | Path, kind: str) -> dict:
@@ -539,17 +535,8 @@ def load_camera(path: str | Path) -> CameraModel:
     doc = _read_json(path, "camera")
     with reading("camera", path, ConfigError):
         intrinsics, distortion, image_size = _lens_from_dict(doc)
-        pose = doc["pose"]
-        return CameraModel(
-            intrinsics=intrinsics,
-            distortion=distortion,
-            pose=Pose(
-                rvec=tuple(read_number(v, "axis_angle", error=ConfigError)
-                           for v in pose["axis_angle"]),
-                t=tuple(read_number(v, "t", error=ConfigError) for v in pose["t"]),
-            ),
-            image_size=image_size,
-        )
+        pose = Pose(doc["pose"]["axis_angle"], doc["pose"]["t"])
+        return CameraModel(intrinsics, distortion, pose, image_size)
 
 
 def save_intrinsics(
@@ -568,4 +555,5 @@ def save_intrinsics(
 def load_intrinsics(path: str | Path) -> tuple[Intrinsics, Distortion, tuple[int, int]]:
     """Read the lens part of a camera file, which may or may not have a pose yet."""
     with reading("intrinsics", path, ConfigError):
-        return _lens_from_dict(_read_json(path, "intrinsics"))
+        intrinsics, distortion, size = _lens_from_dict(_read_json(path, "intrinsics"))
+        return intrinsics, distortion, read_numbers(size, "image_size", *_IMAGE_SIZE, ConfigError)

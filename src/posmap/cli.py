@@ -157,6 +157,24 @@ def _refuse_overwrites(inputs: list[_Input], outputs: list[_Output]) -> None:
             raise ConfigError(f"output {out} would be overwritten by the manifest {manifest}")
 
 
+def _refuse_unwritable(outputs: list[_Output]) -> None:
+    """Raise ``ConfigError`` for an output that cannot be written as a file.
+
+    Each file an output names, and the manifest, must not be a directory nor
+    lie under a regular file; a directory output must not be a regular file.
+    Faults that show only while writing (a full disk) are met after the run.
+    """
+    files = [outputs[0].manifest()] + [
+        f for out in outputs for f in ([out.manifest()] if isinstance(out, _DirOutput)
+                                       else out.files())]
+    for path in files:
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        parent = next(p for p in path.parents if p.exists())
+        if not parent.is_dir():
+            raise ConfigError(f"cannot write {path}: {parent} is not a directory")
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with reading("input", path), path.open("rb") as fh:
@@ -569,7 +587,7 @@ def cmd_simulate(args: argparse.Namespace) -> list[Path]:
         noise_px=args.noise,
         miss_rate=args.miss,
         confusion_rate=args.confusion,
-        attractor=tuple(args.attractor) if args.attractor else None,
+        attractor=args.attractor,
     )
     result = simulate(config, args.frames)
     out_dir = Path(args.out_dir)
@@ -734,10 +752,11 @@ def main(argv: list[str] | None = None) -> int:
 
     Inputs are hashed before the command runs, since an output may replace
     one (``density --merge A B --out A``); any other output that would
-    overwrite an input is refused. A declared input that is not a file is left
-    to its loader, whose ``DataError`` names it; an unwritable output is a
-    ``ConfigError``. A refused command leaves behind no directory this run
-    created, unless it wrote there.
+    overwrite an input is refused, and so is one that cannot be written as a
+    file, before the command runs. A declared input that is not a file is left
+    to its loader, whose ``DataError`` names it; an output that fails while
+    written is a ``ConfigError`` too. A refused command leaves behind no
+    directory this run created, unless it wrote there.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -748,6 +767,7 @@ def main(argv: list[str] | None = None) -> int:
             args.func(args)
             return 0
         _refuse_overwrites(_declared(args, _Input), outputs)
+        _refuse_unwritable(outputs)
         t0 = time.perf_counter()
         inputs = {
             str(p): _sha256(p)

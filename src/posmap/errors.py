@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the toolkit, the one file rule, the one
-JSON file reader and the one number rule.
+JSON file reader, the one number rule and the configuration records' reader.
 
 The three error families map onto the CLI's exit codes: configuration
 problems (bad flags and configuration files, unwritable outputs) exit 2,
@@ -162,3 +162,28 @@ def read_number(value, field: str, rule: Rule = FINITE,
     if rule.low <= parsed <= rule.high:
         return parsed
     raise error(f"{field} {value!r} is not {rule.text}")
+
+
+def read_numbers(value, field: str, n: int, rule: Rule = FINITE,
+                 error: type[PosmapError] = DataError) -> tuple:
+    """``value``, a list or tuple of exactly ``n`` numbers, as a tuple read under ``rule``."""
+    if type(value) not in (list, tuple) or len(value) != n:
+        raise error(f"{field} {value!r} is not a list of {n} numbers")
+    return tuple(read_number(v, field, rule, error) for v in value)
+
+
+def read_fields(record, error: type[PosmapError] = ConfigError,
+                names: dict[str, str] | None = None, **rules: Rule | tuple[int, Rule]) -> None:
+    """Read fields of the frozen dataclass ``record`` in place, from its ``__post_init__``.
+
+    Each keyword gives a field its :class:`Rule`, or ``(n, rule)`` for exactly
+    ``n`` numbers; a refusal is an ``error`` naming the field as ``names``
+    (its file's spelling) has it.
+    """
+    for attr, rule in rules.items():
+        value = getattr(record, attr)
+        field = names.get(attr, attr) if names else attr
+        read = (read_number(value, field, rule, error) if type(rule) is Rule
+                else read_numbers(value, field, *rule, error=error))
+        if read is not value:
+            object.__setattr__(record, attr, read)

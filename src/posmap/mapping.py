@@ -19,8 +19,8 @@ from pathlib import Path
 
 from .camera import CameraModel
 from .coco import Annotation
-from .errors import (POSITIVE, WHOLE, ConfigError, DataError, DegenerateGeometryError,
-                     GeometryError, read_json, read_number, reading)
+from .errors import (FINITE, POSITIVE, WHOLE, ConfigError, DataError, DegenerateGeometryError,
+                     GeometryError, read_fields, read_json, read_number, read_numbers, reading)
 from .taxonomy import Treatment
 
 __all__ = [
@@ -102,8 +102,8 @@ class SizePriors:
     """Class-conditional footprint priors (width, length) in metres.
 
     Classes without an entry fall back to the default (standing-person)
-    footprint. Every size must be finite and positive; any other is a
-    ``ConfigError`` that names its class.
+    footprint. Every size is 2 finite numbers > 0; any other is a
+    ``ConfigError`` that names its class, or the default.
     """
 
     by_class: dict[str, tuple[float, float]] = field(
@@ -115,10 +115,11 @@ class SizePriors:
     default: tuple[float, float] = (0.50, 0.60)
 
     def __post_init__(self) -> None:
-        sizes = {f"class {name!r}": size for name, size in self.by_class.items()}
-        for what, size in [*sizes.items(), ("the default", self.default)]:
-            if not all(0.0 < v < math.inf for v in size):
-                raise ConfigError(f"size prior of {what} must be finite and positive, got {size}")
+        read_fields(self, names={"default": "size prior of the default"}, default=(2, POSITIVE))
+        object.__setattr__(self, "by_class", {
+            name: read_numbers(size, f"size prior of class {name!r}", 2, POSITIVE, ConfigError)
+            for name, size in self.by_class.items()
+        })
 
     def lookup(self, class_name: str) -> tuple[float, float]:
         return self.by_class.get(class_name, self.default)
@@ -175,8 +176,9 @@ class MapExtent:
     (radians, counter-clockwise) takes the rectangle's local +x axis into
     the world. Containment is closed on all edges. :meth:`to_local`,
     :meth:`to_world` and :meth:`contains` take floats or equal-shaped numpy
-    arrays. A non-finite origin or rotation, or a size that is not finite
-    and positive, is a :class:`ConfigError`.
+    arrays. An origin that is not 2 finite numbers, a rotation that is not
+    finite, or a width or length that is not a finite number > 0 is a
+    :class:`ConfigError` naming the field.
     """
 
     origin: tuple[float, float]
@@ -185,12 +187,7 @@ class MapExtent:
     length: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (*self.origin, self.rotation))):
-            raise ConfigError(f"extent origin and rotation must be finite, got {self}")
-        if not (0.0 < self.width < math.inf and 0.0 < self.length < math.inf):
-            raise ConfigError(
-                f"extent width and length must be finite and positive, got {self}"
-            )
+        read_fields(self, origin=(2, FINITE), rotation=FINITE, width=POSITIVE, length=POSITIVE)
 
     def to_local(self, x: float, y: float) -> tuple[float, float]:
         dx, dy = x - self.origin[0], y - self.origin[1]
@@ -220,18 +217,10 @@ def extent_to_dict(extent: MapExtent) -> dict:
 def extent_from_dict(doc: dict) -> MapExtent:
     """Inverse of :func:`extent_to_dict`.
 
-    A missing field raises ``KeyError``, ``IndexError`` or ``TypeError``; a
-    value that is not a finite number, or one :class:`MapExtent` refuses,
+    A missing field raises ``KeyError``; a value :class:`MapExtent` refuses
     raises ``ConfigError``. Callers name the file in the error.
     """
-    origin = doc["origin"]
-    return MapExtent(
-        origin=(read_number(origin[0], "origin", error=ConfigError),
-                read_number(origin[1], "origin", error=ConfigError)),
-        rotation=read_number(doc["rotation"], "rotation", error=ConfigError),
-        width=read_number(doc["width"], "width", error=ConfigError),
-        length=read_number(doc["length"], "length", error=ConfigError),
-    )
+    return MapExtent(doc["origin"], doc["rotation"], doc["width"], doc["length"])
 
 
 def save_extent(path: str | Path, extent: MapExtent) -> None:

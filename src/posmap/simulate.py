@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraModel, Distortion, Intrinsics, Pose, matrix_to_axis_angle
+from .camera import CameraModel, Distortion, Intrinsics, Pose
 from .coco import Annotation, Category, Dataset, ImageRecord
 from .errors import (FINITE, NON_NEGATIVE, NON_NEGATIVE_WHOLE, POSITIVE, POSITIVE_WHOLE, UNIT,
-                     BehindCameraError, ConfigError, read_number)
+                     BehindCameraError, ConfigError, read_fields, read_number)
 from .geometry2d import as_flat, clip_to_rect, convex_hull, polygon_area, polygons_bounds
 from .mapping import Box3D, GroundObservation, MapExtent
 from .taxonomy import default_taxonomy
@@ -77,17 +77,10 @@ class SimConfig:
     attractor: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        for value, name, rule in (
-            (self.n_agents, "n_agents", POSITIVE_WHOLE),
-            (self.seed, "seed", NON_NEGATIVE_WHOLE),
-            (self.cyclist_fraction, "cyclist_fraction", UNIT),
-            (self.fps, "fps", POSITIVE),
-            (self.noise_px, "noise_px", NON_NEGATIVE),
-            (self.miss_rate, "miss_rate", UNIT),
-            (self.confusion_rate, "confusion_rate", UNIT),
-            *((v, "attractor", FINITE) for v in self.attractor or ()),
-        ):
-            read_number(value, name, rule, ConfigError)
+        attractor = {} if self.attractor is None else {"attractor": (2, FINITE)}
+        read_fields(self, n_agents=POSITIVE_WHOLE, seed=NON_NEGATIVE_WHOLE,
+                    cyclist_fraction=UNIT, fps=POSITIVE, noise_px=NON_NEGATIVE, miss_rate=UNIT,
+                    confusion_rate=UNIT, **attractor)
 
 
 @dataclass(frozen=True)
@@ -151,15 +144,11 @@ def default_camera(
     x_axis = x_axis / np.linalg.norm(x_axis)
     y_axis = np.cross(z_axis, x_axis)
     rot = np.vstack([x_axis, y_axis, z_axis])
-    pose = Pose(
-        rvec=tuple(float(v) for v in matrix_to_axis_angle(rot)),
-        t=tuple(float(v) for v in (-rot @ center)),
-    )
     w, h = image_size
     return CameraModel(
         intrinsics=Intrinsics(fx=1400.0, fy=1400.0, cx=w / 2.0, cy=h / 2.0),
         distortion=Distortion(k1=-0.25, k2=0.08, p1=5e-4, p2=-5e-4),
-        pose=pose,
+        pose=Pose.from_matrix(rot, -rot @ center),
         image_size=image_size,
     )
 
@@ -285,8 +274,7 @@ def simulate(config: SimConfig, n_frames: int) -> SimResult:
     detection list re-renders the same polygons with per-vertex Gaussian
     pixel noise, per-detection misses, and a synthetic confidence score.
     """
-    if n_frames < 1:
-        raise ConfigError("need at least one frame")
+    n_frames = read_number(n_frames, "n_frames", POSITIVE_WHOLE, ConfigError)
     agents = _init_agents(config)
     taxonomy = default_taxonomy()
     class_ids = {c.name: c.class_id for c in taxonomy.classes}

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import WHOLE, ConfigError, DataError, read_json, read_number, reading
+from .errors import WHOLE, ConfigError, DataError, read_fields, read_json, reading
 
 __all__ = [
     "ClassDef",
@@ -33,6 +33,9 @@ class ClassDef:
     class_id: int
     name: str
     supercategory: str
+
+    def __post_init__(self) -> None:
+        read_fields(self, names={"class_id": "id"}, class_id=WHOLE)
 
 
 @dataclass(frozen=True)
@@ -195,8 +198,7 @@ def load_taxonomy(path: str | Path) -> tuple[Taxonomy, dict[str, Treatment]]:
             )
         tax = Taxonomy(
             tuple(
-                ClassDef(read_number(c["id"], "id", WHOLE), str(c["name"]),
-                         str(c["supercategory"]))
+                ClassDef(c["id"], str(c["name"]), str(c["supercategory"]))
                 for c in doc["classes"]
             )
         )

@@ -216,6 +216,30 @@ def test_undistortion_inverts_points_near_the_radius(dist, xn):
     assert undistort_pixel(UNIT, dist, xd, yd) == pytest.approx((xn, 0.0), abs=1e-12)
 
 
+def test_undistortion_inverts_a_steep_lens_from_a_far_start():
+    # from (170, 0) each Newton step shrinks the radius by about 1/7, and
+    # where the Jacobian is large a step below the step tolerance can still
+    # leave the point more than 1e-9 from its re-distortion
+    steep = Distortion(k1=1.0, k2=1.0, k3=1.0)
+    assert steep.distort(2.0, 0.0) == (170.0, 0.0)
+    assert undistort_pixel(UNIT, steep, 170.0, 0.0) == pytest.approx((2.0, 0.0), abs=1e-12)
+
+
+def test_undistortion_inverts_a_sweep_of_steep_lenses():
+    # 400 lenses with k1, k2, k3 uniform in +-1, 100 points each inside
+    # 0.99 of the radius and within 2 of the centre
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        dist = Distortion(*(float(k) for k in rng.uniform(-1.0, 1.0, 3)))
+        angles = rng.uniform(0.0, 2.0 * math.pi, 100)
+        radii = rng.uniform(0.0, min(0.99 * dist.monotone_radius, 2.0), 100)
+        for angle, r in zip(angles, radii):
+            xn, yn = float(r * math.cos(angle)), float(r * math.sin(angle))
+            xb, yb, ok = dist.undistort(*dist.distort(xn, yn))
+            assert ok, (dist, xn, yn)
+            assert max(abs(xb - xn), abs(yb - yn)) <= 1e-8, (dist, xn, yn)
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     st.floats(-0.3, 0.3),
@@ -387,7 +411,8 @@ def test_intrinsics_reject_non_finite_values(field, bad):
 def test_pose_rejects_non_finite_values(index, bad):
     values = [0.1, -0.2, 0.3, 1.0, 2.0, 8.0]
     values[index] = bad
-    with pytest.raises(ConfigError, match="pose must be finite"):
+    field = "axis_angle" if index < 3 else "t"
+    with pytest.raises(ConfigError, match=f"{field} {bad!r} is not a finite number"):
         Pose(tuple(values[:3]), tuple(values[3:]))
 
 

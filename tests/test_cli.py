@@ -870,12 +870,13 @@ def _merge_argv(tmp, *extra):
     return ["density", "--merge", str(tmp / "a"), str(tmp / "a"), *extra, "--out", str(tmp / "m")]
 
 
-_BAD_SIZE = "extent width and length must be finite and positive"
+_BAD_SIZE = "width -4.5 is not a finite number > 0"
 
 
-def _camera(ws, tmp, **pose) -> str:
-    """The scene's camera JSON with ``pose`` fields replaced, written under ``tmp``."""
+def _camera(ws, tmp, top=None, **pose) -> str:
+    """The scene's camera JSON with ``top`` and ``pose`` fields replaced, written under ``tmp``."""
     doc = json.loads((_sim(ws) / "camera.json").read_text())
+    doc.update(top or {})
     doc["pose"].update(pose)
     (tmp / "camera.json").write_text(json.dumps(doc))
     return str(tmp / "camera.json")
@@ -940,7 +941,7 @@ CONFIG_ERRORS = {
     "map-negative-prior": (
         lambda ws, tmp: _map_argv(ws, "--prior", "pedestrian:-1:0.6",
                                   "--out", str(tmp / "obs.csv")),
-        "size prior of class 'pedestrian' must be finite and positive, got (-1.0, 0.6)"),
+        "size prior of class 'pedestrian' -1.0 is not a finite number > 0"),
     # every rasterizing flag needs --observations, which needs --extent
     "merge-with-observations": (
         lambda ws, tmp: _merge_argv(tmp, "--observations", str(tmp / "obs.csv")),
@@ -987,6 +988,19 @@ CONFIG_ERRORS = {
         lambda ws, tmp: ["project", "--camera", _camera(ws, tmp, axis_angle=[math.inf, 0, 0]),
                          "--world", "1", "10", "0"],
         "camera file {tmp}/camera.json: axis_angle inf is not a finite number"),
+    # a list of the wrong length: an extra number was dropped, a missing one a traceback
+    "density-three-number-origin": (
+        lambda ws, tmp: _density_argv(tmp, "--extent", _extent(ws, tmp, origin=[0, 0, 1])),
+        "extent file {tmp}/extent.json: origin [0, 0, 1] is not a list of 2 numbers"),
+    "project-three-number-image-size": (
+        lambda ws, tmp: ["project", "--camera",
+                         _camera(ws, tmp, top={"image_size": [1920, 1080, 3]}),
+                         "--pixel", "960", "700"],
+        "camera file {tmp}/camera.json: image_size [1920, 1080, 3] is not a list of 2 numbers"),
+    "project-two-number-axis-angle": (
+        lambda ws, tmp: ["project", "--camera", _camera(ws, tmp, axis_angle=[0.1, 0.2]),
+                         "--world", "1", "10", "0"],
+        "camera file {tmp}/camera.json: axis_angle [0.1, 0.2] is not a list of 3 numbers"),
     "extrinsics-nan-fx": (
         lambda ws, tmp: ["calibrate", "extrinsics",
                          "--intrinsics", _pose_less_camera(ws, tmp, fx=math.nan),

@@ -5,8 +5,8 @@ byte that is not UTF-8: the command must exit 3, name the path on stderr
 and print no traceback. Each output flag gets a directory in the place of
 the file it writes (a regular file in the place of an ``--out-dir``) and a
 path under a regular file: the command must exit 2, name the path in the
-way and leave behind no empty directory it made. The runs are in-process,
-through ``posmap.cli.main``.
+way, write no file and leave behind no directory it made. The runs are
+in-process, through ``posmap.cli.main``.
 """
 
 from __future__ import annotations
@@ -128,10 +128,6 @@ def test_an_input_that_cannot_be_read_exits_3_naming_it(scene, tmp_path, capsys,
     assert str(named) in err, err
 
 
-def _dirs(root: Path) -> set[Path]:
-    return {p for p in root.rglob("*") if p.is_dir()}
-
-
 @pytest.mark.parametrize("index, flag, fault", OUTPUTS)
 def test_an_output_that_cannot_be_written_exits_2_naming_it(scene, tmp_path, capsys, index,
                                                              flag, fault):
@@ -148,10 +144,25 @@ def test_an_output_that_cannot_be_written_exits_2_naming_it(scene, tmp_path, cap
         named = tmp_path / "a-file"
         named.write_text("a regular file\n")
         given = named / value.name
-    before = _dirs(tmp_path)
+    before = set(tmp_path.rglob("*"))
     code, err = _run(words, flag, given, capsys)
     assert code == 2, err
     assert str(named) in err, err
-    # every other output goes to tmp_path / "out", which the run makes: a
-    # directory it made stays only if the run wrote there before it was refused
-    assert all(any(d.iterdir()) for d in _dirs(tmp_path) - before)
+    # every other output goes to tmp_path / "out", which the run would make
+    assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command, in_the_way", [
+    ("density", "d.json"), ("density", "d.pgm"), ("density", "d.manifest.json"),
+    ("eval", "e.manifest.json"), ("split", "tr.manifest.json"),
+])
+def test_a_directory_where_a_raster_part_or_the_manifest_goes_is_refused_before_the_run(
+        scene, tmp_path, capsys, command, in_the_way):
+    out = tmp_path / "out"
+    (out / in_the_way).mkdir(parents=True)
+    before = set(tmp_path.rglob("*"))
+    argv = next(c for c in COMMANDS if c.split()[0] == command)
+    capsys.readouterr()
+    assert main(argv.format(s=scene, o=out).split()) == 2
+    assert str(out / in_the_way) in capsys.readouterr().err
+    assert set(tmp_path.rglob("*")) == before

@@ -138,7 +138,7 @@ def test_box_uses_prior_footprint_verbatim(camera):
 ])
 def test_size_priors_refuse_a_size_that_is_not_finite_and_positive(by_class, default, named):
     # such a box would be written to obs.csv and refused when read back
-    with pytest.raises(ConfigError, match=f"size prior of {named} must be finite and positive"):
+    with pytest.raises(ConfigError, match=f"size prior of {named} .* is not a finite number > 0"):
         SizePriors(by_class=by_class, default=default)
 
 
